@@ -133,7 +133,7 @@ def describe(metric_id, fmt):
         f"  summary:     {d.summary}",
     ]
     if d.implemented:
-        lines.append(f"  expects:     {compute_mod.inputs_help(d.op_ref)}")
+        lines.append(f"  expects:     {compute_mod.inputs_help(d.id)}")
     for c in d.caveats:
         lines.append(f"  caveat:      {c}")
     _emit(payload, fmt, lines)

@@ -1,772 +1,451 @@
-"""One compute entry per implemented catalog metric.
+"""One declared spec per implemented catalog metric.
 
-Each entry knows how to turn input files plus ``key=value`` parameters into a
-library call and wraps the result in a MetricValue carrying the catalog unit.
-The fixture files under ``fixtures/`` document the concrete input shape for
-every metric.
+A spec names the metric's input kinds in file order, its typed ``--param``
+parameters with their defaults, and the library call. ``compute`` loads each
+file with the loader of its kind, converts the parameters, calls the library
+and wraps the result in a MetricValue carrying the catalog unit. The fixture
+files under ``fixtures/`` document the concrete input shape for every metric.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
-from dataclasses import dataclass
+import os
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from . import adversary, indist, infogain, registry, tabular, uncertainty
-from .core import (
-    DiscreteDistribution,
-    MetricValue,
-    _load_json,
-    parse_distribution,
-    parse_joint,
-    parse_mechanism,
-    parse_region,
-    parse_table,
-    parse_trace,
-)
+from . import adversary, core, infogain, registry, tabular, uncertainty
+from .core import MetricValue, _as_int, _distribution_from_json, _load_json
 from .errors import ParamError, SchemaError
 
 
+def _late(path: str) -> Callable:
+    """Call ``module.function``, looked up on every call rather than at import,
+    so that a wrapper installed on the module attribute is the one that runs."""
+    module, name = path.split(".")
+    module = importlib.import_module(f".{module}", __package__)
+    return lambda *args: getattr(module, name)(*args)
+
+
 # ---------------------------------------------------------------------------
-# Parameter and file helpers
+# Field types: values inside JSON input files must already have the JSON type
 
 
-def _param(params: dict, name: str, default=None, required: bool = False):
-    if name in params:
-        return params[name]
-    if required:
-        raise ParamError(f"missing required parameter {name!r}")
-    return default
+def _finite(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise SchemaError(f"{what}: expected a finite number, got {value!r}")
+    return float(value)
 
 
-def p_float(params: dict, name: str, default: float | None = None) -> float:
-    raw = _param(params, name, default, required=default is None)
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    if isinstance(raw, str) and raw.strip().lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ParamError(f"parameter {name!r} must be a number, got {raw!r}")
-
-
-def p_int(params: dict, name: str, default: int | None = None) -> int:
-    raw = _param(params, name, default, required=default is None)
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ParamError(f"parameter {name!r} must be an integer, got {raw!r}")
-
-
-def p_str(params: dict, name: str, default: str | None = None) -> str:
-    raw = _param(params, name, default, required=default is None)
-    return str(raw)
-
-
-def p_list(params: dict, name: str, default=None) -> list:
-    raw = _param(params, name, default, required=default is None)
-    if isinstance(raw, list):
-        return raw
-    try:
-        value = json.loads(raw)
-    except (TypeError, json.JSONDecodeError):
-        raise ParamError(f"parameter {name!r} must be a JSON array, got {raw!r}")
-    if not isinstance(value, list):
-        raise ParamError(f"parameter {name!r} must be a JSON array")
+def _boolean(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(f"{what}: expected true or false, got {value!r}")
     return value
+
+
+def _label(value, what: str) -> str:
+    if isinstance(value, (list, dict)) or value is None:
+        raise SchemaError(f"{what}: expected a string or number, got {value!r}")
+    return str(value)
+
+
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what}: expected a JSON array, got {value!r}")
+    return value
+
+
+def _list(item: Callable) -> Callable:
+    """Field type of a JSON array whose elements all have type ``item``."""
+    return lambda value, what: [item(v, what) for v in _array(value, what)]
+
+
+def _pair(value, what: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise SchemaError(f"{what}: expected a [number, number] pair, got {value!r}")
+    return _finite(value[0], what), _finite(value[1], what)
+
+
+def _request(value, what: str) -> tuple[float, str]:
+    if not isinstance(value, dict) or not {"t", "cell"} <= set(value):
+        raise SchemaError(f'{what}: expected {{"t": ..., "cell": ...}}, got {value!r}')
+    return _finite(value["t"], what), _label(value["cell"], what)
+
+
+def _set(value, what: str) -> set:
+    members = _array(value, what)
+    _labels(members, what)
+    return set(members)
+
+
+_floats = _list(_finite)
+_labels = _list(_label)
+_matrix = _list(_floats)
+_pairs = _list(_pair)
+
+
+# ---------------------------------------------------------------------------
+# Parameter types: ``--param`` values arrive as strings and are converted by
+# float, int, str or these; a conversion error is reported as E_PARAM
+
+
+def _json_array(item: Callable) -> Callable:
+    """Parameter type of a JSON array whose elements have field type ``item``."""
+    items = _list(item)
+    return lambda raw: items(raw if isinstance(raw, list) else json.loads(raw), "JSON array")
+
+
+_numbers = _json_array(_finite)
+_texts = _json_array(_label)
+_REQUIRED = object()
+
+
+def _typed(decls: dict) -> dict:
+    """``name=type`` declares a required value, ``name=(type, default)`` an optional one."""
+    return {k: v if isinstance(v, tuple) else (v, _REQUIRED) for k, v in decls.items()}
+
+
+# ---------------------------------------------------------------------------
+# Input kinds: a loader turns one file into the library arguments it holds
 
 
 def _read(path: str | Path) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as fh:
+            return fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}")
 
 
-def _json_file(path: str | Path, keys: set[str], optional: set[str] = frozenset()):
-    obj = _load_json(_read(path), Path(path).name)
-    if not isinstance(obj, dict) or not keys <= set(obj) or not set(obj) <= keys | optional:
-        raise SchemaError(f"{Path(path).name}: expected JSON object with keys {sorted(keys)}")
+def _object(path: str, keys: set[str], optional: set[str] = frozenset()) -> dict:
+    name = os.path.basename(path)
+    obj = _load_json(_read(path), name)
+    if not isinstance(obj, dict) or not keys <= obj.keys() or not obj.keys() <= keys | optional:
+        raise SchemaError(f"{name}: expected JSON object with keys {sorted(keys)}")
     return obj
 
 
-def _need(paths: Sequence[str], n: int, what: str):
-    if len(paths) != n:
-        raise ParamError(f"expected {n} input file(s) ({what}), got {len(paths)}")
+class _Kind(NamedTuple):
+    help: str
+    load: Callable[[str, str | None], tuple]  # (path, schema) -> library arguments
 
 
-def _table_from(paths: Sequence[str], schema_path: str | None):
-    _need(paths, 1, "table CSV")
-    if schema_path is None:
+def _parsed(parser: str, help: str) -> _Kind:
+    parse = _late(parser)
+    return _Kind(help, lambda path, schema: (parse(_read(path)),))
+
+
+def _record(**fields) -> _Kind:
+    """A JSON object whose typed fields, in declared order, are library arguments."""
+    fields = _typed(fields)
+    required = {k for k, (_, default) in fields.items() if default is _REQUIRED}
+    optional = set(fields) - required
+
+    def load(path, schema):
+        obj = _object(path, required, optional)
+        return tuple(kind(obj[k], k) if k in obj else d for k, (kind, d) in fields.items())
+
+    keys = ", ".join(f'"{k}"' if k in required else f'"{k}"?' for k in fields)
+    return _Kind("{" + keys + "}", load)
+
+
+def _table(path: str, schema: str | None) -> tuple:
+    if schema is None:
         raise ParamError("table metrics need --schema with the role/kind sidecar")
-    schema = _load_json(_read(schema_path), "schema sidecar")
-    return parse_table(_read(paths[0]), schema)
+    sidecar = _load_json(_read(schema), "schema sidecar")
+    return (core.parse_table(_read(path), sidecar),)
 
 
-def _table_spec(entry: dict, base: Path):
-    csv_text = _read(base / entry["csv_path"])
-    return parse_table(
-        csv_text, {"roles": entry.get("roles", {}), "kinds": entry.get("kinds", {})}
-    )
+def _table_entry(entry, base: Path):
+    if not isinstance(entry, dict) or not isinstance(entry.get("csv_path"), str):
+        raise SchemaError('each table entry needs a "csv_path"')
+    sidecar = {"roles": entry.get("roles", {}), "kinds": entry.get("kinds", {})}
+    return core.parse_table(_read(base / entry["csv_path"]), sidecar)
 
 
-def _dist(paths: Sequence[str], i: int = 0) -> DiscreteDistribution:
-    return parse_distribution(_read(paths[i]))
+def _join_spec(path: str, schema) -> tuple:
+    obj = _object(path, {"persons", "relations", "join_keys"})
+    base = Path(path).parent
+    relations = [_table_entry(r, base) for r in _array(obj["relations"], "relations")]
+    return _table_entry(obj["persons"], base), relations, _labels(obj["join_keys"], "join_keys")
 
 
-def _partition_dist(path: str) -> uncertainty.PartitionDistribution:
-    obj = _json_file(path, {"partitions"})
+def _presence_spec(path: str, schema) -> tuple:
+    obj = _object(path, {"external", "published"})
+    base = Path(path).parent
+    return _table_entry(obj["external"], base), _table_entry(obj["published"], base)
+
+
+def _partitions(path: str, schema) -> tuple:
     parts, probs = [], []
-    for entry in obj["partitions"]:
+    for entry in _array(_object(path, {"partitions"})["partitions"], "partitions"):
         if not isinstance(entry, dict) or set(entry) != {"blocks", "prob"}:
             raise SchemaError('each partition must be {"blocks": [[...]], "prob": ...}')
-        parts.append(uncertainty.make_partition(entry["blocks"]))
-        probs.append(float(entry["prob"]))
-    return uncertainty.PartitionDistribution(tuple(parts), tuple(probs))
+        parts.append(uncertainty.make_partition(_list(_labels)(entry["blocks"], "blocks")))
+        probs.append(_finite(entry["prob"], "partition prob"))
+    return (uncertainty.PartitionDistribution(tuple(parts), tuple(probs)),)
+
+
+_KINDS = {
+    "distribution": _parsed("core.parse_distribution", "distribution JSON"),
+    "joint": _parsed("core.parse_joint", "joint distribution JSON"),
+    "mechanism": _parsed("core.parse_mechanism", "mechanism JSON"),
+    "neighbors": _parsed("indist.parse_neighbor_relation", "neighbor-relation JSON"),
+    "trace": _parsed("core.parse_trace", "trace JSON"),
+    "region": _parsed("core.parse_region", "region JSON"),
+    "transcript": _parsed("indist.parse_game_transcript", "game transcript JSON"),
+    "adjacency": _parsed("infogain.parse_adjacency", '{"n", "bits", "classes"?}'),
+    "geo_mechanism": _parsed("indist.parse_geo_mechanism", '{"locations", "outputs", "matrix"}'),
+    "estimate": _parsed("adversary.parse_estimate", '{"posterior", "truth", "metric"?, "coords"?}'),
+    "histories": _parsed("tabular.parse_location_histories", "location histories JSON"),
+    "releases": _Kind("releases JSON", lambda path, schema: (tabular.load_releases(path),)),
+    "table": _Kind("table CSV + --schema", _table),
+    "join_spec": _Kind('join spec {"persons", "relations", "join_keys"}', _join_spec),
+    "presence_spec": _Kind('presence spec {"external", "published"}', _presence_spec),
+    "partitions": _Kind('{"partitions": [{"blocks", "prob"}, ...]}', _partitions),
+}
+_XY = _record(x=_floats, y=_floats)
+_FEATURE_SERIES = _record(transitions=_floats, window=(_as_int, None))
 
 
 # ---------------------------------------------------------------------------
-# Entry table
+# Specs
 
 
-@dataclass(frozen=True)
-class ComputeEntry:
-    fn: Callable[[Sequence[str], str | None, dict], object]
-    inputs_help: str
+class _Spec(NamedTuple):
+    inputs: tuple[tuple[_Kind, str], ...]  # arity "" once, "?" optional, "+" one or more
+    call: Callable
+    params: dict  # name -> (type, default or _REQUIRED), in call order
+    min_files: int
+    max_files: float
 
 
-_ENTRIES: dict[str, ComputeEntry] = {}
+def _spec(call: str | Callable, *inputs, **params) -> _Spec:
+    """Declare a metric: its library call, its input kinds in file order, its parameters.
 
-
-def _entry(metric_id: str, inputs_help: str):
-    def register(fn):
-        _ENTRIES[metric_id] = ComputeEntry(fn, inputs_help)
-        return fn
-
-    return register
-
-
-# --- uncertainty -----------------------------------------------------------
-
-
-@_entry("anonymity_set_size", '{"members": [...]}')
-def _(paths, schema, params):
-    _need(paths, 1, "member set")
-    return uncertainty.anonymity_set_size(set(_json_file(paths[0], {"members"})["members"]))
-
-
-@_entry("entropy", "distribution JSON")
-def _(paths, schema, params):
-    _need(paths, 1, "distribution")
-    return uncertainty.shannon_entropy(_dist(paths))
-
-
-@_entry("renyi_entropy", "distribution JSON; --param alpha=...")
-def _(paths, schema, params):
-    _need(paths, 1, "distribution")
-    return uncertainty.renyi_entropy(_dist(paths), p_float(params, "alpha"))
-
-
-@_entry("max_entropy", "distribution JSON")
-def _(paths, schema, params):
-    _need(paths, 1, "distribution")
-    return uncertainty.max_entropy(_dist(paths))
-
-
-@_entry("min_entropy", "distribution JSON")
-def _(paths, schema, params):
-    _need(paths, 1, "distribution")
-    return uncertainty.min_entropy(_dist(paths))
-
-
-@_entry("normalized_entropy", "distribution JSON")
-def _(paths, schema, params):
-    _need(paths, 1, "distribution")
-    return uncertainty.normalized_entropy(_dist(paths))
-
-
-@_entry("asymmetric_entropy", "distribution JSON; --param w=[...]")
-def _(paths, schema, params):
-    _need(paths, 1, "distribution")
-    w = [float(v) for v in p_list(params, "w")]
-    return uncertainty.asymmetric_entropy(_dist(paths), w)
-
-
-@_entry("quantile_entropy", "distribution JSON; --param c=...")
-def _(paths, schema, params):
-    _need(paths, 1, "distribution")
-    return uncertainty.quantile_entropy(_dist(paths), p_float(params, "c"))
-
-
-@_entry("conditional_entropy", "joint distribution JSON")
-def _(paths, schema, params):
-    _need(paths, 1, "joint distribution")
-    return uncertainty.conditional_entropy(parse_joint(_read(paths[0])))
-
-
-@_entry("normalized_conditional_entropy", "joint distribution JSON")
-def _(paths, schema, params):
-    _need(paths, 1, "joint distribution")
-    return uncertainty.conditional_entropy(parse_joint(_read(paths[0])), normalized=True)
-
-
-@_entry("inherent_privacy", "distribution JSON")
-def _(paths, schema, params):
-    _need(paths, 1, "distribution")
-    return uncertainty.inherent_privacy(uncertainty.shannon_entropy(_dist(paths)))
-
-
-@_entry("conditional_privacy", "joint distribution JSON")
-def _(paths, schema, params):
-    _need(paths, 1, "joint distribution")
-    h = uncertainty.conditional_entropy(parse_joint(_read(paths[0])))
-    return uncertainty.inherent_privacy(h)
-
-
-@_entry("cross_entropy", "true distribution JSON, model distribution JSON")
-def _(paths, schema, params):
-    _need(paths, 2, "two distributions")
-    return uncertainty.cross_entropy(_dist(paths, 0), _dist(paths, 1))
-
-
-@_entry("degree_of_unlinkability", '{"partitions": [...]} (posterior[, prior])')
-def _(paths, schema, params):
-    if len(paths) not in (1, 2):
-        raise ParamError("expected posterior partitions and optionally prior partitions")
-    posterior = _partition_dist(paths[0])
-    prior = _partition_dist(paths[1]) if len(paths) == 2 else None
-    return uncertainty.unlinkability_degree(posterior, prior)
-
-
-@_entry("entropy_bayes", '{"states", "prior", "transition", "likelihoods"}')
-def _(paths, schema, params):
-    _need(paths, 1, "tracking model")
-    obj = _json_file(paths[0], {"states", "prior", "transition", "likelihoods"})
-    states = tuple(str(s) for s in obj["states"])
-    model = uncertainty.BayesTrackingModel(
-        states,
-        DiscreteDistribution(states, tuple(float(p) for p in obj["prior"])),
-        tuple(tuple(float(v) for v in row) for row in obj["transition"]),
-        tuple(tuple(float(v) for v in row) for row in obj["likelihoods"]),
+    The call receives the loaded inputs, then the parameters, positionally.
+    An input is a kind name, suffixed ``?`` when optional (omitted: None) or
+    ``+`` when it takes all remaining files (as one list), or a ``_record``.
+    """
+    kinds = []
+    for kind in inputs:
+        if isinstance(kind, str):
+            name = kind.rstrip("?+")
+            kinds.append((_KINDS[name], kind[len(name):]))
+        else:
+            kinds.append((kind, ""))
+    arities = [arity for _, arity in kinds]
+    return _Spec(
+        tuple(kinds),
+        _late(call) if isinstance(call, str) else call,
+        _typed(params),
+        min_files=arities.count("") + arities.count("+"),
+        max_files=math.inf if "+" in arities else len(arities),
     )
+
+
+def _bayes_series(states, prior, transition, likelihoods) -> dict:
+    states = tuple(states)
+    prior = core.DiscreteDistribution(states, tuple(prior))
+    model = uncertainty.BayesTrackingModel(states, prior, transition, likelihoods)
     return {"series": uncertainty.bayes_entropy_series(model)}
 
 
-@_entry("cumulative_entropy", '{"values": [...]} (bits per mix zone)')
-def _(paths, schema, params):
-    _need(paths, 1, "zone entropies")
-    return uncertainty.cumulative_entropy(
-        [float(v) for v in _json_file(paths[0], {"values"})["values"]]
-    )
+def _user_centric(h0, lam, t, t_last) -> float:
+    return uncertainty.user_centric_privacy(uncertainty.DecaySpec(h0, lam, t_last), t)
 
 
-@_entry("genomic_privacy", '{"probs": [...], "weights": [...]}')
-def _(paths, schema, params):
-    _need(paths, 1, "variation probabilities")
-    obj = _json_file(paths[0], {"probs", "weights"})
-    return uncertainty.genomic_privacy(
-        [float(v) for v in obj["probs"]], [float(v) for v in obj["weights"]]
-    )
-
-
-@_entry("protection_level", '{"regions": [dist, ...]}, reference distribution; --param t_common=N')
-def _(paths, schema, params):
-    _need(paths, 2, "trajectory regions and reference")
-    obj = _json_file(paths[0], {"regions"})
-    regions = [
-        DiscreteDistribution(
-            tuple(str(s) for s in r["labels"]), tuple(float(p) for p in r["probs"])
-        )
-        for r in obj["regions"]
-    ]
-    return uncertainty.protection_level(regions, _dist(paths, 1), p_int(params, "t_common"))
-
-
-@_entry("user_centric_privacy", "--param h0=... lam=... t=... [t_last=0]")
-def _(paths, schema, params):
-    _need(paths, 0, "parameters only")
-    spec = uncertainty.DecaySpec(
-        p_float(params, "h0"), p_float(params, "lam"), p_float(params, "t_last", 0.0)
-    )
-    return uncertainty.user_centric_privacy(spec, p_float(params, "t"))
-
-
-# --- information gain ------------------------------------------------------
-
-
-@_entry("leaked_information", '{"items": [...]}')
-def _(paths, schema, params):
-    _need(paths, 1, "leaked items")
-    return infogain.leaked_count(set(_json_file(paths[0], {"items"})["items"]))
-
-
-@_entry("relative_entropy", "true distribution JSON, estimate distribution JSON")
-def _(paths, schema, params):
-    _need(paths, 2, "two distributions")
-    return infogain.kl_divergence(_dist(paths, 0), _dist(paths, 1))
-
-
-@_entry("mutual_information", "joint distribution JSON")
-def _(paths, schema, params):
-    _need(paths, 1, "joint distribution")
-    return infogain.mutual_information(parse_joint(_read(paths[0])))["mi"]
-
-
-@_entry("normalized_mutual_information", "joint distribution JSON")
-def _(paths, schema, params):
-    _need(paths, 1, "joint distribution")
-    return infogain.mutual_information(parse_joint(_read(paths[0])))["nmi"]
-
-
-@_entry("conditional_privacy_loss", "joint distribution JSON")
-def _(paths, schema, params):
-    _need(paths, 1, "joint distribution")
-    return infogain.mutual_information(parse_joint(_read(paths[0])))["cpl"]
-
-
-@_entry("conditional_mutual_information", '{"tensor": [[[p(x,y,z)]]]}')
-def _(paths, schema, params):
-    _need(paths, 1, "probability tensor")
-    return infogain.conditional_mutual_information(_json_file(paths[0], {"tensor"})["tensor"])
-
-
-@_entry("loss_of_anonymity", "mechanism JSON (one, or several with --param p_z=[...])")
-def _(paths, schema, params):
-    if not paths:
-        raise ParamError("expected at least one mechanism file")
-    channels = [parse_mechanism(_read(p)) for p in paths]
+def _loss_of_anonymity(channels, p_z) -> float:
     if len(channels) == 1:
         return infogain.channel_capacity(channels[0])
-    p_z = [float(v) for v in p_list(params, "p_z")]
+    if p_z is None:
+        raise ParamError("several mechanism files need --param p_z=[...]")
     return infogain.conditional_channel_capacity(channels, p_z)
 
 
-@_entry("max_information_leakage", "joint distribution JSON")
-def _(paths, schema, params):
-    _need(paths, 1, "joint distribution")
-    return infogain.max_information_leakage(parse_joint(_read(paths[0])))
-
-
-@_entry("system_anonymity_level", '{"n": ..., "bits": [[...]], "classes"?: [...]}')
-def _(paths, schema, params):
-    _need(paths, 1, "adjacency matrix")
-    return infogain.system_anonymity_level(infogain.parse_adjacency(_read(paths[0])))
-
-
-@_entry("information_surprisal", "--param p=...")
-def _(paths, schema, params):
-    _need(paths, 0, "parameters only")
-    return infogain.surprisal(p_float(params, "p"))
-
-
-@_entry("belief_increase", "--param prior=... posterior=... delta=...")
-def _(paths, schema, params):
-    _need(paths, 0, "parameters only")
-    return infogain.belief_increase_check(
-        p_float(params, "prior"), p_float(params, "posterior"), p_float(params, "delta")
+def _feature_reduction(protected, protected_window, original, original_window) -> float:
+    series = infogain.FeatureSeries.of
+    return infogain.feature_mass_reduction(
+        series(protected, protected_window), series(original, original_window)
     )
 
 
-@_entry("feature_reduction", "protected and original {\"transitions\": [...], \"window\"?: N}")
-def _(paths, schema, params):
-    _need(paths, 2, "protected and original series")
-
-    def series(path):
-        obj = _json_file(path, {"transitions"}, optional={"window"})
-        return infogain.FeatureSeries.of(obj["transitions"], obj.get("window"))
-
-    return infogain.feature_mass_reduction(series(paths[0]), series(paths[1]))
-
-
-@_entry("privacy_score", '{"sensitivities": [...], "visibilities": [...]}')
-def _(paths, schema, params):
-    _need(paths, 1, "scores")
-    obj = _json_file(paths[0], {"sensitivities", "visibilities"})
-    return infogain.privacy_score(
-        [float(v) for v in obj["sensitivities"]], [float(v) for v in obj["visibilities"]]
-    )
-
-
-@_entry("pearson_correlation", '{"x": [...], "y": [...]}')
-def _(paths, schema, params):
-    _need(paths, 1, "paired series")
-    obj = _json_file(paths[0], {"x", "y"})
-    return infogain.pearson_abs([float(v) for v in obj["x"]], [float(v) for v in obj["y"]])
-
-
-# --- similarity ------------------------------------------------------------
-
-
-@_entry("k_anonymity", "table CSV + --schema roles JSON")
-def _(paths, schema, params):
-    return tabular.k_anonymity(_table_from(paths, schema))
-
-
-@_entry("alpha_k_anonymity", "table CSV + --schema; --param value=...")
-def _(paths, schema, params):
-    return tabular.alpha_k_anonymity(_table_from(paths, schema), p_str(params, "value"))
-
-
-@_entry("l_diversity", "table CSV + --schema; --param mode=entropy|recursive [c=1]")
-def _(paths, schema, params):
-    return tabular.l_diversity(
-        _table_from(paths, schema),
-        p_str(params, "mode", "entropy"),
-        p_float(params, "c", 1.0),
-    )
-
-
-@_entry("m_invariance", "releases JSON (csv_path, roles, owners per release)")
-def _(paths, schema, params):
-    _need(paths, 1, "releases file")
-    return tabular.m_invariance(tabular.load_releases(paths[0]))
-
-
-@_entry("t_closeness", "table CSV + --schema roles JSON")
-def _(paths, schema, params):
-    return tabular.t_closeness(_table_from(paths, schema))
-
-
-@_entry("ct_isolation", '{"points": [[...]], "guess": [...]}; --param target_index=N c=... [t=N]')
-def _(paths, schema, params):
-    _need(paths, 1, "points and guess")
-    obj = _json_file(paths[0], {"points", "guess"})
-    result = tabular.ct_isolation(
-        obj["points"], obj["guess"], p_int(params, "target_index"), p_float(params, "c")
-    )
-    if "t" in params:
-        result["isolated"] = result["ball_count"] < p_int(params, "t")
+def _ct_isolation(points, guess, target_index, c, t) -> dict:
+    result = tabular.ct_isolation(points, guess, target_index, c)
+    if t is not None:
+        result["isolated"] = result["ball_count"] < t
     return result
 
 
-@_entry("ke_anonymity", "table CSV + --schema roles JSON")
-def _(paths, schema, params):
-    return tabular.ke_anonymity(_table_from(paths, schema))
-
-
-@_entry("em_anonymity", "table CSV + --schema; --param epsilon=...")
-def _(paths, schema, params):
-    return tabular.em_anonymity(_table_from(paths, schema), p_float(params, "epsilon"))
-
-
-@_entry("multirelational_k_anonymity", 'join spec JSON {"persons", "relations", "join_keys"}')
-def _(paths, schema, params):
-    _need(paths, 1, "join spec")
-    obj = _json_file(paths[0], {"persons", "relations", "join_keys"})
-    base = Path(paths[0]).parent
-    persons = _table_spec(obj["persons"], base)
-    relations = [_table_spec(spec, base) for spec in obj["relations"]]
-    return tabular.multirelational_k(persons, relations, [str(k) for k in obj["join_keys"]])
-
-
-@_entry("xy_privacy", "table CSV + --schema; --param x_cols=[...] y_cols=[...]")
-def _(paths, schema, params):
-    return tabular.xy_privacy(
-        _table_from(paths, schema),
-        [str(c) for c in p_list(params, "x_cols")],
-        [str(c) for c in p_list(params, "y_cols")],
-    )
-
-
-@_entry("historical_k_anonymity", 'histories JSON, {"requests": [{"t", "cell"}]}')
-def _(paths, schema, params):
-    _need(paths, 2, "histories and requests")
-    histories = tabular.parse_location_histories(_read(paths[0]))
-    reqs = _json_file(paths[1], {"requests"})["requests"]
-    requests = [(float(r["t"]), str(r["cell"])) for r in reqs]
-    return tabular.historical_k(histories, requests)
-
-
-@_entry("haplotype_snp_test", "--param n=... l=... [alpha=...] [mode=aggregate] [log_base=2]")
-def _(paths, schema, params):
-    _need(paths, 0, "parameters only")
-    return tabular.haplotype_safety(
-        p_int(params, "n"),
-        p_int(params, "l"),
-        p_float(params, "alpha", 0.0),
-        p_str(params, "mode", "aggregate"),
-        p_float(params, "log_base", 2.0),
-    )
-
-
-@_entry("cluster_similarity", '{"original": [...], "protected": [...]}')
-def _(paths, schema, params):
-    _need(paths, 1, "cluster assignments")
-    obj = _json_file(paths[0], {"original", "protected"})
-    return tabular.cluster_similarity(obj["original"], obj["protected"])
-
-
-@_entry("r_squared", '{"transitions": [...]}')
-def _(paths, schema, params):
-    _need(paths, 1, "transition series")
-    obj = _json_file(paths[0], {"transitions"})
-    return tabular.r_squared_transitions([float(v) for v in obj["transitions"]])
-
-
-@_entry("normalized_variance", '{"x": [...], "y": [...]}')
-def _(paths, schema, params):
-    _need(paths, 1, "paired series")
-    obj = _json_file(paths[0], {"x", "y"})
-    return tabular.normalized_variance(
-        [float(v) for v in obj["x"]], [float(v) for v in obj["y"]]
-    )
-
-
-# --- indistinguishability ---------------------------------------------------
-
-
-@_entry("differential_privacy", "mechanism JSON, neighbor-relation JSON")
-def _(paths, schema, params):
-    _need(paths, 2, "mechanism and neighbors")
-    return indist.dp_epsilon(
-        parse_mechanism(_read(paths[0])), indist.parse_neighbor_relation(_read(paths[1]))
-    )
-
-
-@_entry("approximate_differential_privacy", "mechanism JSON, neighbor JSON; --param eps=...")
-def _(paths, schema, params):
-    _need(paths, 2, "mechanism and neighbors")
-    return indist.adp_delta(
-        parse_mechanism(_read(paths[0])),
-        indist.parse_neighbor_relation(_read(paths[1])),
-        p_float(params, "eps"),
-    )
-
-
-@_entry("geo_indistinguishability", '{"locations": [[id,x,y]], "outputs", "matrix"}')
-def _(paths, schema, params):
-    _need(paths, 1, "geo mechanism")
-    return indist.geo_indistinguishability(indist.parse_geo_mechanism(_read(paths[0])))
-
-
-@_entry("information_privacy", "joint (sensitive x output) JSON; --param eps=...")
-def _(paths, schema, params):
-    _need(paths, 1, "joint distribution")
-    return indist.information_privacy(parse_joint(_read(paths[0])), p_float(params, "eps"))
-
-
-@_entry("distributional_privacy", "--param l1=... l2=... prior_ratio=... eps=...")
-def _(paths, schema, params):
-    _need(paths, 0, "parameters only")
-    return indist.distributional_privacy(
-        p_float(params, "l1"),
-        p_float(params, "l2"),
-        p_float(params, "prior_ratio"),
-        p_float(params, "eps"),
-    )
-
-
-@_entry("cryptographic_game", "transcript JSON; --param eps=...")
-def _(paths, schema, params):
-    _need(paths, 1, "game transcript")
-    result = indist.game_advantage(
-        indist.parse_game_transcript(_read(paths[0])), p_float(params, "eps")
-    )
-    result["ci95"] = list(result["ci95"])
-    return result
-
-
-@_entry("unconditional_privacy", "transcript JSON")
-def _(paths, schema, params):
-    _need(paths, 1, "game transcript")
-    return indist.unconditional_privacy(indist.parse_game_transcript(_read(paths[0])))
-
-
-# --- success ----------------------------------------------------------------
-
-
-@_entry("success_rate", '{"trials": [true/false, ...]}')
-def _(paths, schema, params):
-    _need(paths, 1, "trial outcomes")
-    return adversary.success_rate(
-        [bool(t) for t in _json_file(paths[0], {"trials"})["trials"]]
-    )
-
-
-@_entry("path_compromise", "--param compromised=N total=N path_length=N")
-def _(paths, schema, params):
-    _need(paths, 0, "parameters only")
-    return adversary.path_compromise_probability(
-        p_int(params, "compromised"), p_int(params, "total"), p_int(params, "path_length")
-    )
-
-
-@_entry("degrees_of_anonymity", "posterior distribution; --param target=... theta=... [alpha=0.5]")
-def _(paths, schema, params):
-    _need(paths, 1, "posterior distribution")
-    return adversary.degrees_of_anonymity(
-        _dist(paths),
-        p_str(params, "target"),
-        p_float(params, "theta"),
-        p_float(params, "alpha", 0.5),
-    )
-
-
-@_entry("privacy_breach_level", '{"posteriors": [...]}; --param rho=...')
-def _(paths, schema, params):
-    _need(paths, 1, "posteriors")
-    return adversary.privacy_breach_check(
-        [float(v) for v in _json_file(paths[0], {"posteriors"})["posteriors"]],
-        p_float(params, "rho"),
-    )
-
-
-@_entry("dg_privacy", "--param prior=... posterior=... d=... gamma=...")
-def _(paths, schema, params):
-    _need(paths, 0, "parameters only")
-    return adversary.dg_privacy_check(
-        p_float(params, "prior"),
-        p_float(params, "posterior"),
-        p_float(params, "d"),
-        p_float(params, "gamma"),
-    )
-
-
-@_entry("delta_presence", 'presence spec JSON {"external": {...}, "published": {...}}')
-def _(paths, schema, params):
-    _need(paths, 1, "presence spec")
-    obj = _json_file(paths[0], {"external", "published"})
-    base = Path(paths[0]).parent
-    return adversary.delta_presence(
-        _table_spec(obj["external"], base), _table_spec(obj["published"], base)
-    )
-
-
-@_entry("hiding_property", '{"matrix": [[...]]}; --param theta=...')
-def _(paths, schema, params):
-    _need(paths, 1, "assignment probabilities")
-    return adversary.hiding_property(
-        _json_file(paths[0], {"matrix"})["matrix"], p_float(params, "theta")
-    )
-
-
-# --- error ------------------------------------------------------------------
-
-
-@_entry("expected_estimation_error", 'estimate JSON {"posterior", "truth", "metric"?, "coords"?}')
-def _(paths, schema, params):
-    _need(paths, 1, "estimate")
-    return adversary.expected_estimation_error(adversary.parse_estimate(_read(paths[0])))
-
-
-@_entry("expectation_of_distance_error", '{"steps": [[[p, d], ...], ...], "n_users": N}')
-def _(paths, schema, params):
-    _need(paths, 1, "hypothesis steps")
-    obj = _json_file(paths[0], {"steps", "n_users"})
-    steps = [[(float(p), float(d)) for p, d in step] for step in obj["steps"]]
-    return adversary.distance_error_expectation(steps, int(obj["n_users"]), len(steps))
-
-
-@_entry("mean_squared_error", '{"truths": [...], "observations": [...]}')
-def _(paths, schema, params):
-    _need(paths, 1, "truths and observations")
-    obj = _json_file(paths[0], {"truths", "observations"})
-    return adversary.mean_squared_error(obj["truths"], obj["observations"])
-
-
-@_entry("pct_incorrectly_classified", "--param incorrect=N total=N")
-def _(paths, schema, params):
-    _need(paths, 0, "parameters only")
-    return adversary.pct_incorrect(p_int(params, "incorrect"), p_int(params, "total"))
-
-
-@_entry("health_privacy", '{"weights": [...], "values": [...]}')
-def _(paths, schema, params):
-    _need(paths, 1, "weighted base values")
-    obj = _json_file(paths[0], {"weights", "values"})
-    return adversary.health_privacy(
-        [float(v) for v in obj["weights"]], [float(v) for v in obj["values"]]
-    )
-
-
-# --- time -------------------------------------------------------------------
-
-
-@_entry("time_until_success", "--param m=N l=N n=N b=N")
-def _(paths, schema, params):
-    _need(paths, 0, "parameters only")
-    return adversary.batch_mix_rounds(
-        p_int(params, "m"), p_int(params, "l"), p_int(params, "n"), p_int(params, "b")
-    )
-
-
-@_entry("max_tracking_time", "anonymity-set-size trace JSON; --param end_time=...")
-def _(paths, schema, params):
-    _need(paths, 1, "trace")
-    return adversary.max_tracking_time(
-        parse_trace(_read(paths[0])), p_float(params, "end_time")
-    )
-
-
-@_entry("time_to_confusion", "entropy trace JSON; --param delta=... end_time=...")
-def _(paths, schema, params):
-    _need(paths, 1, "trace")
-    return adversary.time_to_confusion(
-        parse_trace(_read(paths[0])), p_float(params, "delta"), p_float(params, "end_time")
-    )
-
-
-# --- accuracy ---------------------------------------------------------------
-
-
-@_entry("confidence_interval_width", '{"atoms": [[v, p], ...]} or {"samples": [...]}; --param c=95')
-def _(paths, schema, params):
-    _need(paths, 1, "estimate mass")
-    obj = _load_json(_read(paths[0]), "estimate mass")
-    c = p_float(params, "c", 95.0)
-    if isinstance(obj, dict) and set(obj) == {"atoms"}:
-        atoms = [(float(v), float(p)) for v, p in obj["atoms"]]
-        return adversary.confidence_interval_width(atoms=atoms, c=c)
-    if isinstance(obj, dict) and set(obj) == {"samples"}:
-        return adversary.confidence_interval_width(
-            samples=[float(v) for v in obj["samples"]], c=c
-        )
-    raise SchemaError('expected {"atoms": [[value, prob], ...]} or {"samples": [...]}')
-
-
-@_entry("tp_privacy_violation", "--param rho_base=... rho_with=... p=...")
-def _(paths, schema, params):
-    _need(paths, 0, "parameters only")
-    return adversary.tp_violation_check(
-        p_float(params, "rho_base"), p_float(params, "rho_with"), p_float(params, "p")
-    )
-
-
-@_entry("event_unobservability", '{"f1": [...], "f2": [...]}; --param p1 p2 alpha eps')
-def _(paths, schema, params):
-    _need(paths, 1, "sample sets")
-    obj = _json_file(paths[0], {"f1", "f2"})
-    return adversary.event_unobservability(
-        [float(v) for v in obj["f1"]],
-        [float(v) for v in obj["f2"]],
-        p_float(params, "p1"),
-        p_float(params, "p2"),
-        p_float(params, "alpha"),
-        p_float(params, "eps"),
-    )
-
-
-@_entry("uncertainty_region_size", "region JSON")
-def _(paths, schema, params):
-    _need(paths, 1, "region")
-    return adversary.region_privacy(parse_region(_read(paths[0])))["size"]
-
-
-@_entry("coverage_of_sensitive_region", "uncertainty region JSON, sensitive region JSON")
-def _(paths, schema, params):
-    _need(paths, 2, "two regions")
-    r_u = parse_region(_read(paths[0]))
-    r_s = parse_region(_read(paths[1]))
-    return adversary.region_privacy(r_u, r_s)["coverage"]
-
-
-@_entry("accuracy_of_obfuscated_region", "--param r_opt=... r_min=...")
-def _(paths, schema, params):
-    _need(paths, 0, "parameters only")
-    return adversary.obfuscation_accuracy(p_float(params, "r_opt"), p_float(params, "r_min"))
+_SPECS: dict[str, _Spec] = {
+    # --- uncertainty -------------------------------------------------------
+    "anonymity_set_size": _spec("uncertainty.anonymity_set_size", _record(members=_set)),
+    "entropy": _spec("uncertainty.shannon_entropy", "distribution"),
+    "renyi_entropy": _spec("uncertainty.renyi_entropy", "distribution", alpha=float),
+    "max_entropy": _spec("uncertainty.max_entropy", "distribution"),
+    "min_entropy": _spec("uncertainty.min_entropy", "distribution"),
+    "normalized_entropy": _spec("uncertainty.normalized_entropy", "distribution"),
+    "asymmetric_entropy": _spec("uncertainty.asymmetric_entropy", "distribution", w=_numbers),
+    "quantile_entropy": _spec("uncertainty.quantile_entropy", "distribution", c=float),
+    "conditional_entropy": _spec("uncertainty.conditional_entropy", "joint"),
+    "normalized_conditional_entropy": _spec(
+        lambda j: uncertainty.conditional_entropy(j, normalized=True), "joint"
+    ),
+    "inherent_privacy": _spec(
+        lambda d: uncertainty.inherent_privacy(uncertainty.shannon_entropy(d)), "distribution"
+    ),
+    "conditional_privacy": _spec(
+        lambda j: uncertainty.inherent_privacy(uncertainty.conditional_entropy(j)), "joint"
+    ),
+    "cross_entropy": _spec("uncertainty.cross_entropy", "distribution", "distribution"),
+    "degree_of_unlinkability": _spec(
+        "uncertainty.unlinkability_degree", "partitions", "partitions?"
+    ),
+    "entropy_bayes": _spec(
+        _bayes_series,
+        _record(states=_labels, prior=_floats, transition=_matrix, likelihoods=_matrix),
+    ),
+    "cumulative_entropy": _spec("uncertainty.cumulative_entropy", _record(values=_floats)),
+    "genomic_privacy": _spec(
+        "uncertainty.genomic_privacy", _record(probs=_floats, weights=_floats)
+    ),
+    "protection_level": _spec(
+        "uncertainty.protection_level",
+        _record(regions=_list(_distribution_from_json)),
+        "distribution",
+        t_common=int,
+    ),
+    "user_centric_privacy": _spec(_user_centric, h0=float, lam=float, t=float, t_last=(float, 0.0)),
+    # --- information gain --------------------------------------------------
+    "leaked_information": _spec("infogain.leaked_count", _record(items=_set)),
+    "relative_entropy": _spec("infogain.kl_divergence", "distribution", "distribution"),
+    "mutual_information": _spec(lambda j: infogain.mutual_information(j)["mi"], "joint"),
+    "normalized_mutual_information": _spec(
+        lambda j: infogain.mutual_information(j)["nmi"], "joint"
+    ),
+    "conditional_privacy_loss": _spec(lambda j: infogain.mutual_information(j)["cpl"], "joint"),
+    "conditional_mutual_information": _spec(
+        "infogain.conditional_mutual_information", _record(tensor=_list(_matrix))
+    ),
+    "loss_of_anonymity": _spec(_loss_of_anonymity, "mechanism+", p_z=(_numbers, None)),
+    "max_information_leakage": _spec("infogain.max_information_leakage", "joint"),
+    "system_anonymity_level": _spec("infogain.system_anonymity_level", "adjacency"),
+    "information_surprisal": _spec("infogain.surprisal", p=float),
+    "belief_increase": _spec(
+        "infogain.belief_increase_check", prior=float, posterior=float, delta=float
+    ),
+    "feature_reduction": _spec(_feature_reduction, _FEATURE_SERIES, _FEATURE_SERIES),
+    "privacy_score": _spec(
+        "infogain.privacy_score", _record(sensitivities=_floats, visibilities=_floats)
+    ),
+    "pearson_correlation": _spec("infogain.pearson_abs", _XY),
+    # --- similarity --------------------------------------------------------
+    "k_anonymity": _spec("tabular.k_anonymity", "table"),
+    "alpha_k_anonymity": _spec("tabular.alpha_k_anonymity", "table", value=str),
+    "l_diversity": _spec("tabular.l_diversity", "table", mode=(str, "entropy"), c=(float, 1.0)),
+    "m_invariance": _spec("tabular.m_invariance", "releases"),
+    "t_closeness": _spec("tabular.t_closeness", "table"),
+    "ct_isolation": _spec(
+        _ct_isolation,
+        _record(points=_matrix, guess=_floats),
+        target_index=int,
+        c=float,
+        t=(int, None),
+    ),
+    "ke_anonymity": _spec("tabular.ke_anonymity", "table"),
+    "em_anonymity": _spec("tabular.em_anonymity", "table", epsilon=float),
+    "multirelational_k_anonymity": _spec("tabular.multirelational_k", "join_spec"),
+    "xy_privacy": _spec("tabular.xy_privacy", "table", x_cols=_texts, y_cols=_texts),
+    "historical_k_anonymity": _spec(
+        "tabular.historical_k", "histories", _record(requests=_list(_request))
+    ),
+    "haplotype_snp_test": _spec(
+        "tabular.haplotype_safety",
+        n=int,
+        l=int,
+        alpha=(float, 0.0),
+        mode=(str, "aggregate"),
+        log_base=(float, 2.0),
+    ),
+    "cluster_similarity": _spec(
+        "tabular.cluster_similarity", _record(original=_array, protected=_array)
+    ),
+    "r_squared": _spec("tabular.r_squared_transitions", _record(transitions=_floats)),
+    "normalized_variance": _spec("tabular.normalized_variance", _XY),
+    # --- indistinguishability ----------------------------------------------
+    "differential_privacy": _spec("indist.dp_epsilon", "mechanism", "neighbors"),
+    "approximate_differential_privacy": _spec(
+        "indist.adp_delta", "mechanism", "neighbors", eps=float
+    ),
+    "geo_indistinguishability": _spec("indist.geo_indistinguishability", "geo_mechanism"),
+    "information_privacy": _spec("indist.information_privacy", "joint", eps=float),
+    "distributional_privacy": _spec(
+        "indist.distributional_privacy", l1=float, l2=float, prior_ratio=float, eps=float
+    ),
+    "cryptographic_game": _spec("indist.game_advantage", "transcript", eps=float),
+    "unconditional_privacy": _spec("indist.unconditional_privacy", "transcript"),
+    # --- success -----------------------------------------------------------
+    "success_rate": _spec("adversary.success_rate", _record(trials=_list(_boolean))),
+    "path_compromise": _spec(
+        "adversary.path_compromise_probability", compromised=int, total=int, path_length=int
+    ),
+    "degrees_of_anonymity": _spec(
+        "adversary.degrees_of_anonymity",
+        "distribution",
+        target=str,
+        theta=float,
+        alpha=(float, 0.5),
+    ),
+    "privacy_breach_level": _spec(
+        "adversary.privacy_breach_check", _record(posteriors=_floats), rho=float
+    ),
+    "dg_privacy": _spec(
+        "adversary.dg_privacy_check", prior=float, posterior=float, d=float, gamma=float
+    ),
+    "delta_presence": _spec("adversary.delta_presence", "presence_spec"),
+    "hiding_property": _spec("adversary.hiding_property", _record(matrix=_matrix), theta=float),
+    # --- error -------------------------------------------------------------
+    "expected_estimation_error": _spec("adversary.expected_estimation_error", "estimate"),
+    "expectation_of_distance_error": _spec(
+        lambda steps, n_users: adversary.distance_error_expectation(steps, n_users, len(steps)),
+        _record(steps=_list(_pairs), n_users=_as_int),
+    ),
+    "mean_squared_error": _spec(
+        "adversary.mean_squared_error", _record(truths=_array, observations=_array)
+    ),
+    "pct_incorrectly_classified": _spec("adversary.pct_incorrect", incorrect=int, total=int),
+    "health_privacy": _spec("adversary.health_privacy", _record(weights=_floats, values=_floats)),
+    # --- time --------------------------------------------------------------
+    "time_until_success": _spec("adversary.batch_mix_rounds", m=int, l=int, n=int, b=int),
+    "max_tracking_time": _spec("adversary.max_tracking_time", "trace", end_time=float),
+    "time_to_confusion": _spec("adversary.time_to_confusion", "trace", delta=float, end_time=float),
+    # --- accuracy ----------------------------------------------------------
+    "confidence_interval_width": _spec(
+        "adversary.confidence_interval_width",
+        _record(atoms=(_pairs, None), samples=(_floats, None)),  # exactly one of them
+        c=(float, 95.0),
+    ),
+    "tp_privacy_violation": _spec(
+        "adversary.tp_violation_check", rho_base=float, rho_with=float, p=float
+    ),
+    "event_unobservability": _spec(
+        "adversary.event_unobservability",
+        _record(f1=_floats, f2=_floats),
+        p1=float,
+        p2=float,
+        alpha=float,
+        eps=float,
+    ),
+    "uncertainty_region_size": _spec(lambda r: adversary.region_privacy(r)["size"], "region"),
+    "coverage_of_sensitive_region": _spec(
+        lambda u, s: adversary.region_privacy(u, s)["coverage"], "region", "region"
+    ),
+    "accuracy_of_obfuscated_region": _spec(
+        "adversary.obfuscation_accuracy", r_opt=float, r_min=float
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -813,11 +492,22 @@ def in_declared_range(value, rng: dict) -> bool:
 
 
 def compute_ids() -> tuple[str, ...]:
-    return tuple(sorted(_ENTRIES))
+    return tuple(sorted(_SPECS))
 
 
 def inputs_help(metric_id: str) -> str:
-    return _ENTRIES[metric_id].inputs_help
+    """The input files and ``--param`` parameters a metric takes, read from its spec."""
+    spec = _SPECS[metric_id]
+    files = ", ".join(
+        {"": kind.help, "?": f"[{kind.help}]", "+": f"{kind.help} (one or more)"}[arity]
+        for kind, arity in spec.inputs
+    )
+    params = " ".join(
+        f"{name}=..." if default is _REQUIRED
+        else f"[{name}={'...' if default is None else default}]"
+        for name, (_, default) in spec.params.items()
+    )
+    return "; ".join(filter(None, (files, params and f"--param {params}")))
 
 
 def compute(
@@ -829,11 +519,37 @@ def compute(
     """Compute one catalog metric from input files and parameters."""
     descriptor = registry.lookup(metric_id)
     if not descriptor.implemented:
+        raise ParamError(f"{metric_id} is a descriptor-only metric with no implementation")
+    spec = _SPECS[metric_id]
+    params = params or {}
+    if not spec.min_files <= len(paths) <= spec.max_files:
         raise ParamError(
-            f"{metric_id} is a descriptor-only metric with no implementation"
+            f"{metric_id} takes {inputs_help(metric_id)}; got {len(paths)} input file(s)"
         )
-    entry = _ENTRIES[descriptor.op_ref]
-    value = entry.fn(list(paths), schema, dict(params or {}))
+    if not params.keys() <= spec.params.keys():
+        unknown = sorted(params.keys() - spec.params.keys())
+        raise ParamError(
+            f"unknown parameter(s) {unknown}; {metric_id} takes {inputs_help(metric_id)}"
+        )
+    args = []
+    for i, (kind, arity) in enumerate(spec.inputs):
+        if arity == "+":
+            args.append([arg for path in paths[i:] for arg in kind.load(path, schema)])
+        elif i < len(paths):
+            args.extend(kind.load(paths[i], schema))
+        else:
+            args.append(None)  # an omitted optional input
+    for name, (kind, default) in spec.params.items():
+        if name in params:
+            try:
+                args.append(kind(params[name]))
+            except (TypeError, ValueError, SchemaError) as exc:
+                raise ParamError(f"parameter {name!r}: {exc}")
+        elif default is _REQUIRED:
+            raise ParamError(f"missing required parameter {name!r}")
+        else:
+            args.append(default)
+    value = spec.call(*args)
     return MetricValue(
         metric_id=metric_id,
         value=value,

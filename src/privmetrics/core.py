@@ -43,6 +43,14 @@ def _as_finite_float(x, what: str) -> float:
     return v
 
 
+def _as_int(x, what: str) -> int:
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise SchemaError(f"{what}: not an integer: {x!r}")
+
+
 # ---------------------------------------------------------------------------
 # Distributions
 
@@ -103,9 +111,12 @@ class DiscreteDistribution:
 
 def parse_distribution(text: str) -> DiscreteDistribution:
     """Parse the documented JSON shape ``{"labels": [...], "probs": [...]}``."""
-    obj = _load_json(text, "distribution")
+    return _distribution_from_json(_load_json(text, "distribution"), "distribution file")
+
+
+def _distribution_from_json(obj, what: str) -> DiscreteDistribution:
     if not isinstance(obj, dict) or set(obj) != {"labels", "probs"}:
-        raise SchemaError('distribution file must be {"labels": [...], "probs": [...]}')
+        raise SchemaError(f'{what} must be {{"labels": [...], "probs": [...]}}')
     labels, probs = obj["labels"], obj["probs"]
     if not isinstance(labels, list) or not isinstance(probs, list):
         raise SchemaError("labels and probs must be JSON arrays")
@@ -507,11 +518,13 @@ def parse_region(text: str) -> Region:
             raise SchemaError("rect must be [x_min, y_min, x_max, y_max]")
         return Region(rect=tuple(_as_finite_float(v, "rect coordinate") for v in rect))
     if isinstance(obj, dict) and set(obj) == {"cells"}:
+        if not isinstance(obj["cells"], list):
+            raise SchemaError("cells must be a list of [i, j] pairs")
         cells = set()
         for cell in obj["cells"]:
             if not isinstance(cell, list) or len(cell) != 2:
                 raise SchemaError("cells must be [i, j] pairs")
-            cells.add((int(cell[0]), int(cell[1])))
+            cells.add((_as_int(cell[0], "cell index"), _as_int(cell[1], "cell index")))
         return Region(cells=frozenset(cells))
     raise SchemaError('region file must be {"rect": [...]} or {"cells": [...]}')
 

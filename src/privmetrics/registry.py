@@ -109,7 +109,6 @@ def _m(
     optional: str = "",
     caveats: Sequence[str] = (),
     implemented: bool = True,
-    op: str | None = None,
 ) -> MetricDescriptor:
     return MetricDescriptor(
         id=metric_id,
@@ -124,7 +123,7 @@ def _m(
         summary=summary,
         caveats=tuple(caveats),
         implemented=implemented,
-        op_ref=op if implemented else None,
+        op_ref=metric_id if implemented else None,
     )
 
 
@@ -147,7 +146,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "depends only on the candidate count, ignoring prior knowledge and "
             "how likely each member is to be the target",
         ),
-        op="anonymity_set_size",
     ),
     _m(
         "asymmetric_entropy",
@@ -164,7 +162,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "the raw value can exceed 1; reported unnormalized with an "
             "out-of-range flag",
         ),
-        op="asymmetric_entropy",
     ),
     _m(
         "conditional_entropy",
@@ -180,7 +177,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "distinct from the entropy of a conditional distribution; it averages "
             "over the observed variable",
         ),
-        op="conditional_entropy",
     ),
     _m(
         "conditional_privacy",
@@ -192,7 +188,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,prior",
         "count",
         "Effective anonymity-set size left after an observation: 2 to the conditional entropy.",
-        op="conditional_privacy",
     ),
     _m(
         "cross_entropy",
@@ -204,7 +199,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,truth",
         "bits",
         "Code length for the true distribution under the adversary's model distribution.",
-        op="cross_entropy",
     ),
     _m(
         "cumulative_entropy",
@@ -216,7 +210,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est",
         "bits",
         "Total uncertainty gathered across a route through independent mix zones.",
-        op="cumulative_entropy",
     ),
     _m(
         "degree_of_unlinkability",
@@ -233,7 +226,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "candidate partitions and their probabilities are supplied explicitly; "
             "the space of all set partitions grows too fast to enumerate",
         ),
-        op="degree_of_unlinkability",
     ),
     _m(
         "entropy",
@@ -252,7 +244,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "20 and a 101-candidate set whose top candidate holds half the mass",
             "says nothing about the adversary's correctness or required resources",
         ),
-        op="entropy",
     ),
     _m(
         "entropy_bayes",
@@ -264,7 +255,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,prior",
         "bits",
         "Posterior uncertainty tracked over time with predict-then-correct belief updates.",
-        op="entropy_bayes",
     ),
     _m(
         "genomic_privacy",
@@ -276,7 +266,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,par",
         "bits",
         "Severity-weighted surprisal of a person's genomic variations.",
-        op="genomic_privacy",
     ),
     _m(
         "inherent_privacy",
@@ -288,7 +277,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est",
         "count",
         "Entropy restated as an effective anonymity-set size: 2 to the entropy.",
-        op="inherent_privacy",
     ),
     _m(
         "max_entropy",
@@ -300,7 +288,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est",
         "bits",
         "Best case: uncertainty if every candidate were equally likely.",
-        op="max_entropy",
     ),
     _m(
         "min_entropy",
@@ -312,7 +299,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est",
         "bits",
         "Worst case: uncertainty determined by the single most likely candidate.",
-        op="min_entropy",
     ),
     _m(
         "normalized_conditional_entropy",
@@ -324,7 +310,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,prior",
         "ratio",
         "Conditional entropy as a fraction of the unconditional entropy.",
-        op="normalized_conditional_entropy",
     ),
     _m(
         "normalized_entropy",
@@ -336,7 +321,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est",
         "ratio",
         "Entropy as a fraction of its maximum; the degree of anonymity.",
-        op="normalized_entropy",
     ),
     _m(
         "protection_level",
@@ -348,7 +332,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,par",
         "ratio",
         "Average popularity of visited regions relative to a user-chosen reference region.",
-        op="protection_level",
     ),
     _m(
         "quantile_entropy",
@@ -364,7 +347,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "threshold read per outcome (p(x) >= c); the retained subset is "
             "renormalized so the value is a true entropy",
         ),
-        op="quantile_entropy",
     ),
     _m(
         "renyi_entropy",
@@ -376,7 +358,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,par",
         "bits",
         "Order-parameterized family of uncertainties spanning best to worst case.",
-        op="renyi_entropy",
     ),
     _m(
         "user_centric_privacy",
@@ -388,7 +369,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,par",
         "bits",
         "Entropy at the last protection event, decaying linearly at a user-chosen rate.",
-        op="user_centric_privacy",
     ),
     # ------------------------------------------------------------------
     # Information gain or loss
@@ -403,7 +383,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "count",
         "Number of distinct information items disclosed by the system.",
         caveats=("counts items without weighting their sensitivity",),
-        op="leaked_information",
     ),
     _m(
         "conditional_mutual_information",
@@ -415,7 +394,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,truth,prior",
         "bits",
         "Information the observation carries about the hidden value beyond prior knowledge.",
-        op="conditional_mutual_information",
     ),
     _m(
         "conditional_privacy_loss",
@@ -427,7 +405,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,truth",
         "ratio",
         "Fraction of the hidden variable's privacy lost by revealing the observation.",
-        op="conditional_privacy_loss",
     ),
     _m(
         "belief_increase",
@@ -439,7 +416,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,prior,par",
         "boolean",
         "Whether the posterior belief exceeds the prior by more than a tolerance.",
-        op="belief_increase",
     ),
     _m(
         "information_surprisal",
@@ -451,7 +427,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,truth",
         "bits",
         "Self-information carried by one concrete outcome.",
-        op="information_surprisal",
     ),
     _m(
         "max_information_leakage",
@@ -463,7 +438,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est",
         "bits",
         "Largest uncertainty drop any single observation can cause.",
-        op="max_information_leakage",
     ),
     _m(
         "mutual_information",
@@ -475,7 +449,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,truth",
         "bits",
         "Information shared between the hidden value and the observation.",
-        op="mutual_information",
     ),
     _m(
         "normalized_mutual_information",
@@ -487,7 +460,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,truth",
         "ratio",
         "One minus the leaked fraction of the hidden variable's entropy.",
-        op="normalized_mutual_information",
     ),
     _m(
         "pearson_correlation",
@@ -503,7 +475,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "declared range is [0,1] while the raw coefficient spans [-1,1]; "
             "the magnitude is reported and the signed value kept as a secondary field",
         ),
-        op="pearson_correlation",
     ),
     _m(
         "privacy_score",
@@ -515,7 +486,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "par",
         "dimensionless",
         "Sensitivity-weighted visibility of a profile's information items.",
-        op="privacy_score",
     ),
     _m(
         "feature_reduction",
@@ -531,7 +501,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "fewer observable features does not imply the hidden information "
             "cannot be inferred",
         ),
-        op="feature_reduction",
     ),
     _m(
         "relative_entropy",
@@ -547,7 +516,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "declared direction is high-is-private; the same quantity is also "
             "read as information revealed to the adversary",
         ),
-        op="relative_entropy",
     ),
     _m(
         "loss_of_anonymity",
@@ -564,7 +532,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "the conditioned variant maximizes one shared input distribution "
             "across all values of the revealed side information",
         ),
-        op="loss_of_anonymity",
     ),
     _m(
         "system_anonymity_level",
@@ -580,7 +547,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "the class structure over matchings is caller-supplied; by default "
             "every matching is its own class (finest, most conservative partition)",
         ),
-        op="system_anonymity_level",
     ),
     # ------------------------------------------------------------------
     # Similarity or diversity
@@ -598,7 +564,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "attribute linkage can remain possible below the frequency bound",
             NO_ADVERSARY_CAVEAT,
         ),
-        op="alpha_k_anonymity",
     ),
     _m(
         "ct_isolation",
@@ -610,7 +575,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,truth,par",
         "count",
         "How many database points a ball around the adversary's guess captures.",
-        op="ct_isolation",
     ),
     _m(
         "cluster_similarity",
@@ -623,7 +587,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "ratio",
         "Best-bijection agreement between clusterings of original and protected series.",
         caveats=(NO_ADVERSARY_CAVEAT,),
-        op="cluster_similarity",
     ),
     _m(
         "r_squared",
@@ -636,7 +599,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "ratio",
         "Share of protected-series variability a straight-line fit explains.",
         caveats=(NO_ADVERSARY_CAVEAT,),
-        op="r_squared",
     ),
     _m(
         "em_anonymity",
@@ -649,7 +611,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "dimensionless",
         "Bound on the in-class fraction of sensitive values similar to any value.",
         caveats=(NO_ADVERSARY_CAVEAT,),
-        op="em_anonymity",
     ),
     _m(
         "haplotype_snp_test",
@@ -665,7 +626,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "log base is configurable (base 2 by default)",
             NO_ADVERSARY_CAVEAT,
         ),
-        op="haplotype_snp_test",
     ),
     _m(
         "historical_k_anonymity",
@@ -678,7 +638,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "count",
         "Number of user location histories consistent with a request sequence.",
         caveats=(NO_ADVERSARY_CAVEAT,),
-        op="historical_k_anonymity",
     ),
     _m(
         "k_anonymity",
@@ -696,7 +655,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "semantically close sensitive values",
             NO_ADVERSARY_CAVEAT,
         ),
-        op="k_anonymity",
     ),
     _m(
         "ke_anonymity",
@@ -712,7 +670,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "ignores how values spread inside the range, enabling proximity attacks",
             NO_ADVERSARY_CAVEAT,
         ),
-        op="ke_anonymity",
     ),
     _m(
         "l_diversity",
@@ -729,7 +686,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "similar values, multiple releases, or numeric attributes",
             NO_ADVERSARY_CAVEAT,
         ),
-        op="l_diversity",
     ),
     _m(
         "m_invariance",
@@ -742,7 +698,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "count",
         "Cross-release stability of each owner's set of class sensitive values.",
         caveats=(NO_ADVERSARY_CAVEAT,),
-        op="m_invariance",
     ),
     _m(
         "multirelational_k_anonymity",
@@ -759,7 +714,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "secondary boolean",
             NO_ADVERSARY_CAVEAT,
         ),
-        op="multirelational_k_anonymity",
     ),
     _m(
         "t_closeness",
@@ -776,7 +730,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "categorical attributes, ordered cumulative form for numeric ones",
             NO_ADVERSARY_CAVEAT,
         ),
-        op="t_closeness",
     ),
     _m(
         "normalized_variance",
@@ -793,7 +746,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "raw value is reported with an out-of-range flag",
             NO_ADVERSARY_CAVEAT,
         ),
-        op="normalized_variance",
     ),
     _m(
         "xy_privacy",
@@ -809,7 +761,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "implemented as the literal worst case over value pairs",
             NO_ADVERSARY_CAVEAT,
         ),
-        op="xy_privacy",
     ),
     # ------------------------------------------------------------------
     # Time
@@ -827,7 +778,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "overestimates privacy: an adversary may keep tracking with a small "
             "but non-singleton candidate set",
         ),
-        op="max_tracking_time",
     ),
     _m(
         "time_to_confusion",
@@ -840,7 +790,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "seconds",
         "Durations of the runs where tracking entropy stays below a threshold.",
         caveats=("mean-of-runs and cumulative readings are both reported",),
-        op="time_to_confusion",
     ),
     _m(
         "time_until_success",
@@ -853,7 +802,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "count",
         "Expected batch-mix rounds until the adversary links all of a sender's recipients.",
         optional="par",
-        op="time_until_success",
     ),
     # ------------------------------------------------------------------
     # Indistinguishability
@@ -867,7 +815,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "truth,par",
         "probability",
         "Differential privacy relaxed by an additive slack on the ratio bound.",
-        op="approximate_differential_privacy",
     ),
     _m(
         "computational_differential_privacy",
@@ -895,7 +842,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,truth,par",
         "boolean",
         "Whether a challenge-response adversary's edge over coin flipping stays negligible.",
-        op="cryptographic_game",
     ),
     _m(
         "differential_privacy",
@@ -911,7 +857,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "parameter choice is hard in practice (reported values span 0.01 to 100)",
             "guarantees degrade under correlated data and compose additively over queries",
         ),
-        op="differential_privacy",
     ),
     _m(
         "distributed_differential_privacy",
@@ -940,7 +885,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "boolean",
         "Indistinguishability of the parameters generating the data, not the data itself.",
         caveats=("checks a single observed response sequence",),
-        op="distributional_privacy",
     ),
     _m(
         "geo_indistinguishability",
@@ -955,7 +899,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         caveats=(
             "formalized as the worst output log-ratio per unit of input distance",
         ),
-        op="geo_indistinguishability",
     ),
     _m(
         "information_privacy",
@@ -971,7 +914,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "holding at eps also bounds maximum information leakage and implies "
             "differential privacy at twice the parameter",
         ),
-        op="information_privacy",
     ),
     _m(
         "observational_equivalence",
@@ -1003,7 +945,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "declared direction marks low as private; the zero-advantage check is "
             "evaluated on the observed transcript",
         ),
-        op="unconditional_privacy",
     ),
     # ------------------------------------------------------------------
     # Adversary's success probability
@@ -1022,7 +963,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "includes the record-linkage reading: matches above a similarity "
             "threshold occurring at a required rate",
         ),
-        op="success_rate",
     ),
     _m(
         "dg_privacy",
@@ -1038,7 +978,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "the ratio condition lower-bounds the posterior/prior ratio, which "
             "reads counterintuitively for a guarantee; implemented literally",
         ),
-        op="dg_privacy",
     ),
     _m(
         "degrees_of_anonymity",
@@ -1056,7 +995,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "declared range is numeric [0,1] though the verdict is one of six "
             "ordered degrees",
         ),
-        op="degrees_of_anonymity",
     ),
     _m(
         "delta_presence",
@@ -1071,7 +1009,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         caveats=(
             "assumes the publisher and the adversary share the same external data",
         ),
-        op="delta_presence",
     ),
     _m(
         "hiding_property",
@@ -1083,7 +1020,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,par",
         "probability",
         "Whether every message-to-user assignment probability stays under a threshold.",
-        op="hiding_property",
     ),
     _m(
         "privacy_breach_level",
@@ -1095,7 +1031,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,prior,par",
         "probability",
         "Breach when any posterior property probability reaches the threshold.",
-        op="privacy_breach_level",
     ),
     _m(
         "path_compromise",
@@ -1111,7 +1046,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "uniform independent relay selection; no guard-node persistence or "
             "bandwidth weighting",
         ),
-        op="path_compromise",
     ),
     # ------------------------------------------------------------------
     # Error
@@ -1130,7 +1064,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "ground metric it equals the probability of error, matching the "
             "declared [0,1] range",
         ),
-        op="expected_estimation_error",
     ),
     _m(
         "expectation_of_distance_error",
@@ -1142,7 +1075,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,truth",
         "dimensionless",
         "Hypothesis-weighted distance error averaged over users and timesteps.",
-        op="expectation_of_distance_error",
     ),
     _m(
         "mean_squared_error",
@@ -1154,7 +1086,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,truth",
         "dimensionless",
         "Mean squared distance between the adversary's observations and the truth.",
-        op="mean_squared_error",
     ),
     _m(
         "pct_incorrectly_classified",
@@ -1166,7 +1097,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,truth",
         "ratio",
         "Share of users or events the adversary classified wrongly.",
-        op="pct_incorrectly_classified",
     ),
     _m(
         "health_privacy",
@@ -1182,7 +1112,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "inherits its effective range and direction from the chosen base "
             "metric; the declared values cover the common normalized bases",
         ),
-        op="health_privacy",
     ),
     # ------------------------------------------------------------------
     # Accuracy / precision
@@ -1196,7 +1125,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "par",
         "ratio",
         "Squared ratio of achievable sensing accuracy to the user-required minimum.",
-        op="accuracy_of_obfuscated_region",
     ),
     _m(
         "confidence_interval_width",
@@ -1213,7 +1141,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
             "the narrowest (highest-density) contiguous interval is used, "
             "leftmost on ties",
         ),
-        op="confidence_interval_width",
     ),
     _m(
         "coverage_of_sensitive_region",
@@ -1225,7 +1152,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,par",
         "ratio",
         "Share of the adversary's uncertainty region lying inside the sensitive region.",
-        op="coverage_of_sensitive_region",
     ),
     _m(
         "uncertainty_region_size",
@@ -1237,7 +1163,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est",
         "dimensionless",
         "Area to which the adversary can narrow down the target's position.",
-        op="uncertainty_region_size",
     ),
     _m(
         "event_unobservability",
@@ -1250,7 +1175,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "dimensionless",
         "Whether message-timing distributions match in CDF area and parameter.",
         caveats=("only applies to single-parameter distributions",),
-        op="event_unobservability",
     ),
     _m(
         "tp_privacy_violation",
@@ -1262,7 +1186,6 @@ DESCRIPTORS: tuple[MetricDescriptor, ...] = (
         "est,truth,prior,par",
         "boolean",
         "Whether side information lets a classifier beat the baseline Bayes error by p.",
-        op="tp_privacy_violation",
     ),
 )
 

@@ -225,3 +225,83 @@ def test_fixture_smoke(metric_id, runner, tmp_path, metric_value_schema):
 
 def test_fixture_per_implemented_metric():
     assert set(all_fixture_ids()) == set(reg.implemented_ids())
+
+
+def _error_code(r):
+    return json.loads(r.stdout.splitlines()[0])["error"]
+
+
+@pytest.mark.parametrize(
+    "metric_id, param",
+    [
+        ("l_diversity", "mdoe=recursive"),
+        ("haplotype_snp_test", "alpah=0.5"),
+        ("entropy", "alpha=2"),
+    ],
+)
+def test_unknown_param_rejected(metric_id, param, runner, tmp_path):
+    args = materialize_fixture(load_fixture(metric_id), tmp_path)
+    r = runner.invoke(main, args + ["--param", param])
+    assert r.exit_code == 2, r.output
+    assert _error_code(r) == "E_PARAM"
+    assert param.split("=")[0] in r.stdout
+
+
+DIST_FILE = {"labels": ["a", "b"], "probs": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "metric_id, content, params",
+    [
+        ("anonymity_set_size", {"members": 5}, []),
+        ("cumulative_entropy", {"values": [1, "x"]}, []),
+        ("pearson_correlation", {"x": [1, 2, 3], "y": "abc"}, []),
+        ("asymmetric_entropy", DIST_FILE, ['w=["a",1]']),
+        ("expectation_of_distance_error", {"steps": [[[0.5, 2, 9], [0.5, 4]]], "n_users": 1}, []),
+        ("uncertainty_region_size", {"cells": [["a", 1]]}, []),
+        ("success_rate", {"trials": "yes"}, []),
+        ("success_rate", {"trials": [1, 0, "no"]}, []),
+        ("expectation_of_distance_error", {"steps": [[[0.5, 2], [0.5, 4]]], "n_users": 2.7}, []),
+        ("uncertainty_region_size", {"cells": [[1.5, 2]]}, []),
+        ("hiding_property", {"matrix": [["a", 1]]}, ["theta=0.5"]),
+        ("ct_isolation", {"points": [["a"]], "guess": [1]}, ["target_index=0", "c=1"]),
+    ],
+)
+def test_mistyped_input_is_2(metric_id, content, params, runner, tmp_path):
+    """Wrongly typed input fields fail cleanly instead of crashing or being coerced."""
+    (tmp_path / "in.json").write_text(json.dumps(content))
+    args = ["compute", metric_id, "--in", str(tmp_path / "in.json"), "--format", "json"]
+    for p in params:
+        args += ["--param", p]
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2, r.output
+    assert "error" in json.loads(r.stdout.splitlines()[0])
+
+
+# Metrics that accept one more input file than their fixture gives.
+OPTIONAL_EXTRA_INPUT = {"degree_of_unlinkability"}  # an optional prior
+
+
+@pytest.mark.parametrize("metric_id", all_fixture_ids())
+def test_extra_input_file_rejected(metric_id, runner, tmp_path):
+    fixture = load_fixture(metric_id)
+    args = materialize_fixture(fixture, tmp_path)
+    if fixture["in"]:
+        extra = tmp_path / fixture["in"][-1]
+    else:
+        extra = tmp_path / "extra.json"
+        extra.write_text("{}")
+    r = runner.invoke(main, args + ["--in", str(extra)])
+    if metric_id in OPTIONAL_EXTRA_INPUT:
+        assert r.exit_code == 0, r.output
+    else:
+        assert r.exit_code == 2, r.output
+        assert _error_code(r) == "E_PARAM"
+
+
+def test_table_metric_without_schema_is_2(runner, tmp_path):
+    args = materialize_fixture(load_fixture("k_anonymity"), tmp_path)
+    i = args.index("--schema")
+    r = runner.invoke(main, args[:i] + args[i + 2:])
+    assert r.exit_code == 2, r.output
+    assert _error_code(r) == "E_PARAM"
