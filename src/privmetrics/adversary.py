@@ -14,7 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DiscreteDistribution, DataTable, Region, Trace, _load_json
+from .core import (
+    DataTable, DiscreteDistribution, Region, Trace, _distribution, _fields, _floats, _label,
+    _load_json, _mapping, _string,
+)
 from .errors import (
     DistributionError,
     DomainError,
@@ -220,23 +223,16 @@ class EstimateWithTruth:
                     raise SchemaError(f"missing coordinates for {label!r}")
 
 
+_ESTIMATE = _fields(
+    posterior=_distribution,
+    truth=_label,
+    metric=(_string, "zero_one"),
+    coords=(_mapping(_floats), None),
+)
+
+
 def parse_estimate(text: str) -> EstimateWithTruth:
-    obj = _load_json(text, "estimate")
-    if not isinstance(obj, dict) or not {"posterior", "truth"} <= set(obj):
-        raise SchemaError('estimate file needs "posterior" and "truth"')
-    post = obj["posterior"]
-    if not isinstance(post, dict) or set(post) != {"labels", "probs"}:
-        raise SchemaError("posterior must be a distribution object")
-    dist = DiscreteDistribution(
-        tuple(str(s) for s in post["labels"]),
-        tuple(float(p) for p in post["probs"]),
-    )
-    coords = obj.get("coords")
-    if coords is not None:
-        coords = {str(k): tuple(float(x) for x in v) for k, v in coords.items()}
-    return EstimateWithTruth(
-        dist, str(obj["truth"]), obj.get("metric", "zero_one"), coords
-    )
+    return EstimateWithTruth(*_ESTIMATE(_load_json(text, "estimate"), "estimate file"))
 
 
 def expected_estimation_error(e: EstimateWithTruth) -> float:

@@ -14,7 +14,7 @@ import click
 
 from . import compute as compute_mod
 from . import registry
-from .core import jsonable
+from .core import _load_json, _read, jsonable
 from .errors import COMPUTATION_CODES, MetricError, ParamError
 
 FORMATS = ("json", "csv", "text")
@@ -173,16 +173,12 @@ def advise(answers, fmt):
     """Filter the catalog through the eight selection questions."""
     try:
         if answers is not None:
-            with open(answers) as fh:
-                raw = json.load(fh)
-            ans = registry.AdvisorAnswers.from_json_dict(raw)
+            ans = registry.AdvisorAnswers.from_json_dict(_load_json(_read(answers), "answers"))
         else:
             ans = _prompt_answers()
         rec = registry.filter_metrics(ans)
     except MetricError as exc:
         _fail(exc)
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(ParamError(f"cannot load answers: {exc}"))
     payload = rec.to_json_dict()
     lines = ["metrics:"]
     lines += [f"  {m}" for m in rec.metrics] or ["  (none)"]

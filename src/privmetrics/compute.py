@@ -13,11 +13,13 @@ import importlib
 import json
 import math
 import os
-from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from . import adversary, core, infogain, registry, tabular, uncertainty
-from .core import MetricValue, _as_int, _distribution_from_json, _load_json
+from .core import (
+    _REQUIRED, MetricValue, _boolean, _distribution, _fields, _finite, _floats, _integer, _label,
+    _labels, _list, _load_json, _matrix, _point, _read, _string, _string_map, _tuple, _typed,
+)
 from .errors import ParamError, SchemaError
 
 
@@ -27,63 +29,6 @@ def _late(path: str) -> Callable:
     module, name = path.split(".")
     module = importlib.import_module(f".{module}", __package__)
     return lambda *args: getattr(module, name)(*args)
-
-
-# ---------------------------------------------------------------------------
-# Field types: values inside JSON input files must already have the JSON type
-
-
-def _finite(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise SchemaError(f"{what}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _boolean(value, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise SchemaError(f"{what}: expected true or false, got {value!r}")
-    return value
-
-
-def _label(value, what: str) -> str:
-    if isinstance(value, (list, dict)) or value is None:
-        raise SchemaError(f"{what}: expected a string or number, got {value!r}")
-    return str(value)
-
-
-def _array(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(f"{what}: expected a JSON array, got {value!r}")
-    return value
-
-
-def _list(item: Callable) -> Callable:
-    """Field type of a JSON array whose elements all have type ``item``."""
-    return lambda value, what: [item(v, what) for v in _array(value, what)]
-
-
-def _pair(value, what: str) -> tuple[float, float]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise SchemaError(f"{what}: expected a [number, number] pair, got {value!r}")
-    return _finite(value[0], what), _finite(value[1], what)
-
-
-def _request(value, what: str) -> tuple[float, str]:
-    if not isinstance(value, dict) or not {"t", "cell"} <= set(value):
-        raise SchemaError(f'{what}: expected {{"t": ..., "cell": ...}}, got {value!r}')
-    return _finite(value["t"], what), _label(value["cell"], what)
-
-
-def _set(value, what: str) -> set:
-    members = _array(value, what)
-    _labels(members, what)
-    return set(members)
-
-
-_floats = _list(_finite)
-_labels = _list(_label)
-_matrix = _list(_floats)
-_pairs = _list(_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -99,32 +44,16 @@ def _json_array(item: Callable) -> Callable:
 
 _numbers = _json_array(_finite)
 _texts = _json_array(_label)
-_REQUIRED = object()
-
-
-def _typed(decls: dict) -> dict:
-    """``name=type`` declares a required value, ``name=(type, default)`` an optional one."""
-    return {k: v if isinstance(v, tuple) else (v, _REQUIRED) for k, v in decls.items()}
 
 
 # ---------------------------------------------------------------------------
 # Input kinds: a loader turns one file into the library arguments it holds
 
 
-def _read(path: str | Path) -> str:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}")
-
-
-def _object(path: str, keys: set[str], optional: set[str] = frozenset()) -> dict:
+def _load(path: str, read: Callable):
+    """Read one JSON file and apply the field type ``read`` to its content."""
     name = os.path.basename(path)
-    obj = _load_json(_read(path), name)
-    if not isinstance(obj, dict) or not keys <= obj.keys() or not obj.keys() <= keys | optional:
-        raise SchemaError(f"{name}: expected JSON object with keys {sorted(keys)}")
-    return obj
+    return read(_load_json(_read(path), name), name)
 
 
 class _Kind(NamedTuple):
@@ -139,16 +68,8 @@ def _parsed(parser: str, help: str) -> _Kind:
 
 def _record(**fields) -> _Kind:
     """A JSON object whose typed fields, in declared order, are library arguments."""
-    fields = _typed(fields)
-    required = {k for k, (_, default) in fields.items() if default is _REQUIRED}
-    optional = set(fields) - required
-
-    def load(path, schema):
-        obj = _object(path, required, optional)
-        return tuple(kind(obj[k], k) if k in obj else d for k, (kind, d) in fields.items())
-
-    keys = ", ".join(f'"{k}"' if k in required else f'"{k}"?' for k in fields)
-    return _Kind("{" + keys + "}", load)
+    read = _fields(**fields)
+    return _Kind(read.shape, lambda path, schema: _load(path, read))
 
 
 def _table(path: str, schema: str | None) -> tuple:
@@ -158,34 +79,39 @@ def _table(path: str, schema: str | None) -> tuple:
     return (core.parse_table(_read(path), sidecar),)
 
 
-def _table_entry(entry, base: Path):
-    if not isinstance(entry, dict) or not isinstance(entry.get("csv_path"), str):
-        raise SchemaError('each table entry needs a "csv_path"')
-    sidecar = {"roles": entry.get("roles", {}), "kinds": entry.get("kinds", {})}
-    return core.parse_table(_read(base / entry["csv_path"]), sidecar)
+def _csv_table(path: str, csv_path: str, roles: dict, kinds: dict) -> core.DataTable:
+    """A table named in the JSON file at ``path``, its CSV path relative to that file."""
+    csv_path = os.path.join(os.path.dirname(path), csv_path)
+    return core.parse_table(_read(csv_path), {"roles": roles, "kinds": kinds})
+
+
+_TABLE_ENTRY = _fields(csv_path=_string, roles=(_string_map, {}), kinds=(_string_map, {}))
+_JOIN_SPEC = _fields(persons=_TABLE_ENTRY, relations=_list(_TABLE_ENTRY), join_keys=_labels)
+_PRESENCE_SPEC = _fields(external=_TABLE_ENTRY, published=_TABLE_ENTRY)
+_RELEASES = _list(
+    _fields(csv_path=_string, roles=_string_map, kinds=(_string_map, {}), owners=_labels)
+)
+_PARTITIONS = _fields(partitions=_list(_fields(blocks=_list(_labels), prob=_finite)))
 
 
 def _join_spec(path: str, schema) -> tuple:
-    obj = _object(path, {"persons", "relations", "join_keys"})
-    base = Path(path).parent
-    relations = [_table_entry(r, base) for r in _array(obj["relations"], "relations")]
-    return _table_entry(obj["persons"], base), relations, _labels(obj["join_keys"], "join_keys")
+    persons, relations, join_keys = _load(path, _JOIN_SPEC)
+    return _csv_table(path, *persons), [_csv_table(path, *r) for r in relations], join_keys
 
 
 def _presence_spec(path: str, schema) -> tuple:
-    obj = _object(path, {"external", "published"})
-    base = Path(path).parent
-    return _table_entry(obj["external"], base), _table_entry(obj["published"], base)
+    return tuple(_csv_table(path, *entry) for entry in _load(path, _PRESENCE_SPEC))
+
+
+def _releases(path: str, schema) -> tuple:
+    releases = enumerate(_load(path, _RELEASES))
+    return ([tabular.Release(_csv_table(path, *t), i, owners) for i, (*t, owners) in releases],)
 
 
 def _partitions(path: str, schema) -> tuple:
-    parts, probs = [], []
-    for entry in _array(_object(path, {"partitions"})["partitions"], "partitions"):
-        if not isinstance(entry, dict) or set(entry) != {"blocks", "prob"}:
-            raise SchemaError('each partition must be {"blocks": [[...]], "prob": ...}')
-        parts.append(uncertainty.make_partition(_list(_labels)(entry["blocks"], "blocks")))
-        probs.append(_finite(entry["prob"], "partition prob"))
-    return (uncertainty.PartitionDistribution(tuple(parts), tuple(probs)),)
+    (entries,) = _load(path, _PARTITIONS)
+    parts = tuple(uncertainty.make_partition(blocks) for blocks, _ in entries)
+    return (uncertainty.PartitionDistribution(parts, tuple(prob for _, prob in entries)),)
 
 
 _KINDS = {
@@ -200,14 +126,15 @@ _KINDS = {
     "geo_mechanism": _parsed("indist.parse_geo_mechanism", '{"locations", "outputs", "matrix"}'),
     "estimate": _parsed("adversary.parse_estimate", '{"posterior", "truth", "metric"?, "coords"?}'),
     "histories": _parsed("tabular.parse_location_histories", "location histories JSON"),
-    "releases": _Kind("releases JSON", lambda path, schema: (tabular.load_releases(path),)),
+    "releases": _Kind("releases JSON", _releases),
     "table": _Kind("table CSV + --schema", _table),
     "join_spec": _Kind('join spec {"persons", "relations", "join_keys"}', _join_spec),
     "presence_spec": _Kind('presence spec {"external", "published"}', _presence_spec),
     "partitions": _Kind('{"partitions": [{"blocks", "prob"}, ...]}', _partitions),
 }
+_pairs = _list(_tuple(_finite, _finite))
 _XY = _record(x=_floats, y=_floats)
-_FEATURE_SERIES = _record(transitions=_floats, window=(_as_int, None))
+_FEATURE_SERIES = _record(transitions=_floats, window=(_integer, None))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +208,7 @@ def _ct_isolation(points, guess, target_index, c, t) -> dict:
 
 _SPECS: dict[str, _Spec] = {
     # --- uncertainty -------------------------------------------------------
-    "anonymity_set_size": _spec("uncertainty.anonymity_set_size", _record(members=_set)),
+    "anonymity_set_size": _spec("uncertainty.anonymity_set_size", _record(members=_labels)),
     "entropy": _spec("uncertainty.shannon_entropy", "distribution"),
     "renyi_entropy": _spec("uncertainty.renyi_entropy", "distribution", alpha=float),
     "max_entropy": _spec("uncertainty.max_entropy", "distribution"),
@@ -313,13 +240,13 @@ _SPECS: dict[str, _Spec] = {
     ),
     "protection_level": _spec(
         "uncertainty.protection_level",
-        _record(regions=_list(_distribution_from_json)),
+        _record(regions=_list(_distribution)),
         "distribution",
         t_common=int,
     ),
     "user_centric_privacy": _spec(_user_centric, h0=float, lam=float, t=float, t_last=(float, 0.0)),
     # --- information gain --------------------------------------------------
-    "leaked_information": _spec("infogain.leaked_count", _record(items=_set)),
+    "leaked_information": _spec("infogain.leaked_count", _record(items=_labels)),
     "relative_entropy": _spec("infogain.kl_divergence", "distribution", "distribution"),
     "mutual_information": _spec(lambda j: infogain.mutual_information(j)["mi"], "joint"),
     "normalized_mutual_information": _spec(
@@ -359,7 +286,8 @@ _SPECS: dict[str, _Spec] = {
     "multirelational_k_anonymity": _spec("tabular.multirelational_k", "join_spec"),
     "xy_privacy": _spec("tabular.xy_privacy", "table", x_cols=_texts, y_cols=_texts),
     "historical_k_anonymity": _spec(
-        "tabular.historical_k", "histories", _record(requests=_list(_request))
+        "tabular.historical_k", "histories",
+        _record(requests=_list(_fields(t=_finite, cell=_label))),
     ),
     "haplotype_snp_test": _spec(
         "tabular.haplotype_safety",
@@ -370,7 +298,7 @@ _SPECS: dict[str, _Spec] = {
         log_base=(float, 2.0),
     ),
     "cluster_similarity": _spec(
-        "tabular.cluster_similarity", _record(original=_array, protected=_array)
+        "tabular.cluster_similarity", _record(original=_labels, protected=_labels)
     ),
     "r_squared": _spec("tabular.r_squared_transitions", _record(transitions=_floats)),
     "normalized_variance": _spec("tabular.normalized_variance", _XY),
@@ -410,10 +338,10 @@ _SPECS: dict[str, _Spec] = {
     "expected_estimation_error": _spec("adversary.expected_estimation_error", "estimate"),
     "expectation_of_distance_error": _spec(
         lambda steps, n_users: adversary.distance_error_expectation(steps, n_users, len(steps)),
-        _record(steps=_list(_pairs), n_users=_as_int),
+        _record(steps=_list(_pairs), n_users=_integer),
     ),
     "mean_squared_error": _spec(
-        "adversary.mean_squared_error", _record(truths=_array, observations=_array)
+        "adversary.mean_squared_error", _record(truths=_list(_point), observations=_list(_point))
     ),
     "pct_incorrectly_classified": _spec("adversary.pct_incorrect", incorrect=int, total=int),
     "health_privacy": _spec("adversary.health_privacy", _record(weights=_floats, values=_floats)),

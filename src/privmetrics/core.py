@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -34,6 +35,7 @@ COLUMN_ROLES = ("identifier", "quasi-identifier", "sensitive", "plain")
 
 
 def _as_finite_float(x, what: str) -> float:
+    """A numeric CSV cell, which arrives as text."""
     try:
         v = float(x)
     except (TypeError, ValueError):
@@ -43,12 +45,167 @@ def _as_finite_float(x, what: str) -> float:
     return v
 
 
-def _as_int(x, what: str) -> int:
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
-    raise SchemaError(f"{what}: not an integer: {x!r}")
+# ---------------------------------------------------------------------------
+# Field types: every value inside a JSON input file must already have its JSON
+# type. A field type is a callable ``(value, what) -> typed value`` that raises
+# SchemaError naming ``what``; every JSON parser is declared with these.
+
+_NUMBER = frozenset((int, float))  # exact JSON types, so true/false are not numbers
+_STRING = frozenset((str,))
+_LABEL = _NUMBER | _STRING
+_REQUIRED = object()
+
+
+def _read(path) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read {path}: {exc}")
+
+
+def _load_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # malformed, or an integer literal too long to convert
+        raise SchemaError(f"malformed {what} JSON: {exc}")
+
+
+def _mistyped(what: str, expected: str, value) -> SchemaError:
+    return SchemaError(f"{what}: expected {expected}, got {reprlib.repr(value)}")
+
+
+def _finite(value, what: str) -> float:
+    try:
+        if type(value) in _NUMBER and math.isfinite(number := float(value)):
+            return number
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise _mistyped(what, "a finite number", value)
+
+
+def _integer(value, what: str) -> int:
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise _mistyped(what, "an integer", value)
+
+
+def _exact(kind: type, expected: str):
+    """Field type of a JSON value of exactly this type (true/false is not a number)."""
+
+    def read(value, what):
+        if type(value) is not kind:
+            raise _mistyped(what, expected, value)
+        return value
+
+    return read
+
+
+_boolean = _exact(bool, "true or false")
+_string = _exact(str, "a string")
+_array = _exact(list, "a JSON array")
+_object = _exact(dict, "a JSON object")
+
+
+def _label(value, what: str) -> str:
+    if type(value) not in _LABEL:
+        raise _mistyped(what, "a string or number", value)
+    return str(value)
+
+
+def _list(item):
+    """Field type of a JSON array whose elements all have type ``item``."""
+    return lambda value, what: [item(v, what) for v in _array(value, what)]
+
+
+def _tuple(*items):
+    """Field type of a JSON array of ``len(items)`` elements, typed in order."""
+
+    def read(value, what):
+        if type(value) is not list or len(value) != len(items):
+            raise _mistyped(what, f"an array of {len(items)} elements", value)
+        return tuple([item(v, what) for item, v in zip(items, value)])
+
+    return read
+
+
+def _mapping(item):
+    """Field type of a JSON object whose values all have type ``item``."""
+    return lambda value, what: {k: item(v, what) for k, v in _object(value, what).items()}
+
+
+def _floats(value, what: str) -> tuple[float, ...]:
+    """An array of finite numbers. A large matrix is read row by row, so the
+    common all-valid row is checked and converted by C loops."""
+    if type(value) is list and _NUMBER.issuperset(map(type, value)):
+        try:
+            floats = tuple(map(float, value))
+            if math.isfinite(sum(floats)):
+                return floats
+        except OverflowError:  # an integer beyond the float range
+            pass
+    return tuple([_finite(v, what) for v in _array(value, what)])  # names the bad entry
+
+
+def _point(value, what: str):
+    """A number or an array of numbers."""
+    return _floats(value, what) if type(value) is list else _finite(value, what)
+
+
+def _labels(value, what: str) -> tuple[str, ...]:
+    if type(value) is list and _LABEL.issuperset(map(type, value)):
+        return tuple(map(str, value))  # the common all-valid array, by C loops
+    return tuple([_label(v, what) for v in _array(value, what)])
+
+
+_matrix = _list(_floats)
+
+
+def _string_map(value, what: str) -> dict[str, str]:
+    if type(value) is not dict or not _STRING.issuperset(map(type, value.values())):
+        raise _mistyped(what, "a JSON object of strings", value)
+    return value
+
+
+def _typed(decls: dict) -> dict:
+    """``name=type`` declares a required value, ``name=(type, default)`` an optional one."""
+    return {k: v if isinstance(v, tuple) else (v, _REQUIRED) for k, v in decls.items()}
+
+
+def _fields(**types):
+    """Field type of a JSON object with exactly the declared keys.
+
+    ``name=type`` is a required key, ``name=(type, default)`` an optional one
+    that reads as ``default`` when absent. The reader returns the typed values
+    in declared order; ``read.shape`` shows the keys, optional ones with ``?``.
+    """
+    decls = tuple((k, kind, default) for k, (kind, default) in _typed(types).items())
+    keys = frozenset(types)
+    required = frozenset(k for k, _, default in decls if default is _REQUIRED)
+    shape = "{" + ", ".join(f'"{k}"' if k in required else f'"{k}"?' for k in types) + "}"
+
+    def read(obj, what):
+        if type(obj) is not dict or obj.keys() != keys and not required <= obj.keys() <= keys:
+            raise SchemaError(f"{what}: expected a JSON object {shape}")
+        values = []  # a loop, not a comprehension: one record is read per array element
+        for k, kind, default in decls:
+            values.append(kind(obj[k], k) if k in obj else default)
+        return tuple(values)
+
+    read.shape = shape
+    return read
+
+
+# The JSON shape of each core input kind
+_DISTRIBUTION = _fields(labels=_labels, probs=_floats)
+_JOINT = _fields(x_labels=_labels, y_labels=_labels, matrix=_matrix)
+_MECHANISM = _fields(inputs=_labels, outputs=_labels, matrix=_matrix)
+_SIDECAR = _fields(roles=(_string_map, {}), kinds=(_string_map, {}))  # by column name
+_TRACE = _fields(samples=_list(_fields(t=_finite, v=_finite)))
+_RECT, _CELL = _tuple(_finite, _finite, _finite, _finite), _tuple(_integer, _integer)
+_REGION = _fields(rect=(_RECT, None), cells=(_list(_CELL), None))
 
 
 # ---------------------------------------------------------------------------
@@ -109,23 +266,15 @@ class DiscreteDistribution:
         return {"labels": list(self.labels), "probs": list(self.probs)}
 
 
+def _distribution(obj, what: str) -> DiscreteDistribution:
+    """Field type of a distribution object ``{"labels": [...], "probs": [...]}``."""
+    labels, probs = _DISTRIBUTION(obj, what)
+    return DiscreteDistribution(labels, probs)
+
+
 def parse_distribution(text: str) -> DiscreteDistribution:
     """Parse the documented JSON shape ``{"labels": [...], "probs": [...]}``."""
-    return _distribution_from_json(_load_json(text, "distribution"), "distribution file")
-
-
-def _distribution_from_json(obj, what: str) -> DiscreteDistribution:
-    if not isinstance(obj, dict) or set(obj) != {"labels", "probs"}:
-        raise SchemaError(f'{what} must be {{"labels": [...], "probs": [...]}}')
-    labels, probs = obj["labels"], obj["probs"]
-    if not isinstance(labels, list) or not isinstance(probs, list):
-        raise SchemaError("labels and probs must be JSON arrays")
-    pvals = []
-    for p in probs:
-        if not isinstance(p, (int, float)) or isinstance(p, bool):
-            raise SchemaError(f"probability entries must be numbers, got {p!r}")
-        pvals.append(float(p))
-    return DiscreteDistribution(tuple(str(s) for s in labels), tuple(pvals))
+    return _distribution(_load_json(text, "distribution"), "distribution file")
 
 
 @dataclass(frozen=True)
@@ -189,16 +338,8 @@ class JointDistribution:
 
 
 def parse_joint(text: str) -> JointDistribution:
-    obj = _load_json(text, "joint distribution")
-    keys = {"x_labels", "y_labels", "matrix"}
-    if not isinstance(obj, dict) or set(obj) != keys:
-        raise SchemaError(f"joint file must have keys {sorted(keys)}")
-    matrix = _numeric_matrix(obj["matrix"], "joint matrix")
-    return JointDistribution(
-        tuple(str(s) for s in obj["x_labels"]),
-        tuple(str(s) for s in obj["y_labels"]),
-        matrix,
-    )
+    x_labels, y_labels, matrix = _JOINT(_load_json(text, "joint distribution"), "joint file")
+    return JointDistribution(x_labels, y_labels, tuple(matrix))
 
 
 @dataclass(frozen=True)
@@ -256,12 +397,8 @@ class FiniteMechanism:
 
 
 def parse_mechanism(text: str) -> FiniteMechanism:
-    obj = _load_json(text, "mechanism")
-    keys = {"inputs", "outputs", "matrix"}
-    if not isinstance(obj, dict) or set(obj) != keys:
-        raise SchemaError(f"mechanism file must have keys {sorted(keys)}")
-    matrix = _numeric_matrix(obj["matrix"], "mechanism matrix")
-    return FiniteMechanism.from_matrix(matrix, obj["inputs"], obj["outputs"])
+    inputs, outputs, matrix = _MECHANISM(_load_json(text, "mechanism"), "mechanism file")
+    return FiniteMechanism(inputs, outputs, tuple(DiscreteDistribution(outputs, r) for r in matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +497,7 @@ def parse_table(csv_text: str, schema: dict) -> DataTable:
     ``schema`` is ``{"roles": {column: role}, "kinds": {column: kind}}``;
     unmentioned columns default to plain categorical.
     """
-    if not isinstance(schema, dict):
-        raise SchemaError("schema sidecar must be a JSON object")
-    roles = schema.get("roles", {})
-    kinds = schema.get("kinds", {})
-    if not isinstance(roles, dict) or not isinstance(kinds, dict):
-        raise SchemaError('schema sidecar must be {"roles": {...}, "kinds": {...}}')
+    roles, kinds = _SIDECAR(schema, "schema sidecar")
 
     reader = csv.reader(io.StringIO(csv_text))
     try:
@@ -461,19 +593,7 @@ class Trace:
 
 
 def parse_trace(text: str) -> Trace:
-    obj = _load_json(text, "trace")
-    if not isinstance(obj, dict) or set(obj) != {"samples"}:
-        raise SchemaError('trace file must be {"samples": [{"t": ..., "v": ...}, ...]}')
-    samples = []
-    for entry in obj["samples"]:
-        if not isinstance(entry, dict) or set(entry) != {"t", "v"}:
-            raise SchemaError('each trace sample must be {"t": ..., "v": ...}')
-        samples.append(
-            (
-                _as_finite_float(entry["t"], "trace timestamp"),
-                _as_finite_float(entry["v"], "trace value"),
-            )
-        )
+    (samples,) = _TRACE(_load_json(text, "trace"), "trace file")
     return Trace(tuple(samples))
 
 
@@ -511,22 +631,9 @@ class Region:
 
 
 def parse_region(text: str) -> Region:
-    obj = _load_json(text, "region")
-    if isinstance(obj, dict) and set(obj) == {"rect"}:
-        rect = obj["rect"]
-        if not isinstance(rect, list) or len(rect) != 4:
-            raise SchemaError("rect must be [x_min, y_min, x_max, y_max]")
-        return Region(rect=tuple(_as_finite_float(v, "rect coordinate") for v in rect))
-    if isinstance(obj, dict) and set(obj) == {"cells"}:
-        if not isinstance(obj["cells"], list):
-            raise SchemaError("cells must be a list of [i, j] pairs")
-        cells = set()
-        for cell in obj["cells"]:
-            if not isinstance(cell, list) or len(cell) != 2:
-                raise SchemaError("cells must be [i, j] pairs")
-            cells.add((_as_int(cell[0], "cell index"), _as_int(cell[1], "cell index")))
-        return Region(cells=frozenset(cells))
-    raise SchemaError('region file must be {"rect": [...]} or {"cells": [...]}')
+    """``{"rect": [x_min, y_min, x_max, y_max]}`` or ``{"cells": [[i, j], ...]}``."""
+    rect, cells = _REGION(_load_json(text, "region"), "region file")
+    return Region(rect, frozenset(cells or ()))
 
 
 # ---------------------------------------------------------------------------
@@ -584,30 +691,3 @@ def jsonable(value):
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
     return value
-
-
-# ---------------------------------------------------------------------------
-# Helpers
-
-
-def _load_json(text: str, what: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"malformed {what} JSON: {exc}")
-
-
-def _numeric_matrix(obj, what: str) -> tuple[tuple[float, ...], ...]:
-    if not isinstance(obj, list) or not obj:
-        raise SchemaError(f"{what} must be a non-empty array of arrays")
-    rows = []
-    for row in obj:
-        if not isinstance(row, list):
-            raise SchemaError(f"{what} must be a non-empty array of arrays")
-        vals = []
-        for v in row:
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise SchemaError(f"{what} entries must be numbers, got {v!r}")
-            vals.append(float(v))
-        rows.append(tuple(vals))
-    return tuple(rows)

@@ -10,7 +10,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import FiniteMechanism, JointDistribution, _load_json
+from .core import (
+    FiniteMechanism, JointDistribution, _fields, _finite, _integer, _label, _labels, _list,
+    _load_json, _matrix, _tuple,
+)
 from .errors import (
     DomainError,
     EmptyError,
@@ -20,6 +23,11 @@ from .errors import (
 )
 
 WILSON_Z95 = 1.959963984540054  # two-sided 95% normal quantile
+
+# The JSON shape of each input kind read here
+_NEIGHBORS = _fields(pairs=_list(_tuple(_label, _label)))
+_GEO = _fields(locations=_list(_tuple(_label, _finite, _finite)), outputs=_labels, matrix=_matrix)
+_TRANSCRIPT = _list(_fields(guess=_integer, truth=_integer))
 
 
 @dataclass(frozen=True)
@@ -42,15 +50,8 @@ class NeighborRelation:
 
 
 def parse_neighbor_relation(text: str) -> NeighborRelation:
-    obj = _load_json(text, "neighbor relation")
-    if not isinstance(obj, dict) or set(obj) != {"pairs"}:
-        raise SchemaError('neighbor file must be {"pairs": [[id, id], ...]}')
-    pairs = []
-    for p in obj["pairs"]:
-        if not isinstance(p, list) or len(p) != 2:
-            raise SchemaError("each neighbor pair must be a two-element array")
-        pairs.append(p)
-    return NeighborRelation.of(pairs)
+    (pairs,) = _NEIGHBORS(_load_json(text, "neighbor relation"), "neighbor file")
+    return NeighborRelation(tuple(pairs))
 
 
 def _check_inputs(m: FiniteMechanism, nr: NeighborRelation):
@@ -121,19 +122,9 @@ class GeoMechanism:
 
 
 def parse_geo_mechanism(text: str) -> GeoMechanism:
-    obj = _load_json(text, "geo mechanism")
-    keys = {"locations", "outputs", "matrix"}
-    if not isinstance(obj, dict) or set(obj) != keys:
-        raise SchemaError(
-            'geo file must be {"locations": [[id, x, y], ...], "outputs": [...], "matrix": [[...]]}'
-        )
-    locations = tuple(
-        (str(e[0]), float(e[1]), float(e[2])) for e in obj["locations"]
-    )
-    mech = FiniteMechanism.from_matrix(
-        obj["matrix"], [loc[0] for loc in locations], obj["outputs"]
-    )
-    return GeoMechanism(locations, mech)
+    locations, outputs, matrix = _GEO(_load_json(text, "geo mechanism"), "geo file")
+    mech = FiniteMechanism.from_matrix(matrix, [loc[0] for loc in locations], outputs)
+    return GeoMechanism(tuple(locations), mech)
 
 
 def geo_indistinguishability(g: GeoMechanism) -> dict:
@@ -231,15 +222,7 @@ class GameTranscript:
 
 
 def parse_game_transcript(text: str) -> GameTranscript:
-    obj = _load_json(text, "game transcript")
-    if not isinstance(obj, list):
-        raise SchemaError('transcript must be a JSON list of {"guess": ..., "truth": ...}')
-    trials = []
-    for e in obj:
-        if not isinstance(e, dict) or set(e) != {"guess", "truth"}:
-            raise SchemaError('each trial must be {"guess": 0/1, "truth": 0/1}')
-        trials.append((int(e["guess"]), int(e["truth"])))
-    return GameTranscript(tuple(trials))
+    return GameTranscript(tuple(_TRANSCRIPT(_load_json(text, "game transcript"), "transcript")))
 
 
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z95) -> tuple[float, float]:

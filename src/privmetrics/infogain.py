@@ -8,7 +8,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DiscreteDistribution, FiniteMechanism, JointDistribution, _load_json
+from .core import (
+    DiscreteDistribution, FiniteMechanism, JointDistribution, _fields, _integer, _labels, _list,
+    _load_json,
+)
 from .errors import (
     ConvergenceError,
     DegenerateError,
@@ -70,7 +73,10 @@ def mutual_information(j: JointDistribution) -> dict:
 
 def conditional_mutual_information(tensor: Sequence) -> float:
     """I(X;Y|Z) from an explicit p(x, y, z) tensor (nested lists or array)."""
-    t = np.asarray(tensor, dtype=float)
+    try:
+        t = np.asarray(tensor, dtype=float)
+    except ValueError:  # ragged nesting
+        raise ShapeError("tensor rows must have equal lengths")
     if t.ndim != 3:
         raise ShapeError(f"need a 3-way tensor, got {t.ndim} dimensions")
     if np.any(~np.isfinite(t)) or np.any(t < 0):
@@ -214,20 +220,14 @@ class AdjacencyMatrix:
         return len(self.bits)
 
 
+_ADJACENCY = _fields(n=_integer, bits=_list(_list(_integer)), classes=(_labels, None))
+
+
 def parse_adjacency(text: str) -> AdjacencyMatrix:
-    obj = _load_json(text, "adjacency matrix")
-    if not isinstance(obj, dict) or not {"n", "bits"} <= set(obj) or not set(obj) <= {
-        "n",
-        "bits",
-        "classes",
-    }:
-        raise SchemaError('adjacency file must be {"n": ..., "bits": [[...]], "classes"?: [...]}')
-    bits = tuple(tuple(int(v) for v in row) for row in obj["bits"])
-    if len(bits) != obj["n"]:
+    n, bits, classes = _ADJACENCY(_load_json(text, "adjacency matrix"), "adjacency file")
+    if len(bits) != n:
         raise ShapeError("declared n does not match the bit matrix")
-    classes = obj.get("classes")
-    labels = tuple(str(c) for c in classes) if classes is not None else None
-    return AdjacencyMatrix(bits, labels)
+    return AdjacencyMatrix(tuple(map(tuple, bits)), classes)
 
 
 def matrix_permanent(a: AdjacencyMatrix) -> int:

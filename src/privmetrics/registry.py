@@ -11,9 +11,10 @@ The registry is immutable after import; concurrent reads are safe.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Sequence
 
+from .core import _boolean, _fields, _list, _string
 from .errors import ParamError, SchemaError, UnknownMetricError
 
 CATEGORIES = (
@@ -1302,33 +1303,18 @@ class AdvisorAnswers:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "AdvisorAnswers":
-        if not isinstance(obj, Mapping):
-            raise SchemaError("answers must be a JSON object")
-        known = {
-            "q1_categories",
-            "q1_guarantee",
-            "q2_adversary_required",
-            "q3_sources",
-            "q4_inputs_available",
-            "q5_audience",
-            "q6_related",
-            "q7_quality",
-            "q8_impl",
-        }
-        unknown = set(obj) - known
-        if unknown:
-            raise SchemaError(f"unknown answer fields: {sorted(unknown)}")
-        kwargs: dict = {}
-        for key in ("q1_categories", "q3_sources", "q4_inputs_available"):
-            if key in obj:
-                kwargs[key] = frozenset(obj[key])
-        for key in ("q1_guarantee", "q2_adversary_required"):
-            if key in obj:
-                kwargs[key] = bool(obj[key])
-        for key in ("q5_audience", "q6_related", "q7_quality", "q8_impl"):
-            if key in obj:
-                kwargs[key] = str(obj[key])
-        return cls(**kwargs)
+        return cls(*_ANSWERS(obj, "answers"))
+
+
+# An answers file may give any of the fields, typed by their annotation.
+_ANSWER_TYPES = {
+    "frozenset[str]": lambda value, what: frozenset(_list(_string)(value, what)),
+    "bool": _boolean,
+    "str": _string,
+}
+_ANSWERS = _fields(
+    **{f.name: (_ANSWER_TYPES[f.type], f.default) for f in fields(AdvisorAnswers)}
+)
 
 
 @dataclass(frozen=True)

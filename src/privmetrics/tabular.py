@@ -9,13 +9,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import DataTable, EquivalenceClass, Value, _load_json, equivalence_classes, parse_table
+from .core import (
+    DataTable, EquivalenceClass, Value, _fields, _finite, _label, _labels, _list, _load_json,
+    equivalence_classes,
+)
 from .errors import (
     DegenerateError,
     EmptyError,
@@ -160,7 +162,10 @@ def ct_isolation(
         raise ParamError(f"isolation factor c must be > 0, got {c!r}")
     if not 0 <= target_index < len(points):
         raise ParamError(f"target index {target_index} out of range")
-    pts = np.asarray(points, dtype=float)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except ValueError:  # ragged nesting
+        raise ShapeError("points must all have the same dimension")
     g = np.asarray(guess, dtype=float)
     if pts.ndim != 2 or g.shape != (pts.shape[1],):
         raise ShapeError("guess dimension must match the point dimension")
@@ -368,41 +373,13 @@ def historical_k(
     return sum(1 for h in histories if consistent(h))
 
 
+_HISTORY = _fields(user=_label, entries=_list(_fields(t=_finite, cells=_labels)))
+_HISTORIES = _fields(histories=_list(_HISTORY))
+
+
 def parse_location_histories(text: str) -> list[LocationHistory]:
-    obj = _load_json(text, "location histories")
-    if not isinstance(obj, dict) or set(obj) != {"histories"}:
-        raise SchemaError('histories file must be {"histories": [...]}')
-    out = []
-    for h in obj["histories"]:
-        if not isinstance(h, dict) or set(h) != {"user", "entries"}:
-            raise SchemaError('each history must be {"user": ..., "entries": [...]}')
-        entries = []
-        for e in h["entries"]:
-            if not isinstance(e, dict) or set(e) != {"t", "cells"}:
-                raise SchemaError('each entry must be {"t": ..., "cells": [...]}')
-            entries.append((e["t"], e["cells"]))
-        out.append(LocationHistory.of(h["user"], entries))
-    return out
-
-
-def load_releases(path: str | Path) -> list[Release]:
-    """Load a releases file: a JSON list of {csv_path, roles, kinds?, owners}.
-
-    CSV paths are resolved relative to the releases file.
-    """
-    path = Path(path)
-    obj = _load_json(path.read_text(), "releases")
-    if not isinstance(obj, list) or not obj:
-        raise SchemaError("releases file must be a non-empty JSON list")
-    releases = []
-    for i, entry in enumerate(obj):
-        if not isinstance(entry, dict) or not {"csv_path", "roles", "owners"} <= set(entry):
-            raise SchemaError("each release needs csv_path, roles, and owners")
-        csv_text = (path.parent / entry["csv_path"]).read_text()
-        schema = {"roles": entry["roles"], "kinds": entry.get("kinds", {})}
-        table = parse_table(csv_text, schema)
-        releases.append(Release(table, i, tuple(str(o) for o in entry["owners"])))
-    return releases
+    (histories,) = _HISTORIES(_load_json(text, "location histories"), "histories file")
+    return [LocationHistory.of(user, entries) for user, entries in histories]
 
 
 def haplotype_safety(

@@ -184,6 +184,16 @@ class TestAdvise:
         r = runner.invoke(main, ["advise", "--answers", "/nonexistent.json"])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "answers",
+        [{"q1_guarantee": "false"}, {"q1_categories": 5}, {"q5_audience": ["x"]}],
+    )
+    def test_mistyped_answer_is_2(self, runner, tmp_path, answers):
+        (tmp_path / "a.json").write_text(json.dumps(answers))
+        r = runner.invoke(main, ["advise", "--answers", str(tmp_path / "a.json")])
+        assert r.exit_code == 2, r.output
+        assert _error_code(r) == "E_SCHEMA"
+
 
 class TestExport:
     def test_roundtrip(self, runner):
@@ -276,6 +286,99 @@ def test_mistyped_input_is_2(metric_id, content, params, runner, tmp_path):
     r = runner.invoke(main, args)
     assert r.exit_code == 2, r.output
     assert "error" in json.loads(r.stdout.splitlines()[0])
+
+
+MECHANISM_FILE = {"inputs": ["a", "b"], "outputs": ["x", "y"], "matrix": [[1, 0], [0, 1]]}
+REQUESTS_FILE = {"requests": [{"t": 0, "cell": "c"}]}
+RELEASE = {"csv_path": "r.csv", "roles": {"zip": "quasi-identifier", "s": "sensitive"},
+           "owners": ["o1"]}
+
+
+def _history(t, cells):
+    return {"histories": [{"user": "u", "entries": [{"t": t, "cells": cells}]}]}
+
+
+def _geo(location, matrix):
+    return {"locations": [location, ["b", 0, 0]], "outputs": ["o"], "matrix": matrix}
+
+
+def _estimate(**fields):
+    return {"posterior": DIST_FILE, "truth": "a", "metric": "euclidean", **fields}
+
+
+@pytest.mark.parametrize(
+    "metric_id, files, params",
+    [
+        # exited 1 with a traceback
+        ("system_anonymity_level", [{"n": 2, "bits": [5, [1, 1]]}], []),
+        ("unconditional_privacy", [[{"guess": "x", "truth": 0}]], []),
+        ("geo_indistinguishability", [_geo(["a", "x", 1], [[1], [1]])], []),
+        ("expected_estimation_error", [_estimate(coords=[1])], []),
+        ("expected_estimation_error", [_estimate(coords={"a": [0], "b": ["q"]})], []),
+        ("historical_k_anonymity", [_history("abc", ["c"]), REQUESTS_FILE], []),
+        ("differential_privacy", [MECHANISM_FILE, {"pairs": 5}], []),
+        ("max_tracking_time", [{"samples": 5}], ["end_time=4"]),
+        ("m_invariance", [[RELEASE]], []),  # r.csv does not exist
+        ("m_invariance", [[{**RELEASE, "csv_path": 5}]], []),
+        ("mean_squared_error", [{"truths": [["a"]], "observations": [[1]]}], []),
+        ("conditional_mutual_information", [{"tensor": [[[0.5, 0.5]], [[0]]]}], []),
+        ("ct_isolation", [{"points": [[0, 0], [1]], "guess": [0, 0]}], ["target_index=0", "c=1"]),
+        # exited 0 with a value read from a coerced field
+        ("system_anonymity_level", [{"n": 2, "bits": [["1", "1"], [1, 1]]}], []),
+        ("system_anonymity_level", [{"n": 2, "bits": [[1.9, 1], [1, 1]]}], []),
+        ("system_anonymity_level", [{"n": 2, "bits": [[1, 1], [1, 1]], "classes": "ab"}], []),
+        ("unconditional_privacy", [[{"guess": 0.9, "truth": 0}]], []),
+        ("geo_indistinguishability", [_geo(["a", 1, 0], [["1"], [1]])], []),
+        ("expected_estimation_error", [{"posterior": {"labels": ["a", "b"], "probs": ["0.5", 0.5]},
+                                        "truth": "a"}], []),
+        ("historical_k_anonymity", [_history(0, "cd"), REQUESTS_FILE], []),
+        ("differential_privacy", [{**MECHANISM_FILE, "inputs": "ab"}, {"pairs": [["a", "b"]]}], []),
+        ("mutual_information", [{"x_labels": "ab", "y_labels": ["c", "d"],
+                                 "matrix": [[0.25, 0.25], [0.25, 0.25]]}], []),
+        ("max_tracking_time", [{"samples": [{"t": 0, "v": 1}, {"t": "1", "v": 2}]}],
+         ["end_time=4"]),
+        ("entropy", [{"labels": [["a"], "b"], "probs": [0.5, 0.5]}], []),
+    ],
+)
+def test_mistyped_input_file_is_2(metric_id, files, params, runner, tmp_path):
+    """A wrongly typed field in any input file, next to valid ones, fails cleanly."""
+    args = ["compute", metric_id, "--format", "json"]
+    for i, content in enumerate(files):
+        (tmp_path / f"in{i}.json").write_text(json.dumps(content))
+        args += ["--in", str(tmp_path / f"in{i}.json")]
+    for p in params:
+        args += ["--param", p]
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2, r.output
+    assert "error" in json.loads(r.stdout.splitlines()[0])
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        (["compute", "m_invariance", "--in"], None),  # no such file
+        (["compute", "entropy", "--in"], b"\xad\xff{"),  # not UTF-8
+        (["advise", "--answers"], b"\xad\xff{"),
+        (["compute", "entropy", "--in"], b'{"labels": ["a"], "probs": [1' + b"0" * 5000 + b"]}"),
+    ],
+)
+def test_unreadable_input_is_2(command, data, runner, tmp_path):
+    path = tmp_path / "in.json"
+    if data is not None:
+        path.write_bytes(data)
+    r = runner.invoke(main, command + [str(path)])
+    assert r.exit_code == 2, r.output
+    assert _error_code(r) == "E_SCHEMA"
+
+
+def test_schema_sidecar_unknown_key_is_2(runner, tmp_path):
+    fixture = load_fixture("k_anonymity")
+    args = materialize_fixture(fixture, tmp_path)
+    sidecar = {**fixture["files"][fixture["schema"]], "extra": 1}
+    (tmp_path / fixture["schema"]).write_text(json.dumps(sidecar))
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2, r.output
+    assert _error_code(r) == "E_SCHEMA"
 
 
 # Metrics that accept one more input file than their fixture gives.

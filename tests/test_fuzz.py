@@ -1,0 +1,85 @@
+"""Mutation fuzz over every fixture: one JSON node gets the wrong type.
+
+Whatever the mutation, ``compute`` must give a value (exit 0) or a
+machine-readable ``{"error": ...}`` with exit code 2 or 3; it must never
+escape with a traceback (exit 1).
+"""
+
+import copy
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+
+from privmetrics.cli import main
+
+from conftest import all_fixture_ids, load_fixture, materialize_fixture
+
+
+def _nodes(value, path=()):
+    """Every node of a JSON document as ``(path, value)``, the root included."""
+    yield path, value
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _replacements(value) -> list:
+    """The wrongly typed values one node is swapped for."""
+    if isinstance(value, (bool, int, float)):
+        return [str(value), [value], float("nan"), None]
+    if isinstance(value, str):
+        return [[value], 1]
+    if isinstance(value, list):
+        return ["x", 1, []]
+    if isinstance(value, dict):
+        return [{}, list(value.values())]
+    return []
+
+
+def _mutations(fixture: dict) -> list:
+    """``(file name, node path, new value)`` for every JSON input file of a fixture."""
+    return [
+        (name, path, new)
+        for name, content in sorted(fixture["files"].items())
+        if not isinstance(content, str)  # CSV files are text
+        for path, value in _nodes(content)
+        for new in _replacements(value)
+    ]
+
+
+def _mutated(content, path, new):
+    if not path:
+        return new
+    content = copy.deepcopy(content)
+    node = content
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = new
+    return content
+
+
+MUTABLE = [m for m in all_fixture_ids() if _mutations(load_fixture(m))]
+
+
+@pytest.mark.parametrize("metric_id", MUTABLE)
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_fixture_fails_cleanly(metric_id, data):
+    fixture = load_fixture(metric_id)
+    name, path, new = data.draw(st.sampled_from(_mutations(fixture)))
+    fixture["files"][name] = _mutated(fixture["files"][name], path, new)
+    with tempfile.TemporaryDirectory() as directory:
+        r = CliRunner().invoke(main, materialize_fixture(fixture, Path(directory)))
+    assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
+    assert r.exit_code in (0, 2, 3), r.output
+    if r.exit_code:
+        assert "error" in json.loads(r.stdout.splitlines()[0])
