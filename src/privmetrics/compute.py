@@ -185,11 +185,11 @@ def _user_centric(h0, lam, t, t_last) -> float:
 
 
 def _loss_of_anonymity(channels, p_z) -> float:
-    if len(channels) == 1:
-        return infogain.channel_capacity(channels[0])
-    if p_z is None:
+    if p_z is not None:
+        return infogain.conditional_channel_capacity(channels, p_z)
+    if len(channels) > 1:
         raise ParamError("several mechanism files need --param p_z=[...]")
-    return infogain.conditional_channel_capacity(channels, p_z)
+    return infogain.channel_capacity(channels[0])
 
 
 def _feature_reduction(protected, protected_window, original, original_window) -> float:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    FiniteMechanism, JointDistribution, _fields, _finite, _integer, _label, _labels, _list,
-    _load_json, _matrix, _tuple,
+    DiscreteDistribution, FiniteMechanism, JointDistribution, _fields, _finite, _integer, _label,
+    _labels, _list, _load_json, _matrix, _tuple,
 )
 from .errors import (
     DomainError,
@@ -123,7 +123,8 @@ class GeoMechanism:
 
 def parse_geo_mechanism(text: str) -> GeoMechanism:
     locations, outputs, matrix = _GEO(_load_json(text, "geo mechanism"), "geo file")
-    mech = FiniteMechanism.from_matrix(matrix, [loc[0] for loc in locations], outputs)
+    rows = tuple(DiscreteDistribution(outputs, row) for row in matrix)
+    mech = FiniteMechanism(tuple(loc[0] for loc in locations), outputs, rows)
     return GeoMechanism(tuple(locations), mech)
 
 

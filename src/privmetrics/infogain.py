@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +27,6 @@ from .uncertainty import _entropy_bits, shannon_entropy
 BA_TOL = 1e-9
 BA_MAX_ITER = 10000
 PERMANENT_MAX_N = 20
-MATCHING_ENUM_MAX_N = 12
 
 
 def leaked_count(items: set) -> int:
@@ -99,16 +99,6 @@ def conditional_mutual_information(tensor: Sequence) -> float:
 # Channel capacity (worst-case input distribution)
 
 
-def _divergence_per_input(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """D(P(.|x) || q) in bits for every input row x."""
-    d = np.zeros(matrix.shape[0])
-    for x in range(matrix.shape[0]):
-        row = matrix[x]
-        nz = row > 0
-        d[x] = float((row[nz] * np.log2(row[nz] / q[nz])).sum())
-    return d
-
-
 def channel_capacity(
     channel: FiniteMechanism,
     tol: float = BA_TOL,
@@ -144,21 +134,23 @@ def conditional_channel_capacity(
         raise ParamError("need at least one channel")
     weights = DiscreteDistribution.from_probs(p_z).probs
     n_in = len(channels[0].inputs)
-    mats = []
-    for ch in channels:
-        if len(ch.inputs) != n_in:
-            raise ShapeError("all conditioned channels must share the input alphabet")
-        mats.append(np.asarray(ch.matrix(), dtype=float))
+    if any(len(ch.inputs) != n_in for ch in channels):
+        raise ShapeError("all conditioned channels must share the input alphabet")
+    # D(P(.|x) || q) = sum_y P log P - sum_y P log q; the first sum is fixed per row
+    terms = []
+    for w, ch in zip(weights, channels):
+        if w > 0:
+            mat = np.asarray(ch.matrix(), dtype=float)
+            neg_h = (mat * np.log2(mat, out=np.zeros_like(mat), where=mat > 0)).sum(axis=1)
+            terms.append((w, mat, neg_h))
 
     r = np.full(n_in, 1.0 / n_in)
     prev_bounds = None
     for _ in range(max_iter):
         d_avg = np.zeros(n_in)
-        for w, mat in zip(weights, mats):
-            if w == 0:
-                continue
+        for w, mat, neg_h in terms:
             q = r @ mat
-            d_avg += w * _divergence_per_input(mat, q)
+            d_avg += w * (neg_h - mat @ np.log2(q, out=np.zeros_like(q), where=q > 0))
         upper = float(d_avg.max())
         lower = float(math.log2(np.dot(r, np.exp2(d_avg))))
         if upper - lower < tol:
@@ -198,8 +190,10 @@ class AdjacencyMatrix:
     """0/1 sender-receiver feasibility matrix, optionally with matching classes.
 
     ``class_labels``, when present, assigns an equivalence-class label to each
-    perfect matching in lexicographic enumeration order (matchings ordered by
-    the column chosen for row 0, then row 1, ...).
+    perfect matching in lexicographic order (matchings ordered by the column
+    chosen for row 0, then row 1, ...). There must be exactly as many labels
+    as matchings (the permanent), and n <= 20. The system anonymity level
+    depends only on how many matchings each label holds.
     """
 
     bits: tuple[tuple[int, ...], ...]
@@ -268,57 +262,27 @@ def matrix_permanent(a: AdjacencyMatrix) -> int:
     return total if n % 2 == 0 else -total
 
 
-def enumerate_perfect_matchings(a: AdjacencyMatrix) -> list[tuple[int, ...]]:
-    """All perfect matchings as column tuples, lexicographic by row order."""
-    n = a.size
-    if n > MATCHING_ENUM_MAX_N:
-        raise ParamError(f"matching enumeration capped at n={MATCHING_ENUM_MAX_N}")
-    bits = a.bits
-    used = [False] * n
-    chosen: list[int] = []
-    found: list[tuple[int, ...]] = []
-
-    def extend(row: int):
-        if row == n:
-            found.append(tuple(chosen))
-            return
-        for col in range(n):
-            if bits[row][col] and not used[col]:
-                used[col] = True
-                chosen.append(col)
-                extend(row + 1)
-                chosen.pop()
-                used[col] = False
-
-    extend(0)
-    return found
-
-
 def system_anonymity_level(a: AdjacencyMatrix) -> float:
     """Entropy over matching equivalence classes, scaled to [0, 1].
 
+    The perfect matchings are counted by the permanent, log2 per(A) / log2 n!.
     With no class labels every perfect matching forms its own class, the
-    finest (most conservative) partition. A single-user system scores 0 by
-    definition; a matrix with no perfect matching is a domain error.
+    finest (most conservative) partition; with labels the entropy is that of
+    the label counts. A single-user system scores 0 by definition; a matrix
+    with no perfect matching is a domain error.
     """
-    matchings = enumerate_perfect_matchings(a)
-    if not matchings:
+    count = matrix_permanent(a)
+    if count == 0:
         raise DomainError("no perfect matching exists (permanent is 0)")
     if a.size == 1:
         return 0.0
     if a.class_labels is None:
-        labels = [str(i) for i in range(len(matchings))]
+        entropy = math.log2(count)
     else:
-        if len(a.class_labels) != len(matchings):
-            raise ShapeError(
-                f"{len(a.class_labels)} class labels for {len(matchings)} matchings"
-            )
-        labels = list(a.class_labels)
-    counts: dict[str, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    freqs = [c / len(matchings) for c in counts.values()]
-    return _entropy_bits(freqs) / math.log2(math.factorial(a.size))
+        if len(a.class_labels) != count:
+            raise ShapeError(f"{len(a.class_labels)} class labels for {count} matchings")
+        entropy = _entropy_bits([c / count for c in Counter(a.class_labels).values()])
+    return entropy / math.log2(math.factorial(a.size))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Sequence
 
-from .core import _boolean, _fields, _list, _string
+from .core import _boolean, _fields, _list, _load_json, _object, _string, _string_map
 from .errors import ParamError, SchemaError, UnknownMetricError
 
 CATEGORIES = (
@@ -1217,29 +1217,23 @@ def export_registry() -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+# The JSON field type of each dataclass annotation an export or answers file holds.
+_FIELD_TYPES = {
+    "str": _string,
+    "bool": _boolean,
+    "dict": _object,
+    "str | dict": lambda value, what: (_string_map if type(value) is dict else _string)(value, what),
+    "str | None": lambda value, what: None if value is None else _string(value, what),
+    "frozenset[str]": lambda value, what: frozenset(_list(_string)(value, what)),
+    "tuple[str, ...]": lambda value, what: tuple(_list(_string)(value, what)),
+}
+_DESCRIPTORS = _list(_fields(**{f.name: _FIELD_TYPES[f.type] for f in fields(MetricDescriptor)}))
+
+
 def import_registry(text: str) -> tuple[MetricDescriptor, ...]:
     """Rebuild descriptors from an export (round-trip helper)."""
-    items = json.loads(text)
-    out = []
-    for d in items:
-        out.append(
-            MetricDescriptor(
-                id=d["id"],
-                name=d["name"],
-                category=d["category"],
-                value_range=d["value_range"],
-                direction=d["direction"],
-                data_sources=frozenset(d["data_sources"]),
-                inputs=frozenset(d["inputs"]),
-                optional_inputs=frozenset(d["optional_inputs"]),
-                unit=d["unit"],
-                summary=d["summary"],
-                caveats=tuple(d["caveats"]),
-                implemented=d["implemented"],
-                op_ref=d["op_ref"],
-            )
-        )
-    return tuple(out)
+    items = _DESCRIPTORS(_load_json(text, "registry export"), "registry export")
+    return tuple(MetricDescriptor(*values) for values in items)
 
 
 # ---------------------------------------------------------------------------
@@ -1307,13 +1301,8 @@ class AdvisorAnswers:
 
 
 # An answers file may give any of the fields, typed by their annotation.
-_ANSWER_TYPES = {
-    "frozenset[str]": lambda value, what: frozenset(_list(_string)(value, what)),
-    "bool": _boolean,
-    "str": _string,
-}
 _ANSWERS = _fields(
-    **{f.name: (_ANSWER_TYPES[f.type], f.default) for f in fields(AdvisorAnswers)}
+    **{f.name: (_FIELD_TYPES[f.type], f.default) for f in fields(AdvisorAnswers)}
 )
 
 

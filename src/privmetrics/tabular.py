@@ -379,7 +379,10 @@ _HISTORIES = _fields(histories=_list(_HISTORY))
 
 def parse_location_histories(text: str) -> list[LocationHistory]:
     (histories,) = _HISTORIES(_load_json(text, "location histories"), "histories file")
-    return [LocationHistory.of(user, entries) for user, entries in histories]
+    return [
+        LocationHistory(user, tuple((t, frozenset(cells)) for t, cells in entries))
+        for user, entries in histories
+    ]
 
 
 def haplotype_safety(

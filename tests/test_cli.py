@@ -257,6 +257,17 @@ def test_unknown_param_rejected(metric_id, param, runner, tmp_path):
     assert param.split("=")[0] in r.stdout
 
 
+@pytest.mark.parametrize(
+    "p_z, code", [("[0.3,0.7]", "E_SHAPE"), ("[5]", "E_DIST"), ("[]", "E_SHAPE")]
+)
+def test_loss_of_anonymity_checks_p_z_for_one_mechanism(p_z, code, runner, tmp_path):
+    """A p_z given with one mechanism file is validated, not ignored."""
+    args = materialize_fixture(load_fixture("loss_of_anonymity"), tmp_path)
+    r = runner.invoke(main, args + ["--param", f"p_z={p_z}"])
+    assert r.exit_code == 2, r.output
+    assert _error_code(r) == code
+
+
 DIST_FILE = {"labels": ["a", "b"], "probs": [0.5, 0.5]}
 
 

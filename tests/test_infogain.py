@@ -228,6 +228,28 @@ class TestChannelCapacity:
             assert value >= best - 1e-7
             assert value <= best + 1e-3  # grid resolution bounds the gap
 
+    def test_zero_output_column_leaves_capacity(self):
+        rng = np.random.default_rng(59)
+        for _ in range(10):
+            n, k = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+            mat = rng.random((n, k)) + 1e-6
+            mat /= mat.sum(axis=1, keepdims=True)
+            padded = np.insert(mat, int(rng.integers(0, k + 1)), 0.0, axis=1)
+            assert ig.channel_capacity(M.from_matrix(padded.tolist())) == pytest.approx(
+                ig.channel_capacity(M.from_matrix(mat.tolist())), abs=1e-12
+            )
+
+    def test_zero_weight_channel_leaves_capacity(self):
+        rng = np.random.default_rng(61)
+        channels = []
+        for _ in range(3):
+            mat = rng.random((3, 4)) + 1e-6
+            channels.append(M.from_matrix((mat / mat.sum(axis=1, keepdims=True)).tolist()))
+        value = ig.conditional_channel_capacity(channels[:2], [0.4, 0.6])
+        assert ig.conditional_channel_capacity(channels, [0.4, 0.6, 0.0]) == pytest.approx(
+            value, abs=1e-12
+        )
+
     def test_conditional_weight_validation(self):
         m = M.from_matrix([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ShapeError):
@@ -281,14 +303,6 @@ class TestMatrixPermanent:
         with pytest.raises(ParamError):
             ig.matrix_permanent(a)
 
-    def test_matching_enumeration_agrees(self):
-        rng = np.random.default_rng(43)
-        for _ in range(50):
-            n = int(rng.integers(1, 6))
-            bits = tuple(tuple(int(v) for v in rng.integers(0, 2, n)) for _ in range(n))
-            a = ig.AdjacencyMatrix(bits)
-            assert len(ig.enumerate_perfect_matchings(a)) == ig.matrix_permanent(a)
-
 
 class TestSystemAnonymityLevel:
     def test_single_user(self):
@@ -324,6 +338,29 @@ class TestSystemAnonymityLevel:
         a = ig.AdjacencyMatrix(((1, 1, 0), (1, 1, 1), (0, 1, 1)), ("g1", "g1", "g2"))
         expected = h_bits([2 / 3, 1 / 3]) / math.log2(6)
         assert ig.system_anonymity_level(a) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 13])
+    def test_all_ones_is_exactly_one(self, n):
+        a = ig.AdjacencyMatrix(((1,) * n,) * n)
+        assert ig.system_anonymity_level(a) == 1.0
+
+    def test_labelled_matchings_oracle(self):
+        # list the matchings in lexicographic order, label them at random
+        rng = np.random.default_rng(53)
+        seen = 0
+        while seen < 40:
+            n = int(rng.integers(2, 6))
+            bits = tuple(tuple(int(v) for v in rng.integers(0, 2, n)) for _ in range(n))
+            perms = itertools.permutations(range(n))
+            matchings = [p for p in perms if all(bits[i][p[i]] for i in range(n))]
+            if not matchings:
+                continue
+            seen += 1
+            labels = tuple(str(v) for v in rng.integers(0, 3, len(matchings)))
+            counts = [labels.count(lab) / len(labels) for lab in set(labels)]
+            expected = h_bits(counts) / math.log2(math.factorial(n))
+            a = ig.AdjacencyMatrix(bits, labels)
+            assert ig.system_anonymity_level(a) == pytest.approx(expected, abs=1e-12)
 
     def test_class_label_count_mismatch(self):
         a = ig.AdjacencyMatrix(((1, 1), (1, 1)), ("only-one",))

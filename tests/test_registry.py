@@ -72,6 +72,11 @@ class TestExport:
         rebuilt = reg.import_registry(dumped)
         assert rebuilt == tuple(sorted(reg.DESCRIPTORS, key=lambda d: d.id))
 
+    @pytest.mark.parametrize("text", ['[{"id": "x"}]', "5", "[5]"])
+    def test_import_rejects_malformed_export(self, text):
+        with pytest.raises(SchemaError):
+            reg.import_registry(text)
+
     def test_deterministic(self):
         assert reg.export_registry() == reg.export_registry()
 
