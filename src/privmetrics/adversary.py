@@ -504,4 +504,4 @@ def obfuscation_accuracy(r_opt: float, r_min: float) -> float:
     """Squared ratio of achievable sensing accuracy to the required minimum."""
     if r_min <= 0 or r_opt < 0:
         raise ParamError("need r_min > 0 and r_opt >= 0")
-    return (r_opt * r_opt) / (r_min * r_min)
+    return (r_opt / r_min) ** 2  # r_min² underflows to 0 for tiny r_min

@@ -15,20 +15,42 @@ import math
 import os
 from typing import Callable, NamedTuple, Sequence
 
-from . import adversary, core, infogain, registry, tabular, uncertainty
+from . import core, registry
 from .core import (
     _REQUIRED, MetricValue, _boolean, _distribution, _fields, _finite, _floats, _integer, _label,
     _labels, _list, _load_json, _matrix, _point, _read, _string, _string_map, _tuple, _typed,
 )
-from .errors import ParamError, SchemaError
+from .errors import DomainError, ParamError, SchemaError
+
+
+class _OnFirstUse:
+    """Stands in for a metric module until this module first reads one of its
+    attributes; that read imports the module and rebinds the global name to it,
+    so a process imports only the modules its metrics use, and later reads go
+    straight to the module."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __getattr__(self, attr: str):
+        module = importlib.import_module(f".{self.name}", __package__)
+        globals()[self.name] = module
+        return getattr(module, attr)
+
+
+adversary, indist, infogain, tabular, uncertainty = map(
+    _OnFirstUse, ("adversary", "indist", "infogain", "tabular", "uncertainty")
+)
 
 
 def _late(path: str) -> Callable:
-    """Call ``module.function``, looked up on every call rather than at import,
-    so that a wrapper installed on the module attribute is the one that runs."""
+    """Call ``module.function``, with both names looked up on every call rather
+    than at import: the module's global name, so that the first call imports a
+    metric module (see ``_OnFirstUse``), and the function's attribute on it, so
+    that a wrapper installed on the module attribute is the one that runs."""
     module, name = path.split(".")
-    module = importlib.import_module(f".{module}", __package__)
-    return lambda *args: getattr(module, name)(*args)
+    namespace = globals()
+    return lambda *args: getattr(namespace[module], name)(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +492,20 @@ def compute(
     for name, (kind, default) in spec.params.items():
         if name in params:
             try:
-                args.append(kind(params[name]))
+                value = kind(params[name])
             except (TypeError, ValueError, SchemaError) as exc:
                 raise ParamError(f"parameter {name!r}: {exc}")
+            if isinstance(value, float) and math.isnan(value):  # ±inf are meaningful values
+                raise ParamError(f"parameter {name!r}: NaN is not a number")
+            args.append(value)
         elif default is _REQUIRED:
             raise ParamError(f"missing required parameter {name!r}")
         else:
             args.append(default)
-    value = spec.call(*args)
+    try:
+        value = spec.call(*args)
+    except OverflowError as exc:
+        raise DomainError(f"{metric_id}: floating-point overflow ({exc})")
     return MetricValue(
         metric_id=metric_id,
         value=value,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import (
     DataTable, EquivalenceClass, Value, _fields, _finite, _label, _labels, _list, _load_json,
@@ -428,6 +427,8 @@ def cluster_similarity(
     before counting matches, so the value is invariant under any relabeling
     of either side.
     """
+    from scipy.optimize import linear_sum_assignment  # scipy's only user: import on demand
+
     if len(original_assign) != len(protected_assign):
         raise ShapeError("assignments must cover the same items")
     if not original_assign:

@@ -54,9 +54,12 @@ def renyi_entropy(d: DiscreteDistribution, alpha: float) -> float:
         return -math.log2(max(d.probs))
     if abs(alpha - 1.0) <= RENYI_SHANNON_WINDOW:
         return shannon_entropy(d)
+    # Powers of p / max(p), whose sum is at least 1, and alpha / (1 - alpha) taken
+    # first: a huge alpha approaches the min-entropy instead of underflowing the sum.
     p = np.asarray(d.probs, dtype=float)
-    p = p[p > 0]
-    return float(math.log2((p**alpha).sum()) / (1.0 - alpha))
+    top = p.max()
+    spread = math.log2(((p[p > 0] / top) ** alpha).sum())
+    return float(alpha / (1.0 - alpha) * math.log2(top) + spread / (1.0 - alpha))
 
 
 def max_entropy(d: DiscreteDistribution) -> float:

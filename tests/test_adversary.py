@@ -418,3 +418,8 @@ class TestRegionPrivacy:
     def test_accuracy_needs_both_radii(self):
         with pytest.raises(ParamError):
             adv.region_privacy(Region(rect=(0, 0, 1, 1)), r_opt=1.0)
+
+    def test_accuracy_of_tiny_radii(self):
+        assert adv.obfuscation_accuracy(1e-300, 1e-300) == 1.0  # r² underflows to 0
+        with pytest.raises(OverflowError):  # compute reports it as E_DOMAIN
+            adv.obfuscation_accuracy(1.0, 1e-308)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -7,7 +10,7 @@ from click.testing import CliRunner
 from privmetrics import registry as reg
 from privmetrics.cli import main
 
-from conftest import all_fixture_ids, load_fixture, materialize_fixture, values_close
+from conftest import REPO, all_fixture_ids, load_fixture, materialize_fixture, values_close
 
 
 @pytest.fixture()
@@ -419,3 +422,51 @@ def test_table_metric_without_schema_is_2(runner, tmp_path):
     r = runner.invoke(main, args[:i] + args[i + 2:])
     assert r.exit_code == 2, r.output
     assert _error_code(r) == "E_PARAM"
+
+
+_FOOTPRINT = """\
+import json, sys
+import privmetrics.cli
+if sys.argv[1:]:
+    try:
+        privmetrics.cli.main(args=sys.argv[1:], prog_name="privmetrics")
+    except SystemExit:
+        pass
+print(json.dumps(sorted(m for m in ("numpy", "scipy") if m in sys.modules)), file=sys.stderr)
+"""
+
+
+def _cold(*args, cwd=None):
+    """Run the CLI in a fresh interpreter: its stdout and which of numpy and scipy it loaded."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", _FOOTPRINT, *args], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=path), cwd=cwd, timeout=120)
+    return r.stdout, json.loads(r.stderr.splitlines()[-1])
+
+
+class TestImportFootprint:
+    def test_import_loads_neither(self):
+        assert _cold() == ("", [])
+
+    @pytest.mark.parametrize(
+        "args",
+        [("list",), ("describe", "cluster_similarity"), ("export",), ("advise", "--answers", "a.json")],
+        ids=["list", "describe", "export", "advise"],
+    )
+    def test_catalog_commands_load_neither(self, args, tmp_path):
+        (tmp_path / "a.json").write_text('{"q1_guarantee": true}')
+        out, loaded = _cold(*args, cwd=tmp_path)
+        assert out
+        assert loaded == []
+
+    def test_compute_without_numpy(self, tmp_path):
+        fixture = load_fixture("differential_privacy")
+        out, loaded = _cold(*materialize_fixture(fixture, tmp_path))
+        assert "numpy" not in loaded
+        assert json.loads(out)["value"] == fixture["expected"]["value"]
+
+    def test_cluster_similarity_loads_scipy(self, tmp_path):
+        fixture = load_fixture("cluster_similarity")
+        out, loaded = _cold(*materialize_fixture(fixture, tmp_path))
+        assert "scipy" in loaded
+        assert json.loads(out)["value"] == fixture["expected"]["value"]

@@ -1,8 +1,9 @@
-"""Mutation fuzz over every fixture: one JSON node gets the wrong type.
+"""Mutation fuzz over every fixture: one JSON node gets the wrong type, or
+one numeric ``--param`` an edge value.
 
 Whatever the mutation, ``compute`` must give a value (exit 0) or a
 machine-readable ``{"error": ...}`` with exit code 2 or 3; it must never
-escape with a traceback (exit 1).
+escape with a traceback (exit 1). A NaN parameter is always exit 2.
 """
 
 import copy
@@ -14,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from privmetrics import compute
 from privmetrics.cli import main
 
 from conftest import all_fixture_ids, load_fixture, materialize_fixture
@@ -77,9 +79,38 @@ def test_mutated_fixture_fails_cleanly(metric_id, data):
     fixture = load_fixture(metric_id)
     name, path, new = data.draw(st.sampled_from(_mutations(fixture)))
     fixture["files"][name] = _mutated(fixture["files"][name], path, new)
+    _fails_cleanly(fixture)
+
+
+def _fails_cleanly(fixture: dict):
+    """Run a fixture through the CLI; assert the 0/2/3 contract and return the exit code."""
     with tempfile.TemporaryDirectory() as directory:
         r = CliRunner().invoke(main, materialize_fixture(fixture, Path(directory)))
     assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
     assert r.exit_code in (0, 2, 3), r.output
     if r.exit_code:
         assert "error" in json.loads(r.stdout.splitlines()[0])
+    return r.exit_code
+
+
+PARAM_VALUES = {
+    "nan": "nan", "inf": "inf", "-inf": "-inf", "1e308": "1e308", "-1e308": "-1e308",
+    "1e-308": "1e-308", "-1e-308": "-1e-308", "5e-324": "5e-324", "-5e-324": "-5e-324",
+    "0": "0", "-1": "-1", "empty": "", "200-digits": "9" * 200, "-200-digits": "-" + "9" * 200,
+}
+NUMERIC_PARAMS = [
+    pytest.param(metric_id, name, value, id=f"{metric_id}-{name}={label}")
+    for metric_id in all_fixture_ids()
+    for name, (kind, _) in compute._SPECS[metric_id].params.items()
+    if kind in (float, int)
+    for label, value in PARAM_VALUES.items()
+]
+
+
+@pytest.mark.parametrize("metric_id, name, value", NUMERIC_PARAMS)
+def test_numeric_param_fails_cleanly(metric_id, name, value):
+    fixture = load_fixture(metric_id)
+    fixture["params"][name] = value  # the fixture's other parameters are kept
+    exit_code = _fails_cleanly(fixture)
+    if value == "nan":
+        assert exit_code == 2

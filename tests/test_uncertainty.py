@@ -88,6 +88,10 @@ class TestRenyiEntropy:
         with pytest.raises(ParamError):
             u.renyi_entropy(D.uniform(2), -0.5)
 
+    def test_huge_alpha_is_min_entropy(self):
+        for d in (D.uniform(8), D.from_probs([0.5, 0.25, 0.25])):
+            assert u.renyi_entropy(d, 1e308) == pytest.approx(u.min_entropy(d), abs=1e-12)
+
     @given(dists)
     def test_monotone_in_alpha(self, d):
         alphas = [0.0, 0.5, 1.0, 2.0, math.inf]
