@@ -15,6 +15,8 @@ import json
 import math
 import reprlib
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import Sequence, Union
 
 from .errors import (
@@ -34,15 +36,17 @@ COLUMN_KINDS = ("categorical", "numeric")
 COLUMN_ROLES = ("identifier", "quasi-identifier", "sensitive", "plain")
 
 
-def _as_finite_float(x, what: str) -> float:
-    """A numeric CSV cell, which arrives as text."""
+def _as_finite_float(cell: str, lineno: int, column: str) -> float:
+    """A numeric CSV cell, which arrives as text; an error names where it sits."""
     try:
-        v = float(x)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{what}: not a number: {x!r}")
-    if not math.isfinite(v):
-        raise SchemaError(f"{what}: not finite: {x!r}")
-    return v
+        v = float(cell)
+    except ValueError:
+        problem = "not a number"
+    else:
+        if math.isfinite(v):
+            return v
+        problem = "not finite"
+    raise SchemaError(f"line {lineno}, column {column!r}: {problem}: {cell!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +216,14 @@ _REGION = _fields(rect=(_RECT, None), cells=(_list(_CELL), None))
 # Distributions
 
 
+def _total_mass(masses) -> float:
+    """Exact sum of finite masses; inf when it passes the largest float."""
+    try:
+        return math.fsum(masses)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Probability vector over labeled outcomes."""
@@ -233,7 +245,7 @@ class DiscreteDistribution:
                 raise DistributionError(f"non-finite probability {p!r}")
             if p < 0:
                 raise DistributionError(f"negative probability {p!r}")
-        total = math.fsum(self.probs)
+        total = _total_mass(self.probs)
         if abs(total - 1.0) > PROB_TOL:
             raise DistributionError(f"probabilities sum to {total!r}, not 1")
         if abs(total - 1.0) > RENORM_FLOOR:
@@ -300,7 +312,7 @@ class JointDistribution:
             for v in row:
                 if not math.isfinite(v) or v < 0:
                     raise DistributionError(f"invalid joint mass {v!r}")
-        total = math.fsum(v for row in self.matrix for v in row)
+        total = _total_mass(v for row in self.matrix for v in row)
         if abs(total - 1.0) > PROB_TOL:
             raise DistributionError(f"joint mass sums to {total!r}, not 1")
         if abs(total - 1.0) > RENORM_FLOOR:
@@ -379,10 +391,14 @@ class FiniteMechanism:
         )
         return cls(tuple(str(s) for s in inputs), out, rows)
 
+    @cached_property
+    def _row_index(self) -> dict[str, DiscreteDistribution]:
+        return dict(zip(self.inputs, self.rows))
+
     def row_for(self, input_id: str) -> DiscreteDistribution:
         try:
-            return self.rows[self.inputs.index(input_id)]
-        except ValueError:
+            return self._row_index[input_id]
+        except KeyError:
             raise SchemaError(f"unknown input id {input_id!r}")
 
     def matrix(self) -> tuple[tuple[float, ...], ...]:
@@ -470,7 +486,7 @@ class DataTable:
         return idx[0]
 
     def column_values(self, index: int) -> tuple[Value, ...]:
-        return tuple(r[index] for r in self.rows)
+        return tuple(map(itemgetter(index), self.rows))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -512,19 +528,16 @@ def parse_table(csv_text: str, schema: dict) -> DataTable:
         Column(name, kinds.get(name, "categorical"), roles.get(name, "plain"))
         for name in header
     )
+    numeric = [(j, col.name) for j, col in enumerate(columns) if col.kind == "numeric"]
     rows = []
     for lineno, raw in enumerate(reader, start=2):
         if not raw:
             continue  # blank line
         if len(raw) != len(header):
             raise ShapeError(f"line {lineno}: expected {len(header)} fields, got {len(raw)}")
-        parsed: list[Value] = []
-        for cell, col in zip(raw, columns):
-            if col.kind == "numeric":
-                parsed.append(_as_finite_float(cell, f"line {lineno}, column {col.name!r}"))
-            else:
-                parsed.append(cell)
-        rows.append(tuple(parsed))
+        for j, name in numeric:
+            raw[j] = _as_finite_float(raw[j], lineno, name)
+        rows.append(tuple(raw))
     return DataTable(columns, tuple(rows))
 
 
@@ -533,7 +546,7 @@ class EquivalenceClass:
     """Rows sharing one full quasi-identifier tuple."""
 
     qi_key: tuple[Value, ...]
-    row_indices: frozenset[int]
+    row_indices: tuple[int, ...]  # ascending
 
     def __post_init__(self):
         if not self.row_indices:
@@ -547,17 +560,19 @@ def equivalence_classes(table: DataTable) -> tuple[EquivalenceClass, ...]:
     """Partition table rows by their full quasi-identifier tuple.
 
     Classes come back in first-appearance order and always cover every row
-    exactly once.
+    exactly once; each class lists its rows in ascending order.
     """
     qi = table.quasi_identifier_columns()
     if not qi:
         raise SchemaError("table has no quasi-identifier columns")
+    keys = map(itemgetter(*qi), table.rows)
+    if len(qi) == 1:
+        keys = zip(keys)  # itemgetter of one index returns the bare cell
     groups: dict[tuple[Value, ...], list[int]] = {}
-    for i, row in enumerate(table.rows):
-        key = tuple(row[j] for j in qi)
+    for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
     return tuple(
-        EquivalenceClass(key, frozenset(idx)) for key, idx in groups.items()
+        EquivalenceClass(key, tuple(idx)) for key, idx in groups.items()
     )
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import sub, truediv
 from typing import Sequence
 
 from .core import (
@@ -55,10 +57,9 @@ def parse_neighbor_relation(text: str) -> NeighborRelation:
 
 
 def _check_inputs(m: FiniteMechanism, nr: NeighborRelation):
-    known = set(m.inputs)
     for a, b in nr.pairs:
         for x in (a, b):
-            if x not in known:
+            if x not in m._row_index:
                 raise SchemaError(f"neighbor relation names unknown input {x!r}")
 
 
@@ -72,14 +73,13 @@ def dp_epsilon(m: FiniteMechanism, nr: NeighborRelation) -> dict:
     _check_inputs(m, nr)
     eps = 0.0
     for a, b in nr.ordered_pairs():
-        pa = m.row_for(a).probs
-        pb = m.row_for(b).probs
-        for va, vb in zip(pa, pb):
-            if va == 0 and vb == 0:
-                continue
-            if va == 0 or vb == 0:
-                return {"eps_eff": math.inf}
-            eps = max(eps, abs(math.log(va / vb)))
+        pa, pb = m.row_for(a).probs, m.row_for(b).probs
+        support = list(map(bool, pa))
+        if support != list(map(bool, pb)):
+            return {"eps_eff": math.inf}
+        # log is monotone, so the extreme ratios carry the largest |log|
+        ratios = list(map(truediv, compress(pa, support), compress(pb, support)))
+        eps = max(eps, abs(math.log(max(ratios))), abs(math.log(min(ratios))))
     return {"eps_eff": eps}
 
 
@@ -93,12 +93,18 @@ def adp_delta(m: FiniteMechanism, nr: NeighborRelation, eps: float) -> float:
     if eps < 0 or math.isnan(eps):
         raise ParamError(f"eps must be >= 0, got {eps!r}")
     _check_inputs(m, nr)
-    scale = math.exp(eps)
+    try:
+        scale = math.exp(eps)
+    except OverflowError:
+        scale = math.inf
     delta = 0.0
     for a, b in nr.ordered_pairs():
-        pa = m.row_for(a).probs
-        pb = m.row_for(b).probs
-        excess = math.fsum(max(0.0, va - scale * vb) for va, vb in zip(pa, pb))
+        pa, pb = m.row_for(a).probs, m.row_for(b).probs
+        if scale == math.inf:  # in the limit only outputs that b never gives count
+            excess = math.fsum(compress(pa, map((0.0).__eq__, pb)))
+        else:
+            # fsum is exactly rounded, so leaving out the terms <= 0 changes no bit
+            excess = math.fsum(filter((0.0).__lt__, map(sub, pa, map(scale.__mul__, pb))))
         delta = max(delta, excess)
     return delta
 
@@ -136,13 +142,14 @@ def geo_indistinguishability(g: GeoMechanism) -> dict:
     if len(g.locations) < 2:
         raise ParamError("need at least two locations")
     eps = 0.0
+    rows = g.mechanism.rows  # in location order
     for i in range(len(g.locations)):
         for j in range(i + 1, len(g.locations)):
-            ida, xa, ya = g.locations[i]
-            idb, xb, yb = g.locations[j]
+            _, xa, ya = g.locations[i]
+            _, xb, yb = g.locations[j]
             d = math.hypot(xa - xb, ya - yb)
-            pa = g.mechanism.row_for(ida).probs
-            pb = g.mechanism.row_for(idb).probs
+            pa = rows[i].probs
+            pb = rows[j].probs
             for va, vb in zip(pa, pb):
                 if va == 0 and vb == 0:
                     continue
@@ -202,7 +209,13 @@ def distributional_privacy(
         raise DomainError("both likelihoods are 0; posterior undefined")
     if likelihood_2 == 0:
         return False
-    return prior_ratio * likelihood_1 / likelihood_2 <= math.exp(eps)
+    try:
+        bound = math.exp(eps)
+    except OverflowError:  # past the largest float: compare the logs instead
+        if prior_ratio == 0 or likelihood_1 == 0:
+            return True
+        return math.log(prior_ratio) + math.log(likelihood_1) - math.log(likelihood_2) <= eps
+    return prior_ratio * likelihood_1 / likelihood_2 <= bound
 
 
 @dataclass(frozen=True)

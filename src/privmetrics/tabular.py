@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul, sub, truediv
 from typing import Sequence
 
 import numpy as np
@@ -26,13 +28,14 @@ from .errors import (
 )
 
 
-def _class_sensitive(table: DataTable, cls: EquivalenceClass, col: int) -> list[Value]:
-    return [table.rows[i][col] for i in sorted(cls.row_indices)]
+def _class_sensitive(column: Sequence[Value], cls: EquivalenceClass) -> list[Value]:
+    """The class's cells of one column, in row order."""
+    return list(map(column.__getitem__, cls.row_indices))
 
 
 def k_anonymity(table: DataTable) -> int:
     """Minimum equivalence-class size over the quasi-identifier grouping."""
-    return min(len(c) for c in equivalence_classes(table))
+    return min(map(len, equivalence_classes(table)))
 
 
 def alpha_k_anonymity(table: DataTable, sensitive_value: Value) -> dict:
@@ -44,12 +47,13 @@ def alpha_k_anonymity(table: DataTable, sensitive_value: Value) -> dict:
     col = table.sensitive_column()
     if table.columns[col].kind == "numeric":
         sensitive_value = float(sensitive_value)
+    column = table.column_values(col)
     classes = equivalence_classes(table)
     alpha = max(
-        _class_sensitive(table, c, col).count(sensitive_value) / len(c)
+        _class_sensitive(column, c).count(sensitive_value) / len(c)
         for c in classes
     )
-    return {"k": min(len(c) for c in classes), "alpha": alpha}
+    return {"k": min(map(len, classes)), "alpha": alpha}
 
 
 def l_diversity(table: DataTable, mode: str = "entropy", c: float = 1.0) -> float:
@@ -59,19 +63,16 @@ def l_diversity(table: DataTable, mode: str = "entropy", c: float = 1.0) -> floa
     recursive mode: the largest l such that in every class the top count is
     below c times the tail sum from position l (l = 1 when nothing holds).
     """
-    col = table.sensitive_column()
-    classes = equivalence_classes(table)
+    column = table.column_values(table.sensitive_column())
     per_class_counts = [
-        sorted(Counter(_class_sensitive(table, cls, col)).values(), reverse=True)
-        for cls in classes
+        sorted(Counter(_class_sensitive(column, cls)).values(), reverse=True)
+        for cls in equivalence_classes(table)
     ]
     if mode == "entropy":
         worst = math.inf
         for counts in per_class_counts:
-            total = sum(counts)
-            h = -math.fsum(
-                (n / total) * math.log2(n / total) for n in counts if n > 0
-            )
+            freqs = list(map(truediv, counts, repeat(sum(counts))))  # every count >= 1
+            h = -math.fsum(map(mul, freqs, map(math.log2, freqs)))
             worst = min(worst, 2.0**h)
         return worst
     if mode == "recursive":
@@ -97,7 +98,7 @@ def emd_categorical(p: Sequence[float], q: Sequence[float]) -> float:
     """Equal-ground-distance earth mover distance: half the L1 distance."""
     if len(p) != len(q):
         raise ShapeError("distributions must share support")
-    return 0.5 * math.fsum(abs(a - b) for a, b in zip(p, q))
+    return 0.5 * math.fsum(map(abs, map(sub, p, q)))
 
 
 def emd_ordered(p: Sequence[float], q: Sequence[float]) -> float:
@@ -133,11 +134,11 @@ def t_closeness(table: DataTable) -> float:
 
     def dist(values: Sequence[Value]) -> list[float]:
         counts = Counter(values if numeric else map(str, values))
-        return [counts.get(v, 0) / len(values) for v in domain]
+        return list(map(truediv, map(counts.get, domain, repeat(0)), repeat(len(values))))
 
     table_dist = dist(all_values)
     return max(
-        emd(dist(_class_sensitive(table, cls, col)), table_dist)
+        emd(dist(_class_sensitive(all_values, cls)), table_dist)
         for cls in equivalence_classes(table)
     )
 
@@ -178,12 +179,13 @@ def ke_anonymity(table: DataTable) -> dict:
     col = table.sensitive_column()
     if table.columns[col].kind != "numeric":
         raise SchemaError("range anonymity needs a numeric sensitive column")
+    column = table.column_values(col)
     classes = equivalence_classes(table)
     ranges = [
         max(vals) - min(vals)
-        for vals in (_class_sensitive(table, c, col) for c in classes)
+        for vals in (_class_sensitive(column, c) for c in classes)
     ]
-    return {"k": min(len(c) for c in classes), "e": min(ranges)}
+    return {"k": min(map(len, classes)), "e": min(ranges)}
 
 
 def em_anonymity(table: DataTable, epsilon: float) -> float:
@@ -198,13 +200,29 @@ def em_anonymity(table: DataTable, epsilon: float) -> float:
     col = table.sensitive_column()
     if table.columns[col].kind != "numeric":
         raise SchemaError("similarity anonymity needs a numeric sensitive column")
+    column = table.column_values(col)
     worst = 0.0
     for cls in equivalence_classes(table):
-        values = _class_sensitive(table, cls, col)
-        for x in values:
-            frac = sum(1 for s in values if abs(s - x) <= epsilon) / len(values)
-            worst = max(worst, frac)
+        values = sorted(_class_sensitive(column, cls))
+        worst = max(worst, _most_within(values, epsilon) / len(values))
     return 1.0 / worst
+
+
+def _most_within(values: Sequence[float], epsilon: float) -> int:
+    """Most sorted values s with ``abs(s - x) <= epsilon`` for one of them, x.
+
+    Rounded subtraction is monotone, so the values within epsilon of x form a
+    run values[lo:hi] around x whose ends only move up as x does. Left of x,
+    ``abs(s - x)`` is exactly ``x - s``; right of it, ``s - x``.
+    """
+    best = lo = hi = 0
+    for x in values:
+        while x - values[lo] > epsilon:
+            lo += 1
+        while hi < len(values) and values[hi] - x <= epsilon:
+            hi += 1
+        best = max(best, hi - lo)
+    return best
 
 
 def multirelational_k(
@@ -311,9 +329,9 @@ def m_invariance(releases: Sequence[Release]) -> dict:
     min_class = math.inf
     signatures: dict[str, frozenset] = {}
     for rel in releases:
-        col = rel.table.sensitive_column()
+        column = rel.table.column_values(rel.table.sensitive_column())
         for cls in equivalence_classes(rel.table):
-            values = _class_sensitive(rel.table, cls, col)
+            values = _class_sensitive(column, cls)
             min_class = min(min_class, len(values))
             if len(set(values)) != len(values):
                 holds = False

@@ -123,6 +123,38 @@ class TestExitCodes:
         assert r.exit_code == 2
         assert json.loads(r.output.splitlines()[0])["error"] == "E_DIST"
 
+    @pytest.mark.parametrize(
+        "metric_id, files",
+        [
+            ("entropy", ['{"labels":["a","b"],"probs":[1e308,1e308]}']),
+            (
+                "differential_privacy",
+                ['{"inputs":["a","b"],"outputs":["x","y"],"matrix":[[0.5,0.5],[1e308,1e308]]}',
+                 '{"pairs":[["a","b"]]}'],
+            ),
+            ("mutual_information", ['{"x_labels":["a","b"],"y_labels":["x"],"matrix":[[1e308],[1e308]]}']),
+        ],
+    )
+    def test_mass_summing_past_the_largest_float_is_2(self, runner, tmp_path, metric_id, files):
+        args = ["compute", metric_id]
+        for i, text in enumerate(files):
+            (tmp_path / f"{i}.json").write_text(text)
+            args += ["--in", str(tmp_path / f"{i}.json")]
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, r.output
+        assert _error_code(r) == "E_DIST"
+
+    @pytest.mark.parametrize("eps", ["700", "1e308", "inf"])
+    def test_adp_at_huge_eps_is_the_limit(self, runner, tmp_path, eps):
+        (tmp_path / "m.json").write_text('{"inputs":["a","b"],"outputs":["x","y"],"matrix":[[1,0],[0,1]]}')
+        (tmp_path / "n.json").write_text('{"pairs":[["a","b"]]}')
+        r = runner.invoke(main, [
+            "compute", "approximate_differential_privacy", "--in", str(tmp_path / "m.json"),
+            "--in", str(tmp_path / "n.json"), "--param", f"eps={eps}", "--format", "json",
+        ])
+        assert r.exit_code == 0, r.output
+        assert json.loads(r.stdout)["value"] == 1.0
+
 
 class TestListDescribe:
     def test_list_csv_has_all_metrics(self, runner):

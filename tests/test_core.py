@@ -85,6 +85,13 @@ class TestRoundTrips:
         m = FiniteMechanism.from_matrix([[0.75, 0.25], [0.25, 0.75]], ["a", "b"])
         assert parse_mechanism(json.dumps(m.to_json_dict())) == m
 
+    def test_mechanism_row_lookup(self):
+        m = FiniteMechanism.from_matrix([[0.75, 0.25], [0.25, 0.75]], ["a", "b"])
+        assert m.row_for("b") is m.rows[1]
+        assert m == FiniteMechanism.from_matrix([[0.75, 0.25], [0.25, 0.75]], ["a", "b"])
+        with pytest.raises(SchemaError):
+            m.row_for("c")
+
     def test_trace(self):
         t = Trace(((0.0, 1.0), (1.5, 3.0)))
         assert parse_trace(json.dumps(t.to_json_dict())) == t

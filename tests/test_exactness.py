@@ -1,0 +1,236 @@
+"""Exactness oracles for the scans that run over whole tables and mechanisms.
+
+Each reference below is the plain scalar loop the library once ran: one
+Python step per row, cell or output. The library now hands that work to
+builtins (``map``, ``min``/``max``, ``math.fsum``, a sliding window), and
+every result must equal the loop's with ``==``, not merely approximately.
+"""
+
+import math
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
+
+from privmetrics import indist, tabular
+from privmetrics.core import (
+    Column,
+    DataTable,
+    DiscreteDistribution,
+    FiniteMechanism,
+    equivalence_classes,
+)
+
+# ---------------------------------------------------------------------------
+# Reference loops
+
+
+def ref_classes(table):
+    qi = table.quasi_identifier_columns()
+    groups = {}
+    for i, row in enumerate(table.rows):
+        groups.setdefault(tuple(row[j] for j in qi), []).append(i)
+    return [(key, frozenset(idx)) for key, idx in groups.items()]
+
+
+def ref_class_values(table, idx, col):
+    return [table.rows[i][col] for i in sorted(idx)]
+
+
+def ref_dp_epsilon(m, nr):
+    eps = 0.0
+    for a, b in nr.ordered_pairs():
+        pa = m.row_for(a).probs
+        pb = m.row_for(b).probs
+        for va, vb in zip(pa, pb):
+            if va == 0 and vb == 0:
+                continue
+            if va == 0 or vb == 0:
+                return {"eps_eff": math.inf}
+            eps = max(eps, abs(math.log(va / vb)))
+    return {"eps_eff": eps}
+
+
+def ref_adp_delta(m, nr, eps):
+    scale = math.exp(eps)
+    delta = 0.0
+    for a, b in nr.ordered_pairs():
+        pa = m.row_for(a).probs
+        pb = m.row_for(b).probs
+        excess = math.fsum(max(0.0, va - scale * vb) for va, vb in zip(pa, pb))
+        delta = max(delta, excess)
+    return delta
+
+
+def ref_em_anonymity(table, epsilon):
+    col = table.sensitive_column()
+    worst = 0.0
+    for _, idx in ref_classes(table):
+        values = ref_class_values(table, idx, col)
+        for x in values:
+            frac = sum(1 for s in values if abs(s - x) <= epsilon) / len(values)
+            worst = max(worst, frac)
+    return 1.0 / worst
+
+
+def ref_l_entropy(table):
+    col = table.sensitive_column()
+    worst = math.inf
+    for _, idx in ref_classes(table):
+        counts = sorted(Counter(ref_class_values(table, idx, col)).values(), reverse=True)
+        total = sum(counts)
+        h = -math.fsum((n / total) * math.log2(n / total) for n in counts if n > 0)
+        worst = min(worst, 2.0**h)
+    return worst
+
+
+def ref_t_closeness_categorical(table):
+    col = table.sensitive_column()
+    all_values = table.column_values(col)
+    domain = sorted(set(map(str, all_values)))
+
+    def dist(values):
+        counts = Counter(map(str, values))
+        return [counts.get(v, 0) / len(values) for v in domain]
+
+    table_dist = dist(all_values)
+    return max(
+        0.5 * math.fsum(abs(a - b) for a, b in zip(dist(ref_class_values(table, idx, col)), table_dist))
+        for _, idx in ref_classes(table)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Mechanisms: rows with zeros, equal rows and subnormal entries
+
+_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@st.composite
+def mechanisms(draw):
+    n_in = draw(st.integers(2, 5))
+    n_out = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(n_in):
+        if rows and draw(st.booleans()):
+            rows.append(draw(st.sampled_from(rows)))  # an equal row
+            continue
+        weights = draw(st.lists(_WEIGHTS, min_size=n_out, max_size=n_out))
+        total = math.fsum(weights)
+        if total == 0:
+            weights, total = [1.0] * n_out, float(n_out)
+        rows.append(tuple(w / total for w in weights))
+    outputs = tuple(f"o{j}" for j in range(n_out))
+    inputs = tuple(f"i{k}" for k in range(n_in))
+    m = FiniteMechanism(inputs, outputs, tuple(DiscreteDistribution(outputs, r) for r in rows))
+    pairs = draw(
+        st.lists(st.tuples(st.sampled_from(inputs), st.sampled_from(inputs)), min_size=1, max_size=8)
+    )
+    return m, indist.NeighborRelation.of(pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mechanisms())
+def test_dp_epsilon_equals_scalar_loop(case):
+    m, nr = case
+    assert indist.dp_epsilon(m, nr) == ref_dp_epsilon(m, nr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mechanisms(), st.one_of(st.sampled_from([0.0, 1e-300, 0.05, 1.0, 709.0]),
+                               st.floats(min_value=0.0, max_value=709.0)))
+def test_adp_delta_equals_scalar_loop(case, eps):
+    m, nr = case
+    assert indist.adp_delta(m, nr, eps) == ref_adp_delta(m, nr, eps)
+
+
+def _pair(pa, pb):
+    outputs = tuple(f"o{j}" for j in range(len(pa)))
+    rows = (DiscreteDistribution(outputs, pa), DiscreteDistribution(outputs, pb))
+    return FiniteMechanism(("a", "b"), outputs, rows), indist.NeighborRelation.of([("a", "b")])
+
+
+def test_dp_epsilon_rounding_of_reverse_ratio():
+    # |log| of the smallest ratio one way is one ulp above that of the
+    # largest ratio the other way, so both ends of every scan count.
+    m, nr = _pair((0.4857430256993203, 0.5142569743006797), (0.35536226952193556, 0.6446377304780645))
+    assert indist.dp_epsilon(m, nr) == ref_dp_epsilon(m, nr) == {"eps_eff": 0.3125419836870894}
+
+
+def test_adp_delta_sum_is_exactly_rounded():
+    # A left-to-right sum of the larger excess is one ulp off.
+    m, nr = _pair(
+        (0.30931141830054243, 0.05661397331770833, 0.351533647012325, 0.2825409613694243),
+        (0.2104215338004223, 0.013098977936202212, 0.68433121659701, 0.09214827166636545),
+    )
+    assert indist.adp_delta(m, nr, 0.05) == ref_adp_delta(m, nr, 0.05) == 0.3166128849679281
+
+
+# ---------------------------------------------------------------------------
+# Tables
+
+_QI_CELLS = st.sampled_from(["a", "b", "c"])
+_NUMERIC_QI = st.sampled_from([0.0, -0.0, 1.5, 2.0])
+# A coarse grid so that many differences land exactly on epsilon, plus
+# inexact decimals and magnitudes whose differences overflow to inf.
+_SENSITIVE = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 0.1, 0.2, 0.3, 0.7, -1e308, 1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def tables(draw, n_qi, sensitive, kind):
+    cells = st.tuples(*([_QI_CELLS, _NUMERIC_QI][: n_qi] + [sensitive]))
+    rows = draw(st.lists(cells, min_size=1, max_size=40))
+    qi = [Column("q", "categorical", "quasi-identifier"),
+          Column("r", "numeric", "quasi-identifier")][:n_qi]
+    return DataTable(tuple(qi) + (Column("s", kind, "sensitive"),), tuple(rows))
+
+
+def _epsilons(table):
+    values = table.column_values(table.sensitive_column())
+    ties = [abs(a - b) for a in values[:6] for b in values[:6]]
+    return st.one_of(
+        st.sampled_from([0.0, math.inf, 0.1, 0.5, 1.0] + [t for t in ties if math.isfinite(t)]),
+        st.floats(min_value=0.0, allow_nan=False),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 2))
+def test_em_anonymity_equals_scalar_loop(data, n_qi):
+    table = data.draw(tables(n_qi, _SENSITIVE, "numeric"))
+    epsilon = data.draw(_epsilons(table))
+    assert tabular.em_anonymity(table, epsilon) == ref_em_anonymity(table, epsilon)
+
+
+def test_em_anonymity_ties_exactly_at_epsilon():
+    rows = tuple(("a", v) for v in (0.0, 0.1, 0.2, 0.30000000000000004, 1.0, 1.1))
+    table = DataTable(
+        (Column("q", "categorical", "quasi-identifier"), Column("s", "numeric", "sensitive")), rows
+    )
+    for epsilon in (0.0, 0.1, 0.2, 0.1 + 0.2, 0.9, 1.0, 1.1, math.inf):
+        assert tabular.em_anonymity(table, epsilon) == ref_em_anonymity(table, epsilon)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 2))
+def test_equivalence_classes_equal_scalar_loop(data, n_qi):
+    table = data.draw(tables(n_qi, _QI_CELLS, "categorical"))
+    classes = equivalence_classes(table)
+    assert [(c.qi_key, frozenset(c.row_indices)) for c in classes] == ref_classes(table)
+    for c in classes:
+        assert isinstance(c.qi_key, tuple) and len(c.qi_key) == n_qi
+        assert isinstance(c.row_indices, tuple)
+        assert list(c.row_indices) == sorted(set(c.row_indices))  # strictly ascending
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 2))
+def test_categorical_table_metrics_equal_scalar_loops(data, n_qi):
+    table = data.draw(tables(n_qi, st.sampled_from(["x", "y", "z", "w"]), "categorical"))
+    assert tabular.l_diversity(table) == ref_l_entropy(table)
+    assert tabular.t_closeness(table) == ref_t_closeness_categorical(table)

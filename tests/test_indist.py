@@ -134,6 +134,24 @@ class TestAdpDelta:
             assert ind.adp_delta(m, nr, eps) <= 1e-12
             assert ind.adp_delta(m, nr, eps + 0.1) <= 1e-12
 
+    @pytest.mark.parametrize("eps", [1000.0, 1e308, math.inf])
+    def test_eps_past_exp_overflow_is_the_limit(self, eps):
+        # exp(eps) overflows (or is inf), and inf * 0 is NaN: the limit is
+        # the mass one row puts where the other row has none.
+        for matrix, limit in (([[1, 0], [0, 1]], 1.0), ([[0.5, 0.3, 0.2], [0.9, 0.1, 0.0]], 0.2)):
+            m = M.from_matrix(matrix, ["yes", "no"])
+            assert ind.adp_delta(m, NR, eps) == ind.adp_delta(m, NR, 700.0) == limit
+
+    def test_rows_looked_up_by_input(self):
+        m = M.from_matrix([[0.25, 0.75], [0.5, 0.5], [0.75, 0.25]], ["a", "b", "c"])
+        nr = ind.NeighborRelation.of([("c", "a")])
+        assert ind.dp_epsilon(m, nr)["eps_eff"] == pytest.approx(math.log(3), abs=1e-12)
+        assert ind.adp_delta(m, nr, 0.1) == pytest.approx(0.75 - math.exp(0.1) * 0.25, abs=1e-12)
+
+    def test_zero_cells_on_a_shared_support(self):
+        m = M.from_matrix([[0.5, 0.0, 0.5], [0.25, 0.0, 0.75]], ["yes", "no"])
+        assert ind.dp_epsilon(m, NR)["eps_eff"] == pytest.approx(math.log(2), abs=1e-12)
+
 
 class TestGeoIndistinguishability:
     def geo(self, locations, matrix):
@@ -226,6 +244,17 @@ class TestDistributionalPrivacy:
     def test_both_zero(self):
         with pytest.raises(DomainError):
             ind.distributional_privacy(0.0, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("eps", [710.0, 1e308, math.inf])
+    def test_eps_past_exp_overflow(self, eps):
+        assert ind.distributional_privacy(0.5, 0.5, 1.0, eps) is True
+        assert ind.distributional_privacy(0.5, 1e-300, 0.0, eps) is True
+        assert ind.distributional_privacy(0.0, 0.5, 2.0, eps) is True
+
+    @pytest.mark.parametrize("eps, holds", [(710.0, False), (2072.0, False), (2073.0, True), (1e308, True)])
+    def test_overflowing_odds_compared_in_log_space(self, eps, holds):
+        # odds = 1e300 * 1e300 / 1e-300 overflows; log odds = 900 ln 10 = 2072.33
+        assert ind.distributional_privacy(1e300, 1e-300, 1e300, eps) is holds
 
 
 class TestGameAdvantage:
