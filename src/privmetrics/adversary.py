@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .core import (
     DataTable, DiscreteDistribution, Region, Trace, _distribution, _fields, _floats, _label,
     _load_json, _mapping, _string,
@@ -242,6 +240,8 @@ def expected_estimation_error(e: EstimateWithTruth) -> float:
     """
     if e.distance == "zero_one":
         return 1.0 - e.posterior.prob_of(e.truth)
+    import numpy as np
+
     t = np.asarray(e.coords[e.truth], dtype=float)
     total = 0.0
     for label, p in zip(e.posterior.labels, e.posterior.probs):
@@ -277,6 +277,8 @@ def mean_squared_error(
     """Mean squared Euclidean distance between truths and observations."""
     if len(truths) != len(observations) or not truths:
         raise ShapeError("need equally many truths and observations (>= 1)")
+    import numpy as np
+
     total = 0.0
     for t, o in zip(truths, observations):
         ta = np.atleast_1d(np.asarray(t, dtype=float))
@@ -439,6 +441,8 @@ def tp_violation_check(
 
 def _ecdf_area(samples: Sequence[float], grid: Sequence[float]) -> float:
     """Trapezoid integral of the empirical CDF over the grid."""
+    import numpy as np
+
     s = np.sort(np.asarray(samples, dtype=float))
     f = np.searchsorted(s, grid, side="right") / len(s)
     return float(np.trapezoid(f, grid))
@@ -462,6 +466,8 @@ def event_unobservability(
         raise EmptyError("both sample sets must be non-empty")
     if alpha < 0 or eps < 0:
         raise ParamError("alpha and eps must be >= 0")
+    import numpy as np
+
     grid = np.unique(np.concatenate([np.asarray(f1_samples, float), np.asarray(f2_samples, float)]))
     d_area = abs(_ecdf_area(f1_samples, grid) - _ecdf_area(f2_samples, grid))
     params_ok = (1 - eps) * p1 <= p2 <= (1 + eps) * p1
@@ -504,4 +510,7 @@ def obfuscation_accuracy(r_opt: float, r_min: float) -> float:
     """Squared ratio of achievable sensing accuracy to the required minimum."""
     if r_min <= 0 or r_opt < 0:
         raise ParamError("need r_min > 0 and r_opt >= 0")
-    return (r_opt / r_min) ** 2  # r_min² underflows to 0 for tiny r_min
+    ratio = r_opt / r_min  # divide first: r_min² underflows to 0 for tiny r_min
+    if math.isinf(ratio) and not math.isinf(r_opt):  # the division overflows to inf without raising
+        raise OverflowError("r_opt / r_min exceeds the largest float")
+    return ratio**2

@@ -7,8 +7,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .core import (
     DiscreteDistribution, FiniteMechanism, JointDistribution, _fields, _integer, _labels, _list,
     _load_json,
@@ -73,6 +71,8 @@ def mutual_information(j: JointDistribution) -> dict:
 
 def conditional_mutual_information(tensor: Sequence) -> float:
     """I(X;Y|Z) from an explicit p(x, y, z) tensor (nested lists or array)."""
+    import numpy as np
+
     try:
         t = np.asarray(tensor, dtype=float)
     except ValueError:  # ragged nesting
@@ -136,6 +136,8 @@ def conditional_channel_capacity(
     n_in = len(channels[0].inputs)
     if any(len(ch.inputs) != n_in for ch in channels):
         raise ShapeError("all conditioned channels must share the input alphabet")
+    import numpy as np
+
     # D(P(.|x) || q) = sum_y P log P - sum_y P log q; the first sum is fixed per row
     terms = []
     for w, ch in zip(weights, channels):
@@ -344,7 +346,11 @@ def privacy_score(sensitivities: Sequence[float], visibilities: Sequence[float])
     for v in list(sensitivities) + list(visibilities):
         if v < 0:
             raise ParamError(f"scores must be >= 0, got {v!r}")
-    return float(np.dot(sensitivities, visibilities)) if sensitivities else 0.0
+    if not sensitivities:
+        return 0.0
+    import numpy as np
+
+    return float(np.dot(sensitivities, visibilities))
 
 
 def pearson_abs(x: Sequence[float], y: Sequence[float]) -> dict:
@@ -357,6 +363,8 @@ def pearson_abs(x: Sequence[float], y: Sequence[float]) -> dict:
         raise ShapeError("series lengths differ")
     if len(x) < 2:
         raise ParamError("need at least two points")
+    import numpy as np
+
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     dx = xa - xa.mean()

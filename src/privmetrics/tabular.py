@@ -13,8 +13,6 @@ from itertools import repeat
 from operator import mul, sub, truediv
 from typing import Sequence
 
-import numpy as np
-
 from .core import (
     DataTable, EquivalenceClass, Value, _fields, _finite, _label, _labels, _list, _load_json,
     equivalence_classes,
@@ -162,6 +160,8 @@ def ct_isolation(
         raise ParamError(f"isolation factor c must be > 0, got {c!r}")
     if not 0 <= target_index < len(points):
         raise ParamError(f"target index {target_index} out of range")
+    import numpy as np
+
     try:
         pts = np.asarray(points, dtype=float)
     except ValueError:  # ragged nesting
@@ -195,7 +195,7 @@ def em_anonymity(table: DataTable, epsilon: float) -> float:
     rows within [x - epsilon, x + epsilon] is bounded by 1/m; the returned m
     is the tightest such bound.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:  # also rejects NaN, for which no value would be within epsilon
         raise ParamError(f"epsilon must be >= 0, got {epsilon!r}")
     col = table.sensitive_column()
     if table.columns[col].kind != "numeric":
@@ -445,6 +445,7 @@ def cluster_similarity(
     before counting matches, so the value is invariant under any relabeling
     of either side.
     """
+    import numpy as np
     from scipy.optimize import linear_sum_assignment  # scipy's only user: import on demand
 
     if len(original_assign) != len(protected_assign):
@@ -470,6 +471,8 @@ def r_squared_transitions(protected: Sequence[float]) -> float:
     """
     if len(protected) < 3:
         raise ParamError("need at least three points")
+    import numpy as np
+
     y = np.asarray(protected, dtype=float)
     if np.all(y == y[0]):
         raise DegenerateError("constant series; fit is degenerate")
@@ -491,6 +494,8 @@ def normalized_variance(x: Sequence[float], y: Sequence[float]) -> float:
         raise ShapeError("series lengths differ")
     if len(x) < 2:
         raise ParamError("need at least two points")
+    import numpy as np
+
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     vx = float(np.var(xa))

@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .core import DiscreteDistribution, JointDistribution
 from .errors import (
     DistributionError,
@@ -24,6 +22,8 @@ RENYI_SHANNON_WINDOW = 1e-6  # switch to the Shannon limit this close to alpha=1
 
 
 def _entropy_bits(probs: Sequence[float]) -> float:
+    import numpy as np
+
     p = np.asarray(probs, dtype=float)
     nz = p[p > 0]
     return float(-(nz * np.log2(nz)).sum())
@@ -56,6 +56,8 @@ def renyi_entropy(d: DiscreteDistribution, alpha: float) -> float:
         return shannon_entropy(d)
     # Powers of p / max(p), whose sum is at least 1, and alpha / (1 - alpha) taken
     # first: a huge alpha approaches the min-entropy instead of underflowing the sum.
+    import numpy as np
+
     p = np.asarray(d.probs, dtype=float)
     top = p.max()
     spread = math.log2(((p[p > 0] / top) ** alpha).sum())
@@ -275,6 +277,8 @@ class BayesTrackingModel:
 
 def bayes_entropy_series(m: BayesTrackingModel) -> list[float]:
     """Posterior entropy after each predict-then-correct belief update."""
+    import numpy as np
+
     belief = np.asarray(m.prior.probs, dtype=float)
     transition = np.asarray(m.transition, dtype=float)
     out = []

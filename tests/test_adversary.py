@@ -423,3 +423,6 @@ class TestRegionPrivacy:
         assert adv.obfuscation_accuracy(1e-300, 1e-300) == 1.0  # r² underflows to 0
         with pytest.raises(OverflowError):  # compute reports it as E_DOMAIN
             adv.obfuscation_accuracy(1.0, 1e-308)
+        with pytest.raises(OverflowError):  # the ratio itself is past the largest float
+            adv.obfuscation_accuracy(1.0, 5e-324)
+        assert adv.obfuscation_accuracy(math.inf, 1.0) == math.inf

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -143,6 +144,14 @@ class TestExitCodes:
         r = runner.invoke(main, args)
         assert r.exit_code == 2, r.output
         assert _error_code(r) == "E_DIST"
+
+    @pytest.mark.parametrize("r_min", ["1e-308", "5e-324"])
+    def test_obfuscation_ratio_past_the_largest_float_is_3(self, runner, r_min):
+        r = runner.invoke(main, [
+            "compute", "accuracy_of_obfuscated_region", "--param", "r_opt=1", "--param", f"r_min={r_min}",
+        ])
+        assert r.exit_code == 3, r.output
+        assert _error_code(r) == "E_DOMAIN"
 
     @pytest.mark.parametrize("eps", ["700", "1e308", "inf"])
     def test_adp_at_huge_eps_is_the_limit(self, runner, tmp_path, eps):
@@ -491,14 +500,40 @@ class TestImportFootprint:
         assert out
         assert loaded == []
 
-    def test_compute_without_numpy(self, tmp_path):
-        fixture = load_fixture("differential_privacy")
+    @pytest.mark.parametrize(
+        "metric_id, modules",
+        [
+            ("differential_privacy", []),
+            ("min_entropy", []),
+            ("system_anonymity_level", []),
+            ("k_anonymity", []),
+            ("t_closeness", []),
+            ("success_rate", []),
+            ("expected_estimation_error", []),
+            ("entropy", ["numpy"]),
+            ("cluster_similarity", ["numpy", "scipy"]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "+".join(v) or "neither",
+    )
+    def test_compute_loads_what_the_metric_uses(self, metric_id, modules, tmp_path):
+        fixture = load_fixture(metric_id)
         out, loaded = _cold(*materialize_fixture(fixture, tmp_path))
-        assert "numpy" not in loaded
-        assert json.loads(out)["value"] == fixture["expected"]["value"]
+        assert loaded == modules
+        assert values_close(json.loads(out)["value"], fixture["expected"]["value"], fixture["tolerance"])
 
-    def test_cluster_similarity_loads_scipy(self, tmp_path):
-        fixture = load_fixture("cluster_similarity")
-        out, loaded = _cold(*materialize_fixture(fixture, tmp_path))
-        assert "scipy" in loaded
-        assert json.loads(out)["value"] == fixture["expected"]["value"]
+    def test_no_module_imports_numpy_or_scipy_at_import(self):
+        """numpy and scipy are imported inside the functions that use them, never at module level."""
+        for path in sorted((REPO / "src" / "privmetrics").glob("*.py")):
+            pending = [ast.parse(path.read_text())]
+            while pending:
+                for node in ast.iter_child_nodes(pending.pop()):
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                        continue  # a function body runs when called, not at import
+                    if isinstance(node, ast.Import):
+                        names = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        names = [node.module or ""]
+                    else:
+                        names = []
+                    assert not {n.split(".")[0] for n in names} & {"numpy", "scipy"}, (path.name, node.lineno)
+                    pending.append(node)

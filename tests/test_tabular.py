@@ -229,6 +229,11 @@ class TestNumericAnonymity:
         rows = [("a", v) for v in (1, 2, 10, 11)]
         assert tb.em_anonymity(table(rows, QI_S_NUM), 1.0) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan])
+    def test_em_rejects_bad_epsilon(self, epsilon):
+        with pytest.raises(ParamError):
+            tb.em_anonymity(table([("a", 1)], QI_S_NUM), epsilon)
+
     def test_em_bounded_by_class_size(self):
         rng = np.random.default_rng(31)
         for _ in range(30):
