@@ -14,10 +14,9 @@ from typing import Sequence
 
 from .core import (
     DataTable, DiscreteDistribution, Region, Trace, _distribution, _fields, _floats, _label,
-    _load_json, _mapping, _string,
+    _load_json, _mapping, _normalized, _string,
 )
 from .errors import (
-    DistributionError,
     DomainError,
     EmptyError,
     ParamError,
@@ -264,10 +263,9 @@ def distance_error_expectation(
     if len(hypotheses) != k_steps:
         raise ParamError(f"expected {k_steps} timesteps, got {len(hypotheses)}")
     total = 0.0
-    for step in hypotheses:
-        probs = [p for p, _ in step]
-        DiscreteDistribution.from_probs(probs)  # validates the per-step mass
-        total += math.fsum(p * d for p, d in step)
+    for k, step in enumerate(hypotheses):
+        probs = _normalized([p for p, _ in step], f"step {k} probability mass")
+        total += math.fsum(p * d for p, (_, d) in zip(probs, step))
     return total / (n_users * k_steps)
 
 
@@ -395,15 +393,10 @@ def confidence_interval_width(
     if not atoms:
         raise EmptyError("need at least one atom")
     merged: dict[float, float] = {}
-    for v, p in atoms:
-        if p < 0:
-            raise DistributionError(f"negative mass {p!r}")
+    for (v, _), p in zip(atoms, _normalized([p for _, p in atoms], "atom mass")):
         merged[float(v)] = merged.get(float(v), 0.0) + p
-    total = math.fsum(merged.values())
-    if abs(total - 1.0) > 1e-9:
-        raise DistributionError(f"atom mass sums to {total!r}, not 1")
     values = sorted(merged)
-    masses = [merged[v] / total for v in values]
+    masses = [merged[v] for v in values]
     need = c / 100.0
     tol = 1e-12
     best = math.inf
@@ -513,4 +506,6 @@ def obfuscation_accuracy(r_opt: float, r_min: float) -> float:
     ratio = r_opt / r_min  # divide first: r_min² underflows to 0 for tiny r_min
     if math.isinf(ratio) and not math.isinf(r_opt):  # the division overflows to inf without raising
         raise OverflowError("r_opt / r_min exceeds the largest float")
+    if math.isnan(ratio):  # inf / inf
+        raise DomainError("r_opt / r_min is undefined when both radii are infinite")
     return ratio**2

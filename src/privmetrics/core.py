@@ -3,8 +3,8 @@
 All types are immutable after construction and every operation is a pure
 function, so values can be shared freely between threads.
 
-Probability mass is checked against an absolute tolerance of 1e-9: inputs
-within tolerance are renormalized, anything further off is rejected.
+Probability mass is checked by one rule, ``_normalized``: inputs within an
+absolute tolerance of 1e-9 are renormalized, anything further off is rejected.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Sequence, Union
 
@@ -216,12 +217,27 @@ _REGION = _fields(rect=(_RECT, None), cells=(_list(_CELL), None))
 # Distributions
 
 
-def _total_mass(masses) -> float:
-    """Exact sum of finite masses; inf when it passes the largest float."""
+def _normalized(masses: Sequence[float], what: str) -> tuple[float, ...]:
+    """The one probability-mass rule, for every input that carries mass.
+
+    Every mass must be finite and >= 0 and their exact sum within PROB_TOL of
+    1, a sum past the largest float reading as inf; otherwise
+    DistributionError names ``what``. A sum further than RENORM_FLOOR from 1
+    is divided out; closer, the masses come back unchanged.
+    """
+    masses = tuple(masses)
+    low = min(masses, default=0.0)
+    if not low >= 0:  # a NaN first is caught here, a later one by the sum
+        raise DistributionError(f"{what}: {low!r} is not >= 0")
     try:
-        return math.fsum(masses)
+        total = math.fsum(masses)  # no -inf is left, so fsum cannot meet inf - inf
     except OverflowError:
-        return math.inf
+        total = math.inf
+    if not abs(total - 1.0) <= PROB_TOL:  # an inf or NaN mass makes the sum inf or NaN
+        raise DistributionError(f"{what} sums to {total!r}, not 1")
+    if abs(total - 1.0) > RENORM_FLOOR:
+        return tuple([m / total for m in masses])
+    return masses
 
 
 @dataclass(frozen=True)
@@ -240,18 +256,7 @@ class DiscreteDistribution:
             )
         if len(set(self.labels)) != len(self.labels):
             raise SchemaError("outcome labels must be distinct")
-        for p in self.probs:
-            if not math.isfinite(p):
-                raise DistributionError(f"non-finite probability {p!r}")
-            if p < 0:
-                raise DistributionError(f"negative probability {p!r}")
-        total = _total_mass(self.probs)
-        if abs(total - 1.0) > PROB_TOL:
-            raise DistributionError(f"probabilities sum to {total!r}, not 1")
-        if abs(total - 1.0) > RENORM_FLOOR:
-            object.__setattr__(
-                self, "probs", tuple(p / total for p in self.probs)
-            )
+        object.__setattr__(self, "probs", _normalized(self.probs, "probability mass"))
 
     @classmethod
     def from_probs(cls, probs: Sequence[float], labels: Sequence[str] | None = None):
@@ -306,21 +311,13 @@ class JointDistribution:
             raise SchemaError("labels must be distinct")
         if len(self.matrix) != len(self.x_labels):
             raise ShapeError("matrix row count must equal |x_labels|")
-        for row in self.matrix:
-            if len(row) != len(self.y_labels):
-                raise ShapeError("matrix column count must equal |y_labels|")
-            for v in row:
-                if not math.isfinite(v) or v < 0:
-                    raise DistributionError(f"invalid joint mass {v!r}")
-        total = _total_mass(v for row in self.matrix for v in row)
-        if abs(total - 1.0) > PROB_TOL:
-            raise DistributionError(f"joint mass sums to {total!r}, not 1")
-        if abs(total - 1.0) > RENORM_FLOOR:
-            object.__setattr__(
-                self,
-                "matrix",
-                tuple(tuple(v / total for v in row) for row in self.matrix),
-            )
+        width = len(self.y_labels)
+        if any(len(row) != width for row in self.matrix):
+            raise ShapeError("matrix column count must equal |y_labels|")
+        cells = _normalized(chain.from_iterable(self.matrix), "joint mass")
+        object.__setattr__(
+            self, "matrix", tuple(cells[i : i + width] for i in range(0, len(cells), width))
+        )
 
     def marginal_x(self) -> DiscreteDistribution:
         return DiscreteDistribution(

@@ -9,12 +9,11 @@ from typing import Sequence
 
 from .core import (
     DiscreteDistribution, FiniteMechanism, JointDistribution, _fields, _integer, _labels, _list,
-    _load_json,
+    _load_json, _normalized,
 )
 from .errors import (
     ConvergenceError,
     DegenerateError,
-    DistributionError,
     DomainError,
     ParamError,
     SchemaError,
@@ -79,12 +78,7 @@ def conditional_mutual_information(tensor: Sequence) -> float:
         raise ShapeError("tensor rows must have equal lengths")
     if t.ndim != 3:
         raise ShapeError(f"need a 3-way tensor, got {t.ndim} dimensions")
-    if np.any(~np.isfinite(t)) or np.any(t < 0):
-        raise DistributionError("tensor entries must be finite and >= 0")
-    total = t.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise DistributionError(f"tensor mass sums to {total!r}, not 1")
-    t = t / total
+    t = np.reshape(_normalized(t.ravel().tolist(), "tensor mass"), t.shape)
 
     def h(axes_kept: tuple[int, ...]) -> float:
         drop = tuple(a for a in range(3) if a not in axes_kept)
@@ -132,7 +126,7 @@ def conditional_channel_capacity(
         raise ShapeError("one weight per conditioning channel required")
     if not channels:
         raise ParamError("need at least one channel")
-    weights = DiscreteDistribution.from_probs(p_z).probs
+    weights = _normalized(p_z, "p_z")
     n_in = len(channels[0].inputs)
     if any(len(ch.inputs) != n_in for ch in channels):
         raise ShapeError("all conditioned channels must share the input alphabet")
@@ -170,17 +164,11 @@ def max_information_leakage(j: JointDistribution) -> float:
     """max over single observations y of H(X) - H(X | Y=y)."""
     h_x = shannon_entropy(j.marginal_x())
     p_y = j.marginal_y().probs
-    best = None
-    for y, py in enumerate(p_y):
-        if py <= 0:
-            continue
-        posterior = [row[y] / py for row in j.matrix]
-        gain = h_x - _entropy_bits(posterior)
-        if best is None or gain > best:
-            best = gain
-    if best is None:
-        raise DistributionError("no observation has positive probability")
-    return best
+    return max(  # a validated joint has mass, so some observation has positive probability
+        h_x - _entropy_bits([row[y] / py for row in j.matrix])
+        for y, py in enumerate(p_y)
+        if py > 0
+    )
 
 
 # ---------------------------------------------------------------------------

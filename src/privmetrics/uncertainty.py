@@ -9,9 +9,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DiscreteDistribution, JointDistribution
+from .core import DiscreteDistribution, JointDistribution, _normalized
 from .errors import (
-    DistributionError,
     DomainError,
     EmptyError,
     ParamError,
@@ -188,10 +187,7 @@ class PartitionDistribution:
             raise ShapeError("one probability per partition required")
         if len(set(self.partitions)) != len(self.partitions):
             raise ParamError("partitions must be distinct")
-        # reuse the distribution validator (labels are synthetic)
-        DiscreteDistribution.from_probs(self.probs)
-        total = math.fsum(self.probs)
-        object.__setattr__(self, "probs", tuple(p / total for p in self.probs))
+        object.__setattr__(self, "probs", _normalized(self.probs, "partition probability mass"))
 
     def entropy_bits(self) -> float:
         return _entropy_bits(self.probs)
@@ -213,28 +209,6 @@ def unlinkability_degree(
         if h0 <= 0:
             raise ParamError("prior partition entropy is 0; ratio undefined")
         result["ratio"] = h / h0
-    return result
-
-
-def enumerate_partitions(users: Sequence[str]) -> list[Partition]:
-    """All set partitions of up to 10 users (test helper; Bell(10) = 115975)."""
-    users = [str(u) for u in users]
-    if len(users) > 10:
-        raise ParamError("partition enumeration capped at 10 users")
-    if not users:
-        return [frozenset()]
-    first, rest = users[0], users[1:]
-    result = []
-    for sub in enumerate_partitions(rest):
-        blocks = list(sub)
-        # first joins an existing block, or opens its own
-        for i in range(len(blocks)):
-            result.append(
-                frozenset(
-                    [blocks[i] | {first}] + blocks[:i] + blocks[i + 1 :]
-                )
-            )
-        result.append(frozenset(list(sub) + [frozenset([first])]))
     return result
 
 
@@ -261,11 +235,9 @@ class BayesTrackingModel:
             raise ShapeError("prior must be over the model states")
         if len(self.transition) != n or any(len(r) != n for r in self.transition):
             raise ShapeError("transition matrix must be n x n")
-        for row in self.transition:
-            if any(v < 0 for v in row):
-                raise DistributionError("transition probabilities must be >= 0")
-            if abs(math.fsum(row) - 1.0) > 1e-9:
-                raise DistributionError("transition rows must sum to 1")
+        object.__setattr__(self, "transition", tuple(
+            _normalized(row, f"transition row {i}") for i, row in enumerate(self.transition)
+        ))
         for step, like in enumerate(self.observation_likelihoods):
             if len(like) != n:
                 raise ShapeError(f"likelihood row {step} must have one value per state")

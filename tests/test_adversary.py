@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from privmetrics import adversary as adv
 from privmetrics.core import DiscreteDistribution as D, Region, Trace, parse_table
 from privmetrics.errors import (
+    DomainError,
     EmptyError,
     ParamError,
     SchemaError,
@@ -426,3 +427,5 @@ class TestRegionPrivacy:
         with pytest.raises(OverflowError):  # the ratio itself is past the largest float
             adv.obfuscation_accuracy(1.0, 5e-324)
         assert adv.obfuscation_accuracy(math.inf, 1.0) == math.inf
+        with pytest.raises(DomainError):  # inf / inf has no value
+            adv.obfuscation_accuracy(math.inf, math.inf)

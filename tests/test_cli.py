@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -145,10 +146,12 @@ class TestExitCodes:
         assert r.exit_code == 2, r.output
         assert _error_code(r) == "E_DIST"
 
-    @pytest.mark.parametrize("r_min", ["1e-308", "5e-324"])
-    def test_obfuscation_ratio_past_the_largest_float_is_3(self, runner, r_min):
+    @pytest.mark.parametrize(
+        "r_opt, r_min", [("1", "1e-308"), ("1", "5e-324"), ("inf", "inf")], ids=["1e-308", "5e-324", "inf-inf"]
+    )
+    def test_obfuscation_ratio_past_the_largest_float_is_3(self, runner, r_opt, r_min):
         r = runner.invoke(main, [
-            "compute", "accuracy_of_obfuscated_region", "--param", "r_opt=1", "--param", f"r_min={r_min}",
+            "compute", "accuracy_of_obfuscated_region", "--param", f"r_opt={r_opt}", "--param", f"r_min={r_min}",
         ])
         assert r.exit_code == 3, r.output
         assert _error_code(r) == "E_DOMAIN"
@@ -310,6 +313,71 @@ def test_loss_of_anonymity_checks_p_z_for_one_mechanism(p_z, code, runner, tmp_p
     r = runner.invoke(main, args + ["--param", f"p_z={p_z}"])
     assert r.exit_code == 2, r.output
     assert _error_code(r) == code
+
+
+_CHANNEL = {"inputs": ["a", "b"], "outputs": ["x", "y"]}
+
+# Each input that carries probability mass: (metric, input files, params) built from two masses
+MASS_INPUTS = {
+    "distribution": lambda a, b: ("entropy", [{"labels": ["a", "b"], "probs": [a, b]}], {}),
+    "joint": lambda a, b: (
+        "mutual_information", [{"x_labels": ["a", "b"], "y_labels": ["x", "y"], "matrix": [[a, 0], [0, b]]}], {}
+    ),
+    "mechanism_row": lambda a, b: (
+        "differential_privacy", [dict(_CHANNEL, matrix=[[0.5, 0.5], [a, b]]), {"pairs": [["a", "b"]]}], {}
+    ),
+    "p_z": lambda a, b: (
+        "loss_of_anonymity",
+        [dict(_CHANNEL, matrix=[[0.9, 0.1], [0.1, 0.9]]), dict(_CHANNEL, matrix=[[0.6, 0.4], [0.4, 0.6]])],
+        {"p_z": json.dumps([a, b])},
+    ),
+    "partitions": lambda a, b: (
+        "degree_of_unlinkability",
+        [{"partitions": [{"blocks": [["u1"], ["u2"]], "prob": a}, {"blocks": [["u1", "u2"]], "prob": b}]}],
+        {},
+    ),
+    "bayes_transition_row": lambda a, b: (
+        "entropy_bayes",
+        [{"states": ["s0", "s1"], "prior": [0.5, 0.5], "transition": [[a, b], [0.2, 0.8]], "likelihoods": [[0.9, 0.1]]}],
+        {},
+    ),
+    "ci_atoms": lambda a, b: ("confidence_interval_width", [{"atoms": [[5, a], [100, b]]}], {"c": "90"}),
+    "cmi_tensor": lambda a, b: ("conditional_mutual_information", [{"tensor": [[[a], [0]], [[0], [b]]]}], {}),
+    "distance_error_steps": lambda a, b: (
+        "expectation_of_distance_error", [{"steps": [[[a, 2], [b, 4]]], "n_users": 1}], {}
+    ),
+}
+
+
+def _compute_with_masses(runner, tmp_path, kind, a, b):
+    metric_id, files, params = MASS_INPUTS[kind](a, b)
+    args = ["compute", metric_id, "--format", "json"]
+    for i, content in enumerate(files):
+        (tmp_path / f"{i}.json").write_text(json.dumps(content))
+        args += ["--in", str(tmp_path / f"{i}.json")]
+    for key, value in params.items():
+        args += ["--param", f"{key}={value}"]
+    return runner.invoke(main, args)
+
+
+@pytest.mark.parametrize(
+    "masses, code",
+    [((0.3, 0.7 + 5e-10), None), ((0.3, 0.7 + 2e-9), "E_DIST"), ((1e308, 1e308), "E_DIST"), ((-0.3, 1.3), "E_DIST")],
+    ids=["off-by-5e-10", "off-by-2e-9", "past-the-largest-float", "negative"],
+)
+@pytest.mark.parametrize("kind", MASS_INPUTS)
+def test_every_mass_input_follows_one_rule(kind, masses, code, runner, tmp_path):
+    """Mass within 1e-9 of 1 is renormalized; further off, past the largest float or negative is E_DIST."""
+    r = _compute_with_masses(runner, tmp_path, kind, *masses)
+    if code is None:
+        assert (r.exit_code, r.stderr) == (0, ""), r.output
+        total = math.fsum(masses)
+        divided = _compute_with_masses(runner, tmp_path, kind, *(m / total for m in masses))
+        assert values_close(json.loads(r.stdout)["value"], json.loads(divided.stdout)["value"], 1e-12)
+    else:
+        assert r.exit_code == 2, r.output
+        assert _error_code(r) == code
+        assert r.stderr.startswith(f"{code}: ") and r.stderr.count("\n") == 1, r.stderr
 
 
 DIST_FILE = {"labels": ["a", "b"], "probs": [0.5, 0.5]}
@@ -537,3 +605,14 @@ class TestImportFootprint:
                         names = []
                     assert not {n.split(".")[0] for n in names} & {"numpy", "scipy"}, (path.name, node.lineno)
                     pending.append(node)
+
+    def test_only_core_raises_distribution_error(self):
+        """The probability-mass rule lives in ``core._normalized``; no other module re-implements it."""
+        for path in sorted((REPO / "src" / "privmetrics").glob("*.py")):
+            if path.name == "core.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    name = getattr(exc, "id", getattr(exc, "attr", None))
+                    assert name != "DistributionError", (path.name, node.lineno)

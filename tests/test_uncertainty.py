@@ -262,12 +262,6 @@ class TestUnlinkability:
         with pytest.raises(ParamError):
             u.unlinkability_degree(post, prior)
 
-    @pytest.mark.parametrize("n,bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])
-    def test_partition_enumeration_counts(self, n, bell):
-        parts = u.enumerate_partitions([str(i) for i in range(n)])
-        assert len(parts) == bell
-        assert len(set(parts)) == bell
-
     def test_overlapping_blocks_rejected(self):
         with pytest.raises(ParamError):
             u.make_partition([["a", "b"], ["b"]])
