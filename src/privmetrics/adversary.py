@@ -218,6 +218,8 @@ class EstimateWithTruth:
             for label in self.posterior.labels:
                 if label not in self.coords:
                     raise SchemaError(f"missing coordinates for {label!r}")
+            if len({len(self.coords[label]) for label in self.posterior.labels}) > 1:
+                raise ShapeError("every candidate needs as many coordinates as the truth")
 
 
 _ESTIMATE = _fields(

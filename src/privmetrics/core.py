@@ -5,6 +5,7 @@ function, so values can be shared freely between threads.
 
 Probability mass is checked by one rule, ``_normalized``: inputs within an
 absolute tolerance of 1e-9 are renormalized, anything further off is rejected.
+Shannon entropy is summed by one kernel, ``_entropy_bits``.
 """
 
 from __future__ import annotations
@@ -238,6 +239,11 @@ def _normalized(masses: Sequence[float], what: str) -> tuple[float, ...]:
     if abs(total - 1.0) > RENORM_FLOOR:
         return tuple([m / total for m in masses])
     return masses
+
+
+def _entropy_bits(probs: Sequence[float]) -> float:
+    """The one Shannon sum, -sum p log2 p in bits over p > 0, exactly rounded."""
+    return -math.fsum(p * math.log2(p) for p in probs if p > 0)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,16 @@ def _check_inputs(m: FiniteMechanism, nr: NeighborRelation):
                 raise SchemaError(f"neighbor relation names unknown input {x!r}")
 
 
+def _max_log_ratio(pa: Sequence[float], pb: Sequence[float]) -> float:
+    """max |log(pa / pb)| over the outputs both rows give; inf if only one gives some."""
+    support = list(map(bool, pa))
+    if support != list(map(bool, pb)):
+        return math.inf
+    # log is monotone, so the extreme ratios carry the largest |log|
+    ratios = list(map(truediv, compress(pa, support), compress(pb, support)))
+    return max(abs(math.log(max(ratios))), abs(math.log(min(ratios))))
+
+
 def dp_epsilon(m: FiniteMechanism, nr: NeighborRelation) -> dict:
     """Smallest eps such that the mechanism is eps-differentially private.
 
@@ -73,13 +83,7 @@ def dp_epsilon(m: FiniteMechanism, nr: NeighborRelation) -> dict:
     _check_inputs(m, nr)
     eps = 0.0
     for a, b in nr.ordered_pairs():
-        pa, pb = m.row_for(a).probs, m.row_for(b).probs
-        support = list(map(bool, pa))
-        if support != list(map(bool, pb)):
-            return {"eps_eff": math.inf}
-        # log is monotone, so the extreme ratios carry the largest |log|
-        ratios = list(map(truediv, compress(pa, support), compress(pb, support)))
-        eps = max(eps, abs(math.log(max(ratios))), abs(math.log(min(ratios))))
+        eps = max(eps, _max_log_ratio(m.row_for(a).probs, m.row_for(b).probs))
     return {"eps_eff": eps}
 
 
@@ -145,22 +149,15 @@ def geo_indistinguishability(g: GeoMechanism) -> dict:
     rows = g.mechanism.rows  # in location order
     for i in range(len(g.locations)):
         for j in range(i + 1, len(g.locations)):
+            r = _max_log_ratio(rows[i].probs, rows[j].probs)
+            if r == 0:
+                continue
             _, xa, ya = g.locations[i]
             _, xb, yb = g.locations[j]
             d = math.hypot(xa - xb, ya - yb)
-            pa = rows[i].probs
-            pb = rows[j].probs
-            for va, vb in zip(pa, pb):
-                if va == 0 and vb == 0:
-                    continue
-                if va == 0 or vb == 0:
-                    return {"eps_eff": math.inf}
-                ratio = abs(math.log(va / vb))
-                if ratio == 0:
-                    continue
-                if d == 0:
-                    return {"eps_eff": math.inf}
-                eps = max(eps, ratio / d)
+            if r == math.inf or d == 0:
+                return {"eps_eff": math.inf}
+            eps = max(eps, r / d)
     return {"eps_eff": eps}
 
 

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    DiscreteDistribution, FiniteMechanism, JointDistribution, _fields, _integer, _labels, _list,
-    _load_json, _normalized,
+    DiscreteDistribution, FiniteMechanism, JointDistribution, _entropy_bits, _fields, _integer,
+    _labels, _list, _load_json, _normalized,
 )
 from .errors import (
     ConvergenceError,
@@ -19,7 +19,7 @@ from .errors import (
     SchemaError,
     ShapeError,
 )
-from .uncertainty import _entropy_bits, shannon_entropy
+from .uncertainty import shannon_entropy
 
 BA_TOL = 1e-9
 BA_MAX_ITER = 10000
@@ -93,33 +93,26 @@ def conditional_mutual_information(tensor: Sequence) -> float:
 # Channel capacity (worst-case input distribution)
 
 
-def channel_capacity(
-    channel: FiniteMechanism,
-    tol: float = BA_TOL,
-    max_iter: int = BA_MAX_ITER,
-) -> float:
+def channel_capacity(channel: FiniteMechanism) -> float:
     """max over input distributions of I(X;Y), via Blahut-Arimoto.
 
     Starts from the uniform input distribution and stops when the running
-    lower and upper capacity bounds agree within ``tol`` (default 1e-9);
+    lower and upper capacity bounds agree within ``BA_TOL`` (1e-9);
     hitting the iteration cap raises instead of returning a bad value.
     """
-    return conditional_channel_capacity([channel], [1.0], tol, max_iter)
+    return conditional_channel_capacity([channel], [1.0])
 
 
 def conditional_channel_capacity(
-    channels: Sequence[FiniteMechanism],
-    p_z: Sequence[float],
-    tol: float = BA_TOL,
-    max_iter: int = BA_MAX_ITER,
+    channels: Sequence[FiniteMechanism], p_z: Sequence[float]
 ) -> float:
     """max over a single shared input distribution of sum_z p(z) I(X;Y|Z=z).
 
     The averaged objective stays concave in the input distribution, so the
     same alternating update applies, with per-input divergences averaged over
     the conditioning variable. Iteration stops once the running lower and
-    upper capacity bounds agree within ``tol``, or once both bound sequences
-    move by less than ``tol`` per step (boundary-supported optima close the
+    upper capacity bounds agree within ``BA_TOL``, or once both bound sequences
+    move by less than ``BA_TOL`` per step (boundary-supported optima close the
     absolute gap only sublinearly); the lower bound is returned.
     """
     if len(channels) != len(p_z):
@@ -142,22 +135,22 @@ def conditional_channel_capacity(
 
     r = np.full(n_in, 1.0 / n_in)
     prev_bounds = None
-    for _ in range(max_iter):
+    for _ in range(BA_MAX_ITER):
         d_avg = np.zeros(n_in)
         for w, mat, neg_h in terms:
             q = r @ mat
             d_avg += w * (neg_h - mat @ np.log2(q, out=np.zeros_like(q), where=q > 0))
         upper = float(d_avg.max())
         lower = float(math.log2(np.dot(r, np.exp2(d_avg))))
-        if upper - lower < tol:
+        if upper - lower < BA_TOL:
             return lower
         if prev_bounds is not None:
-            if abs(upper - prev_bounds[0]) < tol and abs(lower - prev_bounds[1]) < tol:
+            if abs(upper - prev_bounds[0]) < BA_TOL and abs(lower - prev_bounds[1]) < BA_TOL:
                 return lower
         prev_bounds = (upper, lower)
         r = r * np.exp2(d_avg - d_avg.max())  # shift for stability
         r /= r.sum()
-    raise ConvergenceError(f"capacity iteration cap {max_iter} reached")
+    raise ConvergenceError(f"capacity iteration cap {BA_MAX_ITER} reached")
 
 
 def max_information_leakage(j: JointDistribution) -> float:

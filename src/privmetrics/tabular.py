@@ -10,12 +10,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from operator import mul, sub, truediv
+from operator import sub, truediv
 from typing import Sequence
 
 from .core import (
-    DataTable, EquivalenceClass, Value, _fields, _finite, _label, _labels, _list, _load_json,
-    equivalence_classes,
+    DataTable, EquivalenceClass, Value, _entropy_bits, _fields, _finite, _label, _labels, _list,
+    _load_json, equivalence_classes,
 )
 from .errors import (
     DegenerateError,
@@ -69,8 +69,7 @@ def l_diversity(table: DataTable, mode: str = "entropy", c: float = 1.0) -> floa
     if mode == "entropy":
         worst = math.inf
         for counts in per_class_counts:
-            freqs = list(map(truediv, counts, repeat(sum(counts))))  # every count >= 1
-            h = -math.fsum(map(mul, freqs, map(math.log2, freqs)))
+            h = _entropy_bits(list(map(truediv, counts, repeat(sum(counts)))))
             worst = min(worst, 2.0**h)
         return worst
     if mode == "recursive":

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DiscreteDistribution, JointDistribution, _normalized
+from .core import DiscreteDistribution, JointDistribution, _entropy_bits, _normalized
 from .errors import (
     DomainError,
     EmptyError,
@@ -18,14 +18,6 @@ from .errors import (
 )
 
 RENYI_SHANNON_WINDOW = 1e-6  # switch to the Shannon limit this close to alpha=1
-
-
-def _entropy_bits(probs: Sequence[float]) -> float:
-    import numpy as np
-
-    p = np.asarray(probs, dtype=float)
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
 
 
 def anonymity_set_size(members: set) -> int:
@@ -55,12 +47,9 @@ def renyi_entropy(d: DiscreteDistribution, alpha: float) -> float:
         return shannon_entropy(d)
     # Powers of p / max(p), whose sum is at least 1, and alpha / (1 - alpha) taken
     # first: a huge alpha approaches the min-entropy instead of underflowing the sum.
-    import numpy as np
-
-    p = np.asarray(d.probs, dtype=float)
-    top = p.max()
-    spread = math.log2(((p[p > 0] / top) ** alpha).sum())
-    return float(alpha / (1.0 - alpha) * math.log2(top) + spread / (1.0 - alpha))
+    top = max(d.probs)
+    spread = math.log2(math.fsum((p / top) ** alpha for p in d.probs if p > 0))
+    return alpha / (1.0 - alpha) * math.log2(top) + spread / (1.0 - alpha)
 
 
 def max_entropy(d: DiscreteDistribution) -> float:

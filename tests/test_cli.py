@@ -461,6 +461,10 @@ def _estimate(**fields):
         ("max_tracking_time", [{"samples": [{"t": 0, "v": 1}, {"t": "1", "v": 2}]}],
          ["end_time=4"]),
         ("entropy", [{"labels": [["a"], "b"], "probs": [0.5, 0.5]}], []),
+        # coordinate vectors of different lengths: exited 1 with a traceback, or 0 with
+        # a value numpy broadcast from the shorter vector
+        ("expected_estimation_error", [_estimate(coords={"a": [0, 0], "b": [3, 4, 5]})], []),
+        ("expected_estimation_error", [_estimate(coords={"a": [0, 0], "b": [3]})], []),
     ],
 )
 def test_mistyped_input_file_is_2(metric_id, files, params, runner, tmp_path):
@@ -578,7 +582,12 @@ class TestImportFootprint:
             ("t_closeness", []),
             ("success_rate", []),
             ("expected_estimation_error", []),
-            ("entropy", ["numpy"]),
+            ("entropy", []),
+            ("renyi_entropy", []),
+            ("mutual_information", []),
+            ("degree_of_unlinkability", []),
+            ("l_diversity", []),
+            ("entropy_bayes", ["numpy"]),
             ("cluster_similarity", ["numpy", "scipy"]),
         ],
         ids=lambda v: v if isinstance(v, str) else "+".join(v) or "neither",

@@ -50,6 +50,28 @@ def ref_dp_epsilon(m, nr):
     return {"eps_eff": eps}
 
 
+def ref_geo_indistinguishability(g):
+    eps = 0.0
+    rows = g.mechanism.rows
+    for i in range(len(g.locations)):
+        for j in range(i + 1, len(g.locations)):
+            _, xa, ya = g.locations[i]
+            _, xb, yb = g.locations[j]
+            d = math.hypot(xa - xb, ya - yb)
+            for va, vb in zip(rows[i].probs, rows[j].probs):
+                if va == 0 and vb == 0:
+                    continue
+                if va == 0 or vb == 0:
+                    return {"eps_eff": math.inf}
+                ratio = abs(math.log(va / vb))
+                if ratio == 0:
+                    continue
+                if d == 0:
+                    return {"eps_eff": math.inf}
+                eps = max(eps, ratio / d)
+    return {"eps_eff": eps}
+
+
 def ref_adp_delta(m, nr, eps):
     scale = math.exp(eps)
     delta = 0.0
@@ -144,6 +166,23 @@ def test_dp_epsilon_equals_scalar_loop(case):
 def test_adp_delta_equals_scalar_loop(case, eps):
     m, nr = case
     assert indist.adp_delta(m, nr, eps) == ref_adp_delta(m, nr, eps)
+
+
+# Coincident locations (d == 0), a subnormal distance whose quotient
+# overflows, a distance that overflows to inf, and ordinary ones.
+_COORDS = st.one_of(
+    st.sampled_from([0.0, 0.0, 1.0, 5e-324, 1e-300, -1e308, 1e308]),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_geo_indistinguishability_equals_scalar_loop(data):
+    m, _ = data.draw(mechanisms())
+    locations = tuple((x, data.draw(_COORDS), data.draw(_COORDS)) for x in m.inputs)
+    g = indist.GeoMechanism(locations, m)
+    assert indist.geo_indistinguishability(g) == ref_geo_indistinguishability(g)
 
 
 def _pair(pa, pb):

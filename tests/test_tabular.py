@@ -4,9 +4,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from privmetrics import tabular as tb
-from privmetrics.core import parse_table
+from privmetrics.core import DiscreteDistribution, parse_table
 from privmetrics.errors import (
     DegenerateError,
     EmptyError,
@@ -14,6 +15,7 @@ from privmetrics.errors import (
     SchemaError,
     ShapeError,
 )
+from privmetrics.uncertainty import inherent_privacy, shannon_entropy
 
 QI_S = {"roles": {"q": "quasi-identifier", "s": "sensitive"}}
 QI_S_NUM = {
@@ -102,6 +104,16 @@ class TestLDiversity:
             for q, s in rows:
                 distinct.setdefault(q, set()).add(s)
             assert ell <= min(len(v) for v in distinct.values()) + 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 50), min_size=1, max_size=12))
+    @example([1, 1, 1, 4])  # a left-to-right sum of p log2 p puts 2**H two ulps lower here
+    def test_entropy_mode_is_2_to_the_shannon_entropy(self, counts):
+        """One class: l is 2**H of its sensitive frequencies, bit for bit as shannon_entropy sums H."""
+        t = table([("a", f"v{i}") for i, c in enumerate(counts) for _ in range(c)])
+        d = DiscreteDistribution(tuple(f"v{i}" for i in range(len(counts))),
+                                 tuple(c / sum(counts) for c in counts))
+        assert tb.l_diversity(t) == 2.0 ** shannon_entropy(d) == inherent_privacy(shannon_entropy(d))
 
     def test_recursive_counts_311(self):
         # counts (3,1,1) with c=1: 3 < 1*(1+1) fails at l=2
