@@ -469,17 +469,12 @@ def event_unobservability(
     return {"holds": d_area <= alpha and params_ok, "d_area": d_area}
 
 
-def region_privacy(
-    r_u: Region,
-    r_s: Region | None = None,
-    r_opt: float | None = None,
-    r_min: float | None = None,
-) -> dict:
+def region_privacy(r_u: Region, r_s: Region | None = None) -> dict:
     """Area-based location accuracy measures.
 
     Always reports the uncertainty region's size; adds sensitive-region
     coverage when ``r_s`` is given (both regions must be the same
-    representation) and obfuscation accuracy when both radii are given.
+    representation).
     """
     out: dict = {"size": r_u.area()}
     if r_s is not None:
@@ -494,10 +489,6 @@ def region_privacy(
         else:
             inter = float(len(r_u.cells & r_s.cells))
         out["coverage"] = inter / r_u.area()
-    if r_opt is not None or r_min is not None:
-        if r_opt is None or r_min is None:
-            raise ParamError("accuracy needs both r_opt and r_min")
-        out["accuracy"] = obfuscation_accuracy(r_opt, r_min)
     return out
 
 

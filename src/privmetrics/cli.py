@@ -62,13 +62,8 @@ def _fmt_direction(direction) -> str:
 
 
 @click.group()
-@click.option("--seed", type=int, default=42, show_default=True,
-              help="Seed for harness reproducibility; metric computation itself is deterministic.")
-@click.pass_context
-def main(ctx, seed):
+def main():
     """Privacy-metric toolbox: compute metrics, browse the catalog, get advice."""
-    ctx.ensure_object(dict)
-    ctx.obj["seed"] = seed
 
 
 @main.command("list")

@@ -5,7 +5,9 @@ function, so values can be shared freely between threads.
 
 Probability mass is checked by one rule, ``_normalized``: inputs within an
 absolute tolerance of 1e-9 are renormalized, anything further off is rejected.
-Shannon entropy is summed by one kernel, ``_entropy_bits``.
+Every entropy, conditional entropy, mutual information, divergence and
+cross-entropy is one exactly rounded sum, ``_info_bits``, so its value does
+not depend on the order in which the outcomes are listed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     DistributionError,
@@ -241,9 +243,28 @@ def _normalized(masses: Sequence[float], what: str) -> tuple[float, ...]:
     return masses
 
 
+def _info_bits(terms: Iterable[tuple[float, float]]) -> float:
+    """The one information sum, sum w log2 r in bits over (weight, ratio) pairs, exactly rounded.
+
+    Callers pass only pairs with w > 0; a ratio of 0 reads as log2 0 = -inf.
+    A sum to negate is taken from 0.0, so that a zero sum stays +0.0.
+    """
+    return math.fsum(w * math.log2(r) if r else -math.inf for w, r in terms)
+
+
 def _entropy_bits(probs: Sequence[float]) -> float:
-    """The one Shannon sum, -sum p log2 p in bits over p > 0, exactly rounded."""
-    return -math.fsum(p * math.log2(p) for p in probs if p > 0)
+    """Shannon entropy, -sum p log2 p in bits over p > 0."""
+    return 0.0 - _info_bits((p, p) for p in probs if p > 0)
+
+
+def _aligned(
+    p: DiscreteDistribution, q: DiscreteDistribution, what: str
+) -> list[tuple[float, float]]:
+    """(p(x), q(x)) by label over p's support; ``what`` needs both on one label set."""
+    if set(p.labels) != set(q.labels):
+        raise ShapeError(f"{what} needs identical outcome label sets")
+    q_of = dict(zip(q.labels, q.probs))
+    return [(pv, q_of[label]) for label, pv in zip(p.labels, p.probs) if pv > 0]
 
 
 @dataclass(frozen=True)

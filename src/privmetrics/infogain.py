@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    DiscreteDistribution, FiniteMechanism, JointDistribution, _entropy_bits, _fields, _integer,
-    _labels, _list, _load_json, _normalized,
+    DiscreteDistribution, FiniteMechanism, JointDistribution, _aligned, _entropy_bits, _fields,
+    _info_bits, _integer, _labels, _list, _load_json, _normalized,
 )
 from .errors import (
     ConvergenceError,
@@ -33,18 +33,10 @@ def leaked_count(items: set) -> int:
 
 def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """D(p || q) = sum p(x) log2(p(x)/q(x)); infinite off q's support."""
-    if set(p.labels) != set(q.labels):
-        raise ShapeError("divergence needs identical outcome label sets")
-    q_of = dict(zip(q.labels, q.probs))
-    total = 0.0
-    for label, pv in zip(p.labels, p.probs):
-        if pv == 0:
-            continue
-        qv = q_of[label]
-        if qv == 0:
-            return math.inf
-        total += pv * math.log2(pv / qv)
-    return total
+    pairs = _aligned(p, q, "divergence")
+    if any(qv == 0 for _, qv in pairs):
+        return math.inf
+    return _info_bits((pv, pv / qv) for pv, qv in pairs)
 
 
 def mutual_information(j: JointDistribution) -> dict:
@@ -56,11 +48,10 @@ def mutual_information(j: JointDistribution) -> dict:
     """
     px = j.marginal_x().probs
     py = j.marginal_y().probs
-    mi = 0.0
-    for x, row in enumerate(j.matrix):
-        for y, v in enumerate(row):
-            if v > 0:
-                mi += v * math.log2(v / (px[x] * py[y]))
+    # dividing twice: the product px * py can underflow to 0
+    mi = _info_bits(
+        (v, v / py[y] / px[x]) for x, row in enumerate(j.matrix) for y, v in enumerate(row) if v > 0
+    )
     mi = max(mi, 0.0)
     hx = _entropy_bits(px)
     if hx <= 0:

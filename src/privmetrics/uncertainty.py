@@ -9,7 +9,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DiscreteDistribution, JointDistribution, _entropy_bits, _normalized
+from .core import (
+    DiscreteDistribution, JointDistribution, _aligned, _entropy_bits, _info_bits, _normalized,
+)
 from .errors import (
     DomainError,
     EmptyError,
@@ -106,11 +108,7 @@ def quantile_entropy(d: DiscreteDistribution, c: float) -> float:
 def conditional_entropy(j: JointDistribution, normalized: bool = False) -> float:
     """H(X|Y) = -sum p(x,y) log2 p(x|y); optionally divided by H(X)."""
     p_y = j.marginal_y().probs
-    h = 0.0
-    for row in j.matrix:
-        for y, v in enumerate(row):
-            if v > 0:
-                h -= v * math.log2(v / p_y[y])
+    h = 0.0 - _info_bits((v, v / p_y[y]) for row in j.matrix for y, v in enumerate(row) if v > 0)
     if not normalized:
         return h
     h_x = shannon_entropy(j.marginal_x())
@@ -133,18 +131,7 @@ def cross_entropy(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 
     Infinite when q misses mass on an outcome p supports.
     """
-    if set(p.labels) != set(q.labels):
-        raise ShapeError("cross-entropy needs identical outcome label sets")
-    q_of = dict(zip(q.labels, q.probs))
-    total = 0.0
-    for label, pv in zip(p.labels, p.probs):
-        if pv == 0:
-            continue
-        qv = q_of[label]
-        if qv == 0:
-            return math.inf
-        total -= pv * math.log2(qv)
-    return total
+    return 0.0 - _info_bits(_aligned(p, q, "cross-entropy"))
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +255,17 @@ def genomic_privacy(
     """Severity-weighted surprisal summed over genomic variations."""
     if len(snp_probs) != len(weights):
         raise ShapeError("one weight per variation required")
-    total = 0.0
     for p, w in zip(snp_probs, weights):
         if p <= 0:
             raise DomainError(f"variation probability must be > 0, got {p!r}")
         if p > 1:
             raise ParamError(f"variation probability must be <= 1, got {p!r}")
-        if w < 0:
+        if not w >= 0:
             raise ParamError(f"weights must be >= 0, got {w!r}")
-        total += -math.log2(p) * w
-    return total
+    try:
+        return 0.0 - _info_bits((w, p) for p, w in zip(snp_probs, weights) if w > 0)
+    except OverflowError:  # every term is <= 0, so the exact sum is below -max float
+        return math.inf
 
 
 def protection_level(

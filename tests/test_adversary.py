@@ -402,9 +402,8 @@ class TestRegionPrivacy:
     def test_half_overlap_and_accuracy(self):
         r_u = Region(rect=(0, 0, 1, 1))
         r_s = Region(rect=(0.5, 0, 1.5, 1))
-        out = adv.region_privacy(r_u, r_s, r_opt=1.0, r_min=1.0)
+        out = adv.region_privacy(r_u, r_s)
         assert out["coverage"] == pytest.approx(0.5)
-        assert out["accuracy"] == pytest.approx(1.0)
         assert out["size"] == pytest.approx(1.0)
 
     def test_grid_cells(self):
@@ -415,10 +414,6 @@ class TestRegionPrivacy:
     def test_mixed_representations(self):
         with pytest.raises(ParamError):
             adv.region_privacy(Region(rect=(0, 0, 1, 1)), Region(cells=frozenset({(0, 0)})))
-
-    def test_accuracy_needs_both_radii(self):
-        with pytest.raises(ParamError):
-            adv.region_privacy(Region(rect=(0, 0, 1, 1)), r_opt=1.0)
 
     def test_accuracy_of_tiny_radii(self):
         assert adv.obfuscation_accuracy(1e-300, 1e-300) == 1.0  # r² underflows to 0

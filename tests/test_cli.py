@@ -380,6 +380,18 @@ def test_every_mass_input_follows_one_rule(kind, masses, code, runner, tmp_path)
         assert r.stderr.startswith(f"{code}: ") and r.stderr.count("\n") == 1, r.stderr
 
 
+@pytest.mark.parametrize(
+    "metric_id", ["mutual_information", "normalized_mutual_information", "conditional_privacy_loss"]
+)
+def test_underflowing_marginal_product_is_0(metric_id, runner, tmp_path):
+    """p(x)·p(y) = 1e-400 underflows to 0, so the sum divides by each marginal in turn."""
+    joint = {"x_labels": ["a", "b"], "y_labels": ["x", "y"], "matrix": [[1e-200, 0], [0, 1]]}
+    (tmp_path / "j.json").write_text(json.dumps(joint))
+    r = runner.invoke(main, ["compute", metric_id, "--in", str(tmp_path / "j.json"), "--format", "json"])
+    assert (r.exit_code, r.stderr) == (0, ""), r.output
+    assert math.isfinite(json.loads(r.stdout)["value"])
+
+
 DIST_FILE = {"labels": ["a", "b"], "probs": [0.5, 0.5]}
 
 

@@ -4,6 +4,11 @@ Each reference below is the plain scalar loop the library once ran: one
 Python step per row, cell or output. The library now hands that work to
 builtins (``map``, ``min``/``max``, ``math.fsum``, a sliding window), and
 every result must equal the loop's with ``==``, not merely approximately.
+
+The information sums (entropy, conditional entropy, mutual information,
+divergence, cross-entropy) are exactly rounded, so listing the outcomes in
+another order must not change a bit, and the textbook identities hold with
+``==``.
 """
 
 import math
@@ -11,14 +16,16 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from privmetrics import indist, tabular
+from privmetrics import indist, infogain, tabular, uncertainty
 from privmetrics.core import (
     Column,
     DataTable,
     DiscreteDistribution,
     FiniteMechanism,
+    JointDistribution,
     equivalence_classes,
 )
+from privmetrics.errors import ParamError
 
 # ---------------------------------------------------------------------------
 # Reference loops
@@ -273,3 +280,71 @@ def test_categorical_table_metrics_equal_scalar_loops(data, n_qi):
     table = data.draw(tables(n_qi, st.sampled_from(["x", "y", "z", "w"]), "categorical"))
     assert tabular.l_diversity(table) == ref_l_entropy(table)
     assert tabular.t_closeness(table) == ref_t_closeness_categorical(table)
+
+
+# ---------------------------------------------------------------------------
+# Information sums: independent of outcome order
+
+
+def _masses(draw, n):
+    weights = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
+    total = math.fsum(weights)
+    if total == 0:
+        weights, total = [1.0] * n, float(n)
+    return [w / total for w in weights]
+
+
+def _permuted(draw, items):
+    return [items[i] for i in draw(st.permutations(range(len(items))))]
+
+
+def _mi_or_error(j):
+    try:
+        return infogain.mutual_information(j)
+    except ParamError:  # H(X) = 0
+        return "H(X) = 0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_information_sums_do_not_depend_on_outcome_order(data):
+    draw = data.draw
+    n_x, n_y = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = _masses(draw, n_x * n_y)
+    matrix = [cells[i * n_y : (i + 1) * n_y] for i in range(n_x)]
+    xs, ys = [f"x{i}" for i in range(n_x)], [f"y{k}" for k in range(n_y)]
+    j = JointDistribution(tuple(xs), tuple(ys), tuple(map(tuple, matrix)))
+    rp, cp = draw(st.permutations(range(n_x))), draw(st.permutations(range(n_y)))
+    jp = JointDistribution(
+        tuple(xs[i] for i in rp),
+        tuple(ys[k] for k in cp),
+        tuple(tuple(matrix[i][k] for k in cp) for i in rp),
+    )
+    assert uncertainty.conditional_entropy(jp) == uncertainty.conditional_entropy(j)
+    assert _mi_or_error(jp) == _mi_or_error(j)
+
+    n = draw(st.integers(1, 6))
+    labels = [f"o{i}" for i in range(n)]
+    p, q = list(zip(labels, _masses(draw, n))), list(zip(labels, _masses(draw, n)))
+    pp, qp = _permuted(draw, p), _permuted(draw, q)
+
+    def dist(pairs):
+        return DiscreteDistribution(tuple(o for o, _ in pairs), tuple(v for _, v in pairs))
+
+    for f in (uncertainty.cross_entropy, infogain.kl_divergence):
+        assert f(dist(pp), dist(qp)) == f(dist(p), dist(q))
+
+    probs = [v for _, v in p if v > 0]
+    snps = list(zip(probs, draw(st.lists(_WEIGHTS, min_size=len(probs), max_size=len(probs)))))
+    snps_p = _permuted(draw, snps)
+    assert uncertainty.genomic_privacy(*zip(*snps_p)) == uncertainty.genomic_privacy(*zip(*snps))
+
+
+def test_information_identities_hold_exactly():
+    p = DiscreteDistribution(("a", "b", "c", "d"), (1 / 7, 1 / 7, 1 / 7, 4 / 7))
+    assert uncertainty.cross_entropy(p, p) == uncertainty.shannon_entropy(p) == 1.6644977792004612
+    assert infogain.kl_divergence(p, p) == 0.0
+    # Y has one value, so it reveals nothing: H(X|Y) = H(X)
+    j = JointDistribution(p.labels, ("y",), tuple((v,) for v in p.probs))
+    assert uncertainty.conditional_entropy(j) == uncertainty.shannon_entropy(j.marginal_x())
+    assert uncertainty.conditional_entropy(j, normalized=True) == 1.0

@@ -318,6 +318,9 @@ class TestAggregates:
             u.genomic_privacy([0.0], [1.0])
         with pytest.raises(ShapeError):
             u.genomic_privacy([0.5], [1.0, 2.0])
+        assert u.genomic_privacy([0.5, 0.5], [1e308, 1e308]) == math.inf  # the sum passes max float
+        with pytest.raises(ParamError):
+            u.genomic_privacy([0.5], [math.nan])
 
     def test_protection_level(self):
         ref = D.uniform(2)
