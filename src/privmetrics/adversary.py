@@ -9,6 +9,7 @@ its timestamp until the next one, and the last interval runs to an explicit
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -154,12 +155,8 @@ def delta_presence(external: DataTable, published: DataTable) -> dict:
                 return False
         return False
 
-    groups: dict[tuple, int] = {}
-    for row in published.rows:
-        key = tuple(row[i] for i in pub_qi)
-        groups[key] = groups.get(key, 0) + 1
-
-    ext_rows = [tuple(row[i] for i in ext_qi) for row in external.rows]
+    groups = Counter(published.project(pub_qi))
+    ext_rows = list(external.project(ext_qi))
     match_counts = {
         key: sum(1 for ind in ext_rows if all(covers(g, v) for g, v in zip(key, ind)))
         for key in groups

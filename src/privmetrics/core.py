@@ -17,11 +17,11 @@ import io
 import json
 import math
 import reprlib
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
-from typing import Iterable, Sequence, Union
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
     DistributionError,
@@ -59,6 +59,7 @@ def _as_finite_float(cell: str, lineno: int, column: str) -> float:
 # SchemaError naming ``what``; every JSON parser is declared with these.
 
 _NUMBER = frozenset((int, float))  # exact JSON types, so true/false are not numbers
+_FLOAT = frozenset((float,))
 _STRING = frozenset((str,))
 _LABEL = _NUMBER | _STRING
 _REQUIRED = object()
@@ -463,33 +464,45 @@ Value = Union[str, float]
 
 @dataclass(frozen=True)
 class DataTable:
-    """Rows of typed, role-tagged columns.
+    """Typed, role-tagged columns, stored by column: ``cells[j]`` is the
+    tuple of column j's values, in row order.
 
     Numeric cells are stored as finite floats; there is no missing-value
     support (blank or unparseable cells are rejected at parse time).
+    ``rows`` is derived from the columns on each access and never stored.
     """
 
     columns: tuple[Column, ...]
-    rows: tuple[tuple[Value, ...], ...]
+    cells: tuple[tuple[Value, ...], ...]
 
     def __post_init__(self):
-        if not self.rows:
+        cells = tuple(map(tuple, self.cells))  # a tuple is kept as it is, not copied
+        object.__setattr__(self, "cells", cells)
+        if not any(cells):
             raise EmptyError("table needs at least one row")
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise SchemaError("column names must be distinct")
-        for r in self.rows:
-            if len(r) != len(self.columns):
-                raise ShapeError(
-                    f"row width {len(r)} does not match {len(self.columns)} columns"
-                )
-        for j, col in enumerate(self.columns):
-            if col.kind == "numeric":
-                for r in self.rows:
-                    if not isinstance(r[j], float) or not math.isfinite(r[j]):
+        width = len(self.columns)
+        if len(cells) != width or len(set(map(len, cells))) != 1:
+            first = 0 if len(cells) != width else min(map(len, cells))  # first short row
+            raise ShapeError(
+                f"row width {sum(len(c) > first for c in cells)} does not match {width} columns"
+            )
+        for col, values in zip(self.columns, cells):
+            if col.kind == "numeric" and not (
+                set(map(type, values)) <= _FLOAT and all(map(math.isfinite, values))
+            ):
+                for v in values:  # name the first bad cell; a float subclass is a float
+                    if not isinstance(v, float) or not math.isfinite(v):
                         raise SchemaError(
-                            f"column {col.name!r} expects finite numbers, got {r[j]!r}"
+                            f"column {col.name!r} expects finite numbers, got {v!r}"
                         )
+
+    @property
+    def rows(self) -> tuple[tuple[Value, ...], ...]:
+        """The cells row by row, derived from the columns on each access."""
+        return tuple(zip(*self.cells))
 
     def column_index(self, name: str) -> int:
         for i, c in enumerate(self.columns):
@@ -509,19 +522,23 @@ class DataTable:
             raise SchemaError(f"exactly one sensitive column required, found {len(idx)}")
         return idx[0]
 
+    def project(self, indices: Sequence[int]) -> Iterator[tuple[Value, ...]]:
+        """Each row's cells in the columns ``indices``, as tuples in row order."""
+        return zip(*map(self.cells.__getitem__, indices))
+
     def column_values(self, index: int) -> tuple[Value, ...]:
-        return tuple(map(itemgetter(index), self.rows))
+        """The stored tuple of one column's cells (not a copy)."""
+        return self.cells[index]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.cells[0])
 
     def to_csv(self) -> str:
-        """RFC-4180 CSV; numeric cells use repr so parsing is lossless."""
+        """RFC-4180 CSV; a float is written as its repr, so parsing is lossless."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([c.name for c in self.columns])
-        for row in self.rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(zip(*self.cells))  # csv.writer writes str(v), the repr of a float
         return buf.getvalue()
 
     def to_schema_dict(self) -> dict:
@@ -535,14 +552,15 @@ def parse_table(csv_text: str, schema: dict) -> DataTable:
     """Parse an RFC-4180 CSV plus sidecar role/kind map into a DataTable.
 
     ``schema`` is ``{"roles": {column: role}, "kinds": {column: kind}}``;
-    unmentioned columns default to plain categorical.
+    unmentioned columns default to plain categorical. A text without quotes
+    or CRs is split by C-level string methods, one pass per column; any other
+    text, or one a bulk check rejects, is read record by record with
+    ``csv.reader``, which raises the first fault in file order.
     """
     roles, kinds = _SIDECAR(schema, "schema sidecar")
-
-    reader = csv.reader(io.StringIO(csv_text))
-    try:
-        header = next(reader)
-    except StopIteration:
+    plain = _split_plain(csv_text)
+    header = plain[0] if plain else next(_records(csv_text), None)
+    if header is None:
         raise SchemaError("CSV is empty")
     for col in list(roles) + list(kinds):
         if col not in header:
@@ -552,17 +570,87 @@ def parse_table(csv_text: str, schema: dict) -> DataTable:
         Column(name, kinds.get(name, "categorical"), roles.get(name, "plain"))
         for name in header
     )
+    raw = plain[1] if plain else None
+    cells = None if raw is None else _typed_columns(columns, raw)
+    if cells is None:  # quoted text, or a bulk check failed
+        cells = _typed_columns(columns, _read_records(csv_text, columns))
+    return DataTable(columns, cells)
+
+
+def _split_plain(csv_text: str) -> tuple[list[str], list[list[str]] | None] | None:
+    """The header and the raw cells by column of a text that needs no CSV
+    reader, split with ``str`` methods; the columns are None when a record's
+    width differs from the header's.
+
+    None for a text that needs ``csv.reader``: an empty one, one with a quote
+    or a CR, or one with a line past ``csv.field_size_limit()``. Lines break
+    at LF only, as the reader's do (``str.splitlines`` also breaks at VT, FF
+    and others).
+    """
+    if not csv_text or '"' in csv_text or "\r" in csv_text:
+        return None
+    lines = csv_text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = lines[0].split(",") if lines[0] else []  # a blank line is a record of no fields
+    width = len(header)
+    lines = list(filter(None, islice(lines, 1, None)))  # blank lines hold no record
+    if lines and set(map(str.count, lines, repeat(","))) != {width - 1}:
+        return header, None
+    n_rows = len(lines)
+    flat = ",".join(lines)
+    del lines  # the line list and the cell list are not held at the same time
+    flat = flat.split(",") if n_rows else []
+    return header, [flat[j::width] for j in range(width)]
+
+
+def _records(csv_text: str) -> Iterator[list[str]]:
+    """``csv.reader``'s records of the text; a reader error, such as a field
+    past ``csv.field_size_limit()``, is a SchemaError naming its line."""
+    reader = csv.reader(io.StringIO(csv_text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"line {reader.line_num}: {exc}")
+
+
+def _read_records(csv_text: str, columns: tuple[Column, ...]) -> list[tuple]:
+    """The cells by column, read record by record after the header, numeric
+    cells converted; the first malformed record in file order raises, named
+    by its record number."""
     numeric = [(j, col.name) for j, col in enumerate(columns) if col.kind == "numeric"]
+    records = _records(csv_text)
+    next(records)  # the header
     rows = []
-    for lineno, raw in enumerate(reader, start=2):
+    for lineno, raw in enumerate(records, start=2):
         if not raw:
             continue  # blank line
-        if len(raw) != len(header):
-            raise ShapeError(f"line {lineno}: expected {len(header)} fields, got {len(raw)}")
+        if len(raw) != len(columns):
+            raise ShapeError(f"line {lineno}: expected {len(columns)} fields, got {len(raw)}")
         for j, name in numeric:
             raw[j] = _as_finite_float(raw[j], lineno, name)
-        rows.append(tuple(raw))
-    return DataTable(columns, tuple(rows))
+        rows.append(raw)
+    return list(zip(*rows)) or [()] * len(columns)
+
+
+def _typed_columns(columns: tuple[Column, ...], raw: list) -> list[tuple] | None:
+    """Each column's cells as a tuple: numeric ones as finite floats, or None
+    when one is not; categorical ones through one map per table, so that
+    equal cells are one object."""
+    shared: dict[str, str] = {}
+    cells = []
+    for col, values in zip(columns, raw):
+        if col.kind == "numeric":
+            try:
+                values = tuple(map(float, values))
+            except ValueError:
+                return None
+            if not all(map(math.isfinite, values)):
+                return None
+        else:
+            values = tuple(map(shared.setdefault, values, values))
+        cells.append(values)
+    return cells
 
 
 @dataclass(frozen=True)
@@ -589,12 +677,9 @@ def equivalence_classes(table: DataTable) -> tuple[EquivalenceClass, ...]:
     qi = table.quasi_identifier_columns()
     if not qi:
         raise SchemaError("table has no quasi-identifier columns")
-    keys = map(itemgetter(*qi), table.rows)
-    if len(qi) == 1:
-        keys = zip(keys)  # itemgetter of one index returns the bare cell
-    groups: dict[tuple[Value, ...], list[int]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
+    groups: defaultdict[tuple[Value, ...], list[int]] = defaultdict(list)
+    for i, key in enumerate(table.project(qi)):
+        groups[key].append(i)
     return tuple(
         EquivalenceClass(key, tuple(idx)) for key, idx in groups.items()
     )

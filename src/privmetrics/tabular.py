@@ -244,7 +244,7 @@ def multirelational_k(
 
     def as_dicts(t: DataTable) -> list[dict]:
         names = [c.name for c in t.columns]
-        return [dict(zip(names, row)) for row in t.rows]
+        return [dict(zip(names, row)) for row in zip(*t.cells)]
 
     joined = as_dicts(persons)
     roles = {c.name: c.role for c in persons.columns}
@@ -287,13 +287,9 @@ def xy_privacy(table: DataTable, x_cols: Sequence[str], y_cols: Sequence[str]) -
         raise SchemaError("column groups must be disjoint")
     xi = [table.column_index(n) for n in x_cols]
     yi = [table.column_index(n) for n in y_cols]
-    x_counts: Counter = Counter()
-    xy_counts: Counter = Counter()
-    for row in table.rows:
-        xv = tuple(row[i] for i in xi)
-        yv = tuple(row[i] for i in yi)
-        x_counts[xv] += 1
-        xy_counts[(xv, yv)] += 1
+    xs = list(table.project(xi))
+    x_counts = Counter(xs)
+    xy_counts = Counter(zip(xs, table.project(yi)))
     return max(n / x_counts[xv] for (xv, _), n in xy_counts.items())
 
 

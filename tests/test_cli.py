@@ -1,4 +1,5 @@
 import ast
+import csv
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from privmetrics import registry as reg
+from privmetrics import core, registry as reg
 from privmetrics.cli import main
 
 from conftest import REPO, all_fixture_ids, load_fixture, materialize_fixture, values_close
@@ -637,3 +638,60 @@ class TestImportFootprint:
                     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                     name = getattr(exc, "id", getattr(exc, "attr", None))
                     assert name != "DistributionError", (path.name, node.lineno)
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_field_past_csv_size_limit_is_2(quote, runner, tmp_path):
+    """A cell longer than csv.field_size_limit() is refused on both CSV readers."""
+    big = "x" * (csv.field_size_limit() + 1)
+    (tmp_path / "t.csv").write_text(f"zip,disease\n1,flu\n1,{quote}{big}{quote}\n")
+    (tmp_path / "t.roles.json").write_text('{"roles": {"zip": "quasi-identifier"}}')
+    r = runner.invoke(main, ["compute", "k_anonymity", "--in", str(tmp_path / "t.csv"),
+                             "--schema", str(tmp_path / "t.roles.json"), "--format", "json"])
+    assert r.exit_code == 2, r.output
+    error = json.loads(r.stdout.splitlines()[0])
+    assert error["error"] == "E_SCHEMA"
+    assert error["detail"] == f"line 3: field larger than field limit ({csv.field_size_limit()})"
+
+
+def _table_rows():
+    diseases = ("flu", "cold", "hiv", "flu ", "cancer")
+    for i in range(60):
+        yield (f"z{i % 4}", f"a{i % 3}", diseases[i * 7 % 5], repr(20 + (i * 13) % 9 * 2.5))
+
+
+@pytest.mark.parametrize(
+    "metric_id, sensitive, params",
+    [
+        ("k_anonymity", "disease", []),
+        ("l_diversity", "disease", ["mode=entropy"]),
+        ("l_diversity", "disease", ["mode=recursive", "c=2"]),
+        ("t_closeness", "disease", []),
+        ("t_closeness", "salary", []),
+        ("alpha_k_anonymity", "disease", ["value=flu"]),
+        ("ke_anonymity", "salary", []),
+        ("em_anonymity", "salary", ["epsilon=5"]),
+    ],
+)
+def test_quoted_table_prints_what_the_unquoted_one_does(metric_id, sensitive, params, runner,
+                                                        tmp_path):
+    """The same table, once plain and once with every cell quoted, so that one is split
+    by str methods and the other read by csv.reader."""
+    rows = [("zip", "age", "disease", "salary"), *_table_rows()]
+    plain = "".join(",".join(row) + "\n" for row in rows)
+    quoted = "".join(",".join(f'"{cell}"' for cell in row) + "\n" for row in rows)
+    assert core._split_plain(plain) is not None and core._split_plain(quoted) is None
+    schema = {"roles": {"zip": "quasi-identifier", "age": "quasi-identifier",
+                        sensitive: "sensitive"}, "kinds": {"salary": "numeric"}}
+    (tmp_path / "t.roles.json").write_text(json.dumps(schema))
+    stdout = []
+    for name, text in (("plain.csv", plain), ("quoted.csv", quoted)):
+        (tmp_path / name).write_text(text)
+        args = ["compute", metric_id, "--in", str(tmp_path / name),
+                "--schema", str(tmp_path / "t.roles.json"), "--format", "json"]
+        for p in params:
+            args += ["--param", p]
+        r = runner.invoke(main, args)
+        assert r.exit_code == 0, r.output
+        stdout.append(r.stdout)
+    assert stdout[0] == stdout[1]

@@ -1,10 +1,14 @@
 import json
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from privmetrics import core
 from privmetrics.core import (
+    Column,
+    DataTable,
     DiscreteDistribution,
     FiniteMechanism,
     JointDistribution,
@@ -22,6 +26,7 @@ from privmetrics.core import (
 from privmetrics.errors import (
     DistributionError,
     EmptyError,
+    MetricError,
     ParamError,
     SchemaError,
     ShapeError,
@@ -162,6 +167,127 @@ class TestParseTable:
     def test_rfc4180_quoting(self):
         t = parse_table('a,b\n"x,y",2\n', {"roles": {}})
         assert t.rows[0] == ("x,y", "2")
+
+
+# Cells a CSV without quotes or CRs can hold: blanks, whitespace, NUL, the
+# characters str.splitlines also breaks lines at, and numeric cells that are
+# not finite or not numbers at all.
+_PLAIN_CELLS = st.one_of(
+    st.sampled_from(["1", "-2.5", " 3 ", "1_0", "-0", "0", "1e300", "007"]),
+    st.sampled_from(["", " ", "flu", "cold", "1e999", "inf", "nan", "-inf", "x\x00y", "\x00",
+                     "a\x0bb", "\x0c", "\x1c", "\x85", "\u2028", "z y"]),
+)
+_PLAIN_LINES = st.one_of(
+    st.just(""),  # a blank line
+    st.lists(_PLAIN_CELLS, min_size=1, max_size=4).map(",".join),  # ragged widths
+)
+
+
+@st.composite
+def plain_csv_texts(draw):
+    names = st.lists(st.sampled_from("qsnx"), min_size=1, max_size=4, unique=True)
+    header = draw(st.one_of(names.map(",".join), _PLAIN_LINES))
+    width = header.count(",") + 1 if header else 0
+    record = st.lists(_PLAIN_CELLS, min_size=width, max_size=width).map(",".join)
+    records = st.lists(st.one_of(record, record, record, _PLAIN_LINES), min_size=1, max_size=8)
+    text = "\n".join([header] + draw(records)) + draw(st.sampled_from(["", "\n"]))
+    numeric = draw(st.sets(st.sampled_from(header.split(",")))) if header else set()
+    unknown = draw(st.sampled_from([set()] * 7 + [{"unknown"}]))
+    return text, {"roles": {}, "kinds": dict.fromkeys(numeric | unknown, "numeric")}
+
+
+def _parsed(text, schema):
+    """The table and its repr (which tells -0.0 from 0.0), or the error's class and message."""
+    try:
+        table = parse_table(text, schema)
+    except MetricError as exc:
+        return type(exc), str(exc)
+    return table, repr(table)
+
+
+class TestPlainSplitAgreesWithCsvReader:
+    @settings(max_examples=500, deadline=None)
+    @given(plain_csv_texts())
+    def test_same_table_or_same_error(self, text_and_schema):
+        text, schema = text_and_schema
+        assert text == "" or core._split_plain(text) is not None  # the fast path ran
+        with mock.patch.object(core, "_split_plain", return_value=None):
+            by_reader = _parsed(text, schema)
+        assert _parsed(text, schema) == by_reader
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,n\nx,1\n\ny\n",  # the ragged record is the 4th, after a blank line
+            "a,n\nx,oops\ny\n",  # a bad number before a ragged record
+            "a,n\nx,1\ny,inf\n",
+            "\na\n",  # a blank header has no fields
+            "a,n\n",
+            "\n\n",
+        ],
+    )
+    def test_errors_name_the_first_fault_in_file_order(self, text):
+        schema = {"roles": {}, "kinds": {"n": "numeric"}} if "n" in text else {"roles": {}}
+        fast = _parsed(text, schema)
+        with mock.patch.object(core, "_split_plain", return_value=None):
+            assert fast == _parsed(text, schema)
+        assert isinstance(fast[0], type)
+
+    def test_first_fault_messages(self):
+        numeric = {"roles": {}, "kinds": {"n": "numeric"}}
+        with pytest.raises(SchemaError, match=r"^line 2, column 'n': not a number: 'oops'$"):
+            parse_table("a,n\nx,oops\ny\n", numeric)
+        with pytest.raises(ShapeError, match=r"^line 4: expected 2 fields, got 1$"):
+            parse_table("a,n\nx,1\n\ny\n", numeric)
+        with pytest.raises(SchemaError, match=r"^line 3, column 'n': not finite: 'inf'$"):
+            parse_table("a,n\nx,1\ny,inf\n", numeric)
+
+
+class TestColumnStorage:
+    def test_equal_categorical_cells_are_one_object(self):
+        for text in ("q,s\nflu,cold\ncold,flu\nflu,hiv\n",
+                     '"q","s"\n"flu","cold"\n"cold","flu"\n"flu","hiv"\n'):
+            t = parse_table(text, {"roles": {}})
+            (q, s) = t.cells
+            assert q[0] is q[2] and q[1] is s[0] and q[0] is s[1]  # one map for the whole table
+
+    def test_numeric_cells_are_floats(self):
+        t = parse_table("q,n\na,1\nb,2.5\n", {"roles": {}, "kinds": {"n": "numeric"}})
+        assert t.cells[1] == (1.0, 2.5) and set(map(type, t.cells[1])) == {float}
+        assert t.cells[0] == ("a", "b")
+
+    def test_column_values_is_the_stored_tuple(self):
+        t = parse_table(CSV, SCHEMA)
+        assert all(t.column_values(j) is t.cells[j] for j in range(len(t.columns)))
+        assert type(t.cells) is tuple and all(type(c) is tuple for c in t.cells)
+
+    def test_rows_are_derived_not_stored(self):
+        t = parse_table(CSV, SCHEMA)
+        assert t.rows == tuple(zip(*t.cells)) and len(t) == len(t.rows) == 4
+        assert set(vars(t)) == {"columns", "cells"}
+        assert list(t.project((1, 0))) == [(s, q) for q, s in t.rows]
+
+    def test_cells_given_as_lists_are_stored_as_tuples(self):
+        t = DataTable((Column("a"),), [["x", "y"]])
+        assert t.cells == (("x", "y"),)
+
+    @pytest.mark.parametrize(
+        "cells, error, message",
+        [
+            ((("x", "y"), ("z",)), ShapeError, "row width 1 does not match 2 columns"),
+            ((("x", "y"),), ShapeError, "row width 1 does not match 2 columns"),
+            ((("x",), ("y",), ("z",)), ShapeError, "row width 3 does not match 2 columns"),
+            (((), ()), EmptyError, "table needs at least one row"),
+            ((), EmptyError, "table needs at least one row"),
+            ((("x", "y"), (1.0, math.inf)), SchemaError,
+             "column 'n' expects finite numbers, got inf"),
+            ((("x", "y"), (1.0, "2")), SchemaError, "column 'n' expects finite numbers, got '2'"),
+        ],
+    )
+    def test_data_table_rejects(self, cells, error, message):
+        with pytest.raises(error) as info:
+            DataTable((Column("a"), Column("n", "numeric")), cells)
+        assert str(info.value) == message
 
 
 class TestEquivalenceClasses:

@@ -233,7 +233,7 @@ def tables(draw, n_qi, sensitive, kind):
     rows = draw(st.lists(cells, min_size=1, max_size=40))
     qi = [Column("q", "categorical", "quasi-identifier"),
           Column("r", "numeric", "quasi-identifier")][:n_qi]
-    return DataTable(tuple(qi) + (Column("s", kind, "sensitive"),), tuple(rows))
+    return DataTable(tuple(qi) + (Column("s", kind, "sensitive"),), tuple(zip(*rows)))
 
 
 def _epsilons(table):
@@ -254,9 +254,10 @@ def test_em_anonymity_equals_scalar_loop(data, n_qi):
 
 
 def test_em_anonymity_ties_exactly_at_epsilon():
-    rows = tuple(("a", v) for v in (0.0, 0.1, 0.2, 0.30000000000000004, 1.0, 1.1))
+    values = (0.0, 0.1, 0.2, 0.30000000000000004, 1.0, 1.1)
     table = DataTable(
-        (Column("q", "categorical", "quasi-identifier"), Column("s", "numeric", "sensitive")), rows
+        (Column("q", "categorical", "quasi-identifier"), Column("s", "numeric", "sensitive")),
+        (("a",) * len(values), values),
     )
     for epsilon in (0.0, 0.1, 0.2, 0.1 + 0.2, 0.9, 1.0, 1.1, math.inf):
         assert tabular.em_anonymity(table, epsilon) == ref_em_anonymity(table, epsilon)
