@@ -21,6 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice, repeat
+from operator import sub
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -465,17 +466,20 @@ Value = Union[str, float]
 @dataclass(frozen=True)
 class DataTable:
     """Typed, role-tagged columns, stored by column: ``cells[j]`` is the
-    tuple of column j's values, in row order.
+    tuple of column j's values, in row order. ``cells`` is keyword-only, so
+    that a row-major table passed by position fails instead of transposing.
 
     Numeric cells are stored as finite floats; there is no missing-value
     support (blank or unparseable cells are rejected at parse time).
-    ``rows`` is derived from the columns on each access and never stored.
+    ``rows()`` derives the rows from the columns on each call.
     """
 
     columns: tuple[Column, ...]
-    cells: tuple[tuple[Value, ...], ...]
+    cells: tuple[tuple[Value, ...], ...] = field(kw_only=True)
 
     def __post_init__(self):
+        if any(map(isinstance, self.cells, repeat(str))):
+            raise ShapeError("cells must hold one sequence of values per column, not a string")
         cells = tuple(map(tuple, self.cells))  # a tuple is kept as it is, not copied
         object.__setattr__(self, "cells", cells)
         if not any(cells):
@@ -499,9 +503,8 @@ class DataTable:
                             f"column {col.name!r} expects finite numbers, got {v!r}"
                         )
 
-    @property
     def rows(self) -> tuple[tuple[Value, ...], ...]:
-        """The cells row by row, derived from the columns on each access."""
+        """The cells row by row, rebuilt from the columns on each call."""
         return tuple(zip(*self.cells))
 
     def column_index(self, name: str) -> int:
@@ -538,7 +541,7 @@ class DataTable:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([c.name for c in self.columns])
-        writer.writerows(zip(*self.cells))  # csv.writer writes str(v), the repr of a float
+        writer.writerows(self.rows())  # csv.writer writes str(v), the repr of a float
         return buf.getvalue()
 
     def to_schema_dict(self) -> dict:
@@ -553,13 +556,13 @@ def parse_table(csv_text: str, schema: dict) -> DataTable:
 
     ``schema`` is ``{"roles": {column: role}, "kinds": {column: kind}}``;
     unmentioned columns default to plain categorical. A text without quotes
-    or CRs is split by C-level string methods, one pass per column; any other
-    text, or one a bulk check rejects, is read record by record with
-    ``csv.reader``, which raises the first fault in file order.
+    or CRs is split by C-level string methods; any other text is read with
+    ``csv.reader``. Either gives one flat cell list, which is sliced into
+    columns, one pass per column. When a bulk check fails, the text is read
+    again record by record, which raises the first fault in file order.
     """
     roles, kinds = _SIDECAR(schema, "schema sidecar")
-    plain = _split_plain(csv_text)
-    header = plain[0] if plain else next(_records(csv_text), None)
+    header, flat = _split_plain(csv_text) or _read_flat(csv_text)
     if header is None:
         raise SchemaError("CSV is empty")
     for col in list(roles) + list(kinds):
@@ -570,17 +573,21 @@ def parse_table(csv_text: str, schema: dict) -> DataTable:
         Column(name, kinds.get(name, "categorical"), roles.get(name, "plain"))
         for name in header
     )
-    raw = plain[1] if plain else None
-    cells = None if raw is None else _typed_columns(columns, raw)
-    if cells is None:  # quoted text, or a bulk check failed
+    width = len(columns)
+    cells = None
+    if flat is not None:
+        raw = [flat[j::width] for j in range(width)]
+        del flat  # dropped before the columns are typed
+        cells = _typed_columns(columns, raw)
+    if cells is None:  # a bulk check failed
         cells = _typed_columns(columns, _read_records(csv_text, columns))
-    return DataTable(columns, cells)
+    return DataTable(columns, cells=cells)
 
 
-def _split_plain(csv_text: str) -> tuple[list[str], list[list[str]] | None] | None:
-    """The header and the raw cells by column of a text that needs no CSV
-    reader, split with ``str`` methods; the columns are None when a record's
-    width differs from the header's.
+def _split_plain(csv_text: str) -> tuple[list[str], list[str] | None] | None:
+    """The header and the flat list of body cells, in row order, of a text
+    that needs no CSV reader, split with ``str`` methods; the cells are None
+    when a record's width differs from the header's.
 
     None for a text that needs ``csv.reader``: an empty one, one with a quote
     or a CR, or one with a line past ``csv.field_size_limit()``. Lines break
@@ -593,15 +600,31 @@ def _split_plain(csv_text: str) -> tuple[list[str], list[list[str]] | None] | No
     if max(map(len, lines)) > csv.field_size_limit():
         return None
     header = lines[0].split(",") if lines[0] else []  # a blank line is a record of no fields
-    width = len(header)
     lines = list(filter(None, islice(lines, 1, None)))  # blank lines hold no record
-    if lines and set(map(str.count, lines, repeat(","))) != {width - 1}:
+    if lines and set(map(str.count, lines, repeat(","))) != {len(header) - 1}:
         return header, None
     n_rows = len(lines)
     flat = ",".join(lines)
     del lines  # the line list and the cell list are not held at the same time
-    flat = flat.split(",") if n_rows else []
-    return header, [flat[j::width] for j in range(width)]
+    return header, flat.split(",") if n_rows else []
+
+
+def _read_flat(csv_text: str) -> tuple[list[str] | None, list[str] | None]:
+    """The header and the flat list of body cells, in row order, read with
+    ``csv.reader``; the header is None for an empty text, and the cells are
+    None when a record's width differs from the header's or the reader fails
+    past the header. Each record's list is dropped as soon as it is read."""
+    records = _records(csv_text)
+    header = next(records, None)
+    flat: list[str] = []
+    try:
+        # the cell count after each record, blank ones skipped
+        ends = list(map(len, map(flat.__iadd__, filter(None, records))))
+    except SchemaError:
+        return header, None  # the record-by-record read names the line
+    if header is None or not set(map(sub, ends, chain((0,), ends))) <= {len(header)}:
+        return header, None
+    return header, flat
 
 
 def _records(csv_text: str) -> Iterator[list[str]]:

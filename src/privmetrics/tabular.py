@@ -244,7 +244,7 @@ def multirelational_k(
 
     def as_dicts(t: DataTable) -> list[dict]:
         names = [c.name for c in t.columns]
-        return [dict(zip(names, row)) for row in zip(*t.cells)]
+        return [dict(zip(names, row)) for row in t.rows()]
 
     joined = as_dicts(persons)
     roles = {c.name: c.role for c in persons.columns}

@@ -166,7 +166,7 @@ class TestParseTable:
 
     def test_rfc4180_quoting(self):
         t = parse_table('a,b\n"x,y",2\n', {"roles": {}})
-        assert t.rows[0] == ("x,y", "2")
+        assert t.rows()[0] == ("x,y", "2")
 
 
 # Cells a CSV without quotes or CRs can hold: blanks, whitespace, NUL, the
@@ -263,13 +263,23 @@ class TestColumnStorage:
 
     def test_rows_are_derived_not_stored(self):
         t = parse_table(CSV, SCHEMA)
-        assert t.rows == tuple(zip(*t.cells)) and len(t) == len(t.rows) == 4
+        assert t.rows() == tuple(zip(*t.cells)) and len(t) == len(t.rows()) == 4
         assert set(vars(t)) == {"columns", "cells"}
-        assert list(t.project((1, 0))) == [(s, q) for q, s in t.rows]
+        assert list(t.project((1, 0))) == [(s, q) for q, s in t.rows()]
 
     def test_cells_given_as_lists_are_stored_as_tuples(self):
-        t = DataTable((Column("a"),), [["x", "y"]])
+        t = DataTable((Column("a"),), cells=[["x", "y"]])
         assert t.cells == (("x", "y"),)
+
+    def test_cells_are_keyword_only(self):
+        """A row-major table passed by position fails instead of transposing."""
+        with pytest.raises(TypeError):
+            DataTable((Column("a"), Column("b")), (("x", "y"), ("z", "w")))
+
+    def test_a_string_is_not_a_column(self):
+        with pytest.raises(ShapeError) as info:
+            DataTable((Column("a"),), cells=("xy",))
+        assert str(info.value) == "cells must hold one sequence of values per column, not a string"
 
     @pytest.mark.parametrize(
         "cells, error, message",
@@ -286,7 +296,7 @@ class TestColumnStorage:
     )
     def test_data_table_rejects(self, cells, error, message):
         with pytest.raises(error) as info:
-            DataTable((Column("a"), Column("n", "numeric")), cells)
+            DataTable((Column("a"), Column("n", "numeric")), cells=cells)
         assert str(info.value) == message
 
 
@@ -323,7 +333,7 @@ class TestEquivalenceClasses:
         seen = [i for c in classes for i in c.row_indices]
         assert sorted(seen) == list(range(len(pairs)))
         for c in classes:
-            keys = {tuple(table.rows[i]) for i in c.row_indices}
+            keys = {tuple(table.rows()[i]) for i in c.row_indices}
             assert len(keys) == 1
 
 

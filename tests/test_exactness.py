@@ -34,13 +34,13 @@ from privmetrics.errors import ParamError
 def ref_classes(table):
     qi = table.quasi_identifier_columns()
     groups = {}
-    for i, row in enumerate(table.rows):
+    for i, row in enumerate(table.rows()):
         groups.setdefault(tuple(row[j] for j in qi), []).append(i)
     return [(key, frozenset(idx)) for key, idx in groups.items()]
 
 
 def ref_class_values(table, idx, col):
-    return [table.rows[i][col] for i in sorted(idx)]
+    return [table.rows()[i][col] for i in sorted(idx)]
 
 
 def ref_dp_epsilon(m, nr):
@@ -233,7 +233,7 @@ def tables(draw, n_qi, sensitive, kind):
     rows = draw(st.lists(cells, min_size=1, max_size=40))
     qi = [Column("q", "categorical", "quasi-identifier"),
           Column("r", "numeric", "quasi-identifier")][:n_qi]
-    return DataTable(tuple(qi) + (Column("s", kind, "sensitive"),), tuple(zip(*rows)))
+    return DataTable(tuple(qi) + (Column("s", kind, "sensitive"),), cells=tuple(zip(*rows)))
 
 
 def _epsilons(table):
@@ -257,7 +257,7 @@ def test_em_anonymity_ties_exactly_at_epsilon():
     values = (0.0, 0.1, 0.2, 0.30000000000000004, 1.0, 1.1)
     table = DataTable(
         (Column("q", "categorical", "quasi-identifier"), Column("s", "numeric", "sensitive")),
-        (("a",) * len(values), values),
+        cells=(("a",) * len(values), values),
     )
     for epsilon in (0.0, 0.1, 0.2, 0.1 + 0.2, 0.9, 1.0, 1.1, math.inf):
         assert tabular.em_anonymity(table, epsilon) == ref_em_anonymity(table, epsilon)
