@@ -25,34 +25,11 @@ from .errors import (
     ShapeError,
 )
 
-DEGREES = (
-    "provably-exposed",
-    "exposed",
-    "absolute-privacy",
-    "beyond-suspicion",
-    "probable-innocence",
-    "possible-innocence",
-)
-
-
 def success_rate(trials: Sequence[bool]) -> float:
     """Fraction of attempts in which the adversary succeeded."""
     if not trials:
         raise EmptyError("need at least one trial")
     return sum(1 for t in trials if t) / len(trials)
-
-
-def record_linkage_check(
-    similarities: Sequence[float], theta: float, omega: float
-) -> bool:
-    """Whether matches at similarity >= theta occur at rate >= omega."""
-    if not similarities:
-        raise EmptyError("need at least one similarity score")
-    for name, v in (("theta", theta), ("omega", omega)):
-        if not 0.0 <= v <= 1.0:
-            raise ParamError(f"{name} must lie in [0, 1], got {v!r}")
-    rate = sum(1 for s in similarities if s >= theta) / len(similarities)
-    return rate >= omega
 
 
 def path_compromise_probability(
@@ -155,19 +132,15 @@ def delta_presence(external: DataTable, published: DataTable) -> dict:
                 return False
         return False
 
-    groups = Counter(published.project(pub_qi))
     ext_rows = list(external.project(ext_qi))
-    match_counts = {
-        key: sum(1 for ind in ext_rows if all(covers(g, v) for g, v in zip(key, ind)))
-        for key in groups
-    }
-    probs = []
-    for ind in ext_rows:
-        best = 0.0
-        for key, size in groups.items():
-            if all(covers(g, v) for g, v in zip(key, ind)) and match_counts[key] > 0:
-                best = max(best, min(1.0, size / match_counts[key]))
-        probs.append(best)
+    probs = [0.0] * len(ext_rows)
+    for key, size in Counter(published.project(pub_qi)).items():
+        # one covers() test per (group, individual) gives both the count and the matches
+        matched = [i for i, ind in enumerate(ext_rows) if all(map(covers, key, ind))]
+        if matched:
+            prob = min(1.0, size / len(matched))
+            for i in matched:
+                probs[i] = max(probs[i], prob)
     return {"delta_min": min(probs), "delta_max": max(probs)}
 
 

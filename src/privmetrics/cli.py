@@ -71,23 +71,13 @@ def main():
 @click.option("--category", default=None, help="Only metrics in this output category.")
 def list_cmd(fmt, category):
     """List catalog metrics with category and direction."""
-    try:
-        ids = registry.all_ids()
-        if category is not None:
-            if category not in registry.CATEGORIES:
-                raise ParamError(f"unknown category {category!r}")
-            ids = tuple(i for i in ids if registry.lookup(i).category == category)
-        rows = [
-            {
-                "id": i,
-                "category": registry.lookup(i).category,
-                "direction": registry.lookup(i).direction,
-                "implemented": registry.lookup(i).implemented,
-            }
-            for i in ids
-        ]
-    except MetricError as exc:
-        _fail(exc)
+    if category is not None and category not in registry.CATEGORIES:
+        _fail(ParamError(f"unknown category {category!r}"))
+    rows = [
+        {"id": d.id, "category": d.category, "direction": d.direction, "implemented": d.implemented}
+        for d in map(registry.lookup, registry.all_ids())
+        if category is None or d.category == category
+    ]
     if fmt == "json":
         click.echo(json.dumps(rows, sort_keys=True))
     elif fmt == "csv":

@@ -441,10 +441,6 @@ def in_declared_range(value, rng: dict) -> bool:
     return True
 
 
-def compute_ids() -> tuple[str, ...]:
-    return tuple(sorted(_SPECS))
-
-
 def inputs_help(metric_id: str) -> str:
     """The input files and ``--param`` parameters a metric takes, read from its spec."""
     spec = _SPECS[metric_id]

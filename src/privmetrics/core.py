@@ -259,6 +259,17 @@ def _entropy_bits(probs: Sequence[float]) -> float:
     return 0.0 - _info_bits((p, p) for p in probs if p > 0)
 
 
+def _exponent(values: Iterable[float]) -> int:
+    """The binary exponent e of the largest magnitude, which lies in [2**(e-1), 2**e).
+
+    ``numpy.ldexp(v, -e)`` scales a series into [-1, 1] by a power of two,
+    which is exact unless an entry falls below the normal range. So the
+    squares and products of its deviations neither overflow nor underflow
+    where the series do not, and a ratio of them keeps its value to the bit.
+    """
+    return math.frexp(max(map(abs, values), default=0.0))[1]
+
+
 def _aligned(
     p: DiscreteDistribution, q: DiscreteDistribution, what: str
 ) -> list[tuple[float, float]]:
@@ -287,18 +298,6 @@ class DiscreteDistribution:
             raise SchemaError("outcome labels must be distinct")
         object.__setattr__(self, "probs", _normalized(self.probs, "probability mass"))
 
-    @classmethod
-    def from_probs(cls, probs: Sequence[float], labels: Sequence[str] | None = None):
-        if labels is None:
-            labels = [str(i) for i in range(len(probs))]
-        return cls(tuple(str(s) for s in labels), tuple(float(p) for p in probs))
-
-    @classmethod
-    def uniform(cls, n: int):
-        if n < 1:
-            raise ParamError("uniform distribution needs n >= 1")
-        return cls.from_probs([1.0 / n] * n)
-
     def prob_of(self, label: str) -> float:
         try:
             return self.probs[self.labels.index(label)]
@@ -307,9 +306,6 @@ class DiscreteDistribution:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def to_json_dict(self) -> dict:
-        return {"labels": list(self.labels), "probs": list(self.probs)}
 
 
 def _distribution(obj, what: str) -> DiscreteDistribution:
@@ -360,20 +356,6 @@ class JointDistribution:
         )
         return DiscreteDistribution(self.y_labels, cols)
 
-    def transpose(self) -> "JointDistribution":
-        m = tuple(
-            tuple(self.matrix[i][j] for i in range(len(self.x_labels)))
-            for j in range(len(self.y_labels))
-        )
-        return JointDistribution(self.y_labels, self.x_labels, m)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x_labels": list(self.x_labels),
-            "y_labels": list(self.y_labels),
-            "matrix": [list(r) for r in self.matrix],
-        }
-
 
 def parse_joint(text: str) -> JointDistribution:
     x_labels, y_labels, matrix = _JOINT(_load_json(text, "joint distribution"), "joint file")
@@ -399,24 +381,6 @@ class FiniteMechanism:
             if row.labels != self.outputs:
                 raise ShapeError("all rows must share the output alphabet")
 
-    @classmethod
-    def from_matrix(
-        cls,
-        matrix: Sequence[Sequence[float]],
-        inputs: Sequence[str] | None = None,
-        outputs: Sequence[str] | None = None,
-    ):
-        if inputs is None:
-            inputs = [str(i) for i in range(len(matrix))]
-        if outputs is None:
-            width = len(matrix[0]) if matrix else 0
-            outputs = [str(j) for j in range(width)]
-        out = tuple(str(s) for s in outputs)
-        rows = tuple(
-            DiscreteDistribution(out, tuple(float(v) for v in row)) for row in matrix
-        )
-        return cls(tuple(str(s) for s in inputs), out, rows)
-
     @cached_property
     def _row_index(self) -> dict[str, DiscreteDistribution]:
         return dict(zip(self.inputs, self.rows))
@@ -429,13 +393,6 @@ class FiniteMechanism:
 
     def matrix(self) -> tuple[tuple[float, ...], ...]:
         return tuple(r.probs for r in self.rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "inputs": list(self.inputs),
-            "outputs": list(self.outputs),
-            "matrix": [list(r.probs) for r in self.rows],
-        }
 
 
 def parse_mechanism(text: str) -> FiniteMechanism:
@@ -535,20 +492,6 @@ class DataTable:
 
     def __len__(self) -> int:
         return len(self.cells[0])
-
-    def to_csv(self) -> str:
-        """RFC-4180 CSV; a float is written as its repr, so parsing is lossless."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([c.name for c in self.columns])
-        writer.writerows(self.rows())  # csv.writer writes str(v), the repr of a float
-        return buf.getvalue()
-
-    def to_schema_dict(self) -> dict:
-        return {
-            "roles": {c.name: c.role for c in self.columns},
-            "kinds": {c.name: c.kind for c in self.columns},
-        }
 
 
 def parse_table(csv_text: str, schema: dict) -> DataTable:
@@ -735,9 +678,6 @@ class Trace:
     def values(self) -> tuple[float, ...]:
         return tuple(v for _, v in self.samples)
 
-    def to_json_dict(self) -> dict:
-        return {"samples": [{"t": t, "v": v} for t, v in self.samples]}
-
 
 def parse_trace(text: str) -> Trace:
     (samples,) = _TRACE(_load_json(text, "trace"), "trace file")
@@ -770,11 +710,6 @@ class Region:
             x0, y0, x1, y1 = self.rect
             return (x1 - x0) * (y1 - y0)
         return float(len(self.cells))
-
-    def to_json_dict(self) -> dict:
-        if self.rect is not None:
-            return {"rect": list(self.rect)}
-        return {"cells": [list(c) for c in sorted(self.cells)]}
 
 
 def parse_region(text: str) -> Region:

@@ -38,10 +38,6 @@ class NeighborRelation:
 
     pairs: tuple[tuple[str, str], ...]
 
-    @classmethod
-    def of(cls, pairs: Sequence[Sequence[str]]):
-        return cls(tuple((str(a), str(b)) for a, b in pairs))
-
     def ordered_pairs(self) -> list[tuple[str, str]]:
         """Both directions of every pair (the symmetric closure)."""
         out = []
@@ -155,6 +151,10 @@ def geo_indistinguishability(g: GeoMechanism) -> dict:
             _, xa, ya = g.locations[i]
             _, xb, yb = g.locations[j]
             d = math.hypot(xa - xb, ya - yb)
+            if d == math.inf and list(map(bool, rows[i].probs)) == list(map(bool, rows[j].probs)):
+                # a shared-support ratio that overflows is still finite in
+                # exact terms, and any finite ratio over this distance is 0
+                continue
             if r == math.inf or d == 0:
                 return {"eps_eff": math.inf}
             eps = max(eps, r / d)

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    DiscreteDistribution, FiniteMechanism, JointDistribution, _aligned, _entropy_bits, _fields,
-    _info_bits, _integer, _labels, _list, _load_json, _normalized,
+    DiscreteDistribution, FiniteMechanism, JointDistribution, _aligned, _entropy_bits, _exponent,
+    _fields, _info_bits, _integer, _labels, _list, _load_json, _normalized,
 )
 from .errors import (
     ConvergenceError,
@@ -337,8 +337,8 @@ def pearson_abs(x: Sequence[float], y: Sequence[float]) -> dict:
         raise ParamError("need at least two points")
     import numpy as np
 
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
+    xa = np.ldexp(np.asarray(x, dtype=float), -_exponent(x))
+    ya = np.ldexp(np.asarray(y, dtype=float), -_exponent(y))
     dx = xa - xa.mean()
     dy = ya - ya.mean()
     sx = float((dx * dx).sum())

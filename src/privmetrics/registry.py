@@ -14,7 +14,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Sequence
 
-from .core import _boolean, _fields, _list, _load_json, _object, _string, _string_map
+from .core import _boolean, _fields, _list, _string
 from .errors import ParamError, SchemaError, UnknownMetricError
 
 CATEGORIES = (
@@ -1207,33 +1207,10 @@ def lookup(metric_id: str) -> MetricDescriptor:
         raise UnknownMetricError(f"no metric {metric_id!r} in the catalog")
 
 
-def implemented_ids() -> tuple[str, ...]:
-    return tuple(d.id for d in DESCRIPTORS if d.implemented)
-
-
 def export_registry() -> str:
     """Deterministic JSON dump of every descriptor, sorted by id."""
     payload = [lookup(i).to_json_dict() for i in all_ids()]
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-# The JSON field type of each dataclass annotation an export or answers file holds.
-_FIELD_TYPES = {
-    "str": _string,
-    "bool": _boolean,
-    "dict": _object,
-    "str | dict": lambda value, what: (_string_map if type(value) is dict else _string)(value, what),
-    "str | None": lambda value, what: None if value is None else _string(value, what),
-    "frozenset[str]": lambda value, what: frozenset(_list(_string)(value, what)),
-    "tuple[str, ...]": lambda value, what: tuple(_list(_string)(value, what)),
-}
-_DESCRIPTORS = _list(_fields(**{f.name: _FIELD_TYPES[f.type] for f in fields(MetricDescriptor)}))
-
-
-def import_registry(text: str) -> tuple[MetricDescriptor, ...]:
-    """Rebuild descriptors from an export (round-trip helper)."""
-    items = _DESCRIPTORS(_load_json(text, "registry export"), "registry export")
-    return tuple(MetricDescriptor(*values) for values in items)
 
 
 # ---------------------------------------------------------------------------
@@ -1300,6 +1277,12 @@ class AdvisorAnswers:
         return cls(*_ANSWERS(obj, "answers"))
 
 
+# The JSON field type of each annotation in AdvisorAnswers.
+_FIELD_TYPES = {
+    "str": _string,
+    "bool": _boolean,
+    "frozenset[str]": lambda value, what: frozenset(_list(_string)(value, what)),
+}
 # An answers file may give any of the fields, typed by their annotation.
 _ANSWERS = _fields(
     **{f.name: (_FIELD_TYPES[f.type], f.default) for f in fields(AdvisorAnswers)}

@@ -14,8 +14,8 @@ from operator import sub, truediv
 from typing import Sequence
 
 from .core import (
-    DataTable, EquivalenceClass, Value, _entropy_bits, _fields, _finite, _label, _labels, _list,
-    _load_json, equivalence_classes,
+    DataTable, EquivalenceClass, Value, _entropy_bits, _exponent, _fields, _finite, _label,
+    _labels, _list, _load_json, equivalence_classes,
 )
 from .errors import (
     DegenerateError,
@@ -44,7 +44,13 @@ def alpha_k_anonymity(table: DataTable, sensitive_value: Value) -> dict:
     """
     col = table.sensitive_column()
     if table.columns[col].kind == "numeric":
-        sensitive_value = float(sensitive_value)
+        try:
+            number = float(sensitive_value)
+        except ValueError:
+            number = math.nan
+        if math.isnan(number):  # NaN equals no cell, so it would read as alpha 0
+            raise ParamError(f"value {sensitive_value!r} is not a number")
+        sensitive_value = number
     column = table.column_values(col)
     classes = equivalence_classes(table)
     alpha = max(
@@ -359,14 +365,6 @@ class LocationHistory:
                 raise SchemaError("history entries need at least one cell")
             prev = t
 
-    @classmethod
-    def of(cls, user: str, entries: Sequence[tuple[float, object]]):
-        norm = []
-        for t, cell in entries:
-            cells = cell if isinstance(cell, (set, frozenset, list, tuple)) else [cell]
-            norm.append((float(t), frozenset(str(c) for c in cells)))
-        return cls(str(user), tuple(norm))
-
 
 def historical_k(
     histories: Sequence[LocationHistory],
@@ -491,8 +489,9 @@ def normalized_variance(x: Sequence[float], y: Sequence[float]) -> float:
         raise ParamError("need at least two points")
     import numpy as np
 
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
+    e = max(_exponent(x), _exponent(y))  # one scale for both, so that x - y keeps its meaning
+    xa = np.ldexp(np.asarray(x, dtype=float), -e)
+    ya = np.ldexp(np.asarray(y, dtype=float), -e)
     vx = float(np.var(xa))
     if vx == 0:
         raise DegenerateError("original series has zero variance")

@@ -43,21 +43,6 @@ class TestSuccessRate:
         assert 0.0 <= adv.region_privacy(r_u, r_s)["coverage"] <= 1.0 + 1e-12
 
 
-class TestRecordLinkage:
-    def test_all_similar(self):
-        assert adv.record_linkage_check([1.0, 1.0], 0.8, 1.0) is True
-
-    def test_rate_below_omega(self):
-        assert adv.record_linkage_check([0.9, 0.1], 0.8, 0.6) is False
-
-    def test_omega_zero(self):
-        assert adv.record_linkage_check([0.0], 0.9, 0.0) is True
-
-    def test_threshold_domain(self):
-        with pytest.raises(ParamError):
-            adv.record_linkage_check([0.5], 1.5, 0.5)
-
-
 class TestPathCompromise:
     def test_examples(self):
         assert adv.path_compromise_probability(0, 10, 3) == 0.0
@@ -80,29 +65,29 @@ class TestPathCompromise:
 
 class TestDegreesOfAnonymity:
     def test_provably_exposed(self):
-        d = D.from_probs([1.0, 0.0], ["t", "o"])
+        d = D(("t", "o"), (1.0, 0.0))
         assert adv.degrees_of_anonymity(d, "t", 0.9) == "provably-exposed"
 
     def test_uniform_is_beyond_suspicion(self):
         for n in (2, 5, 17):
-            d = D.uniform(n)
+            d = D(tuple(map(str, range(n))), (1 / n,) * n)
             for target in d.labels:
                 assert adv.degrees_of_anonymity(d, target, 0.9) == "beyond-suspicion"
 
     def test_probable_innocence_walk(self):
-        d = D.from_probs([0.4, 0.35, 0.25], ["t", "a", "b"])
+        d = D(("t", "a", "b"), (0.4, 0.35, 0.25))
         assert adv.degrees_of_anonymity(d, "t", 0.9, 0.5) == "probable-innocence"
 
     def test_absolute_privacy(self):
-        d = D.from_probs([0.0, 1.0], ["t", "o"])
+        d = D(("t", "o"), (0.0, 1.0))
         assert adv.degrees_of_anonymity(d, "t", 0.9) == "absolute-privacy"
 
     def test_exposed_by_threshold(self):
-        d = D.from_probs([0.95, 0.05], ["t", "o"])
+        d = D(("t", "o"), (0.95, 0.05))
         assert adv.degrees_of_anonymity(d, "t", 0.9) == "exposed"
 
     def test_possible_innocence(self):
-        d = D.from_probs([0.6, 0.3, 0.1], ["a", "t", "b"])
+        d = D(("a", "t", "b"), (0.6, 0.3, 0.1))
         assert adv.degrees_of_anonymity(d, "t", 0.9, 0.2) == "possible-innocence"
 
 
@@ -173,16 +158,16 @@ class TestHidingProperty:
 
 class TestEstimationError:
     def test_point_mass_on_truth(self):
-        e = adv.EstimateWithTruth(D.from_probs([1.0, 0.0], ["t", "o"]), "t")
+        e = adv.EstimateWithTruth(D(("t", "o"), (1.0, 0.0)), "t")
         assert adv.expected_estimation_error(e) == 0.0
 
     def test_zero_one_identity(self):
-        e = adv.EstimateWithTruth(D.from_probs([0.3, 0.7], ["t", "o"]), "t")
+        e = adv.EstimateWithTruth(D(("t", "o"), (0.3, 0.7)), "t")
         assert adv.expected_estimation_error(e) == pytest.approx(0.7, abs=1e-12)
 
     def test_euclidean_two_points(self):
         e = adv.EstimateWithTruth(
-            D.from_probs([0.5, 0.5], ["t", "o"]),
+            D(("t", "o"), (0.5, 0.5)),
             "t",
             "euclidean",
             {"t": (0.0, 0.0), "o": (1.0, 0.0)},
@@ -192,7 +177,7 @@ class TestEstimationError:
     @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6))
     def test_zero_one_equals_one_minus_posterior(self, weights):
         probs = [w / sum(weights) for w in weights]
-        d = D.from_probs(probs)
+        d = D(tuple(map(str, range(len(probs)))), tuple(probs))
         e = adv.EstimateWithTruth(d, d.labels[0])
         assert adv.expected_estimation_error(e) == pytest.approx(
             1 - probs[0], abs=1e-12
@@ -200,7 +185,7 @@ class TestEstimationError:
 
     def test_truth_must_be_candidate(self):
         with pytest.raises(SchemaError):
-            adv.EstimateWithTruth(D.from_probs([1.0], ["a"]), "b")
+            adv.EstimateWithTruth(D(("a",), (1.0,)), "b")
 
 
 class TestDistanceErrorExpectation:

@@ -184,6 +184,12 @@ class TestListDescribe:
             "max_tracking_time", "time_to_confusion", "time_until_success",
         }
 
+    @pytest.mark.parametrize("category", reg.CATEGORIES)
+    def test_list_category_is_the_full_list_filtered(self, runner, category):
+        full = json.loads(runner.invoke(main, ["list", "--format", "json"]).output)
+        r = runner.invoke(main, ["list", "--format", "json", "--category", category])
+        assert json.loads(r.output) == [row for row in full if row["category"] == category]
+
     def test_list_unknown_category(self, runner):
         r = runner.invoke(main, ["list", "--category", "vibes"])
         assert r.exit_code == 2
@@ -247,9 +253,7 @@ class TestExport:
     def test_roundtrip(self, runner):
         r = runner.invoke(main, ["export"])
         assert r.exit_code == 0
-        assert reg.import_registry(r.output) == tuple(
-            sorted(reg.DESCRIPTORS, key=lambda d: d.id)
-        )
+        assert r.output == reg.export_registry() + "\n"
 
     def test_unimplemented_trio_flagged(self, runner):
         r = runner.invoke(main, ["export"])
@@ -282,7 +286,7 @@ def test_fixture_smoke(metric_id, runner, tmp_path, metric_value_schema):
 
 
 def test_fixture_per_implemented_metric():
-    assert set(all_fixture_ids()) == set(reg.implemented_ids())
+    assert set(all_fixture_ids()) == {d.id for d in reg.DESCRIPTORS if d.implemented}
 
 
 def _error_code(r):
@@ -652,6 +656,20 @@ def test_field_past_csv_size_limit_is_2(quote, runner, tmp_path):
     error = json.loads(r.stdout.splitlines()[0])
     assert error["error"] == "E_SCHEMA"
     assert error["detail"] == f"line 3: field larger than field limit ({csv.field_size_limit()})"
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "NaN"])
+def test_alpha_k_non_number_on_numeric_column_is_2(value, runner, tmp_path):
+    """A numeric sensitive column takes a number; NaN would match no cell and read as alpha 0."""
+    (tmp_path / "t.csv").write_text("zip,salary\n1,10\n1,20\n")
+    schema = {"roles": {"zip": "quasi-identifier", "salary": "sensitive"},
+              "kinds": {"salary": "numeric"}}
+    (tmp_path / "t.roles.json").write_text(json.dumps(schema))
+    r = runner.invoke(main, ["compute", "alpha_k_anonymity", "--in", str(tmp_path / "t.csv"),
+                             "--schema", str(tmp_path / "t.roles.json"),
+                             "--param", f"value={value}"])
+    assert r.exit_code == 2, r.output
+    assert _error_code(r) == "E_PARAM"
 
 
 def _table_rows():

@@ -69,52 +69,52 @@ class TestParseDistribution:
 
     def test_renormalizes_within_tolerance(self):
         eps = 4e-10
-        d = DiscreteDistribution.from_probs([0.5 + eps, 0.5])
+        d = DiscreteDistribution(("a", "b"), (0.5 + eps, 0.5))
         assert math.fsum(d.probs) == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_beyond_tolerance(self):
         with pytest.raises(DistributionError):
-            DiscreteDistribution.from_probs([0.5 + 1e-8, 0.5])
+            DiscreteDistribution(("a", "b"), (0.5 + 1e-8, 0.5))
 
 
 class TestRoundTrips:
+    """Parsing the JSON of a value's fields gives back an equal value."""
+
     def test_distribution(self):
-        d = DiscreteDistribution.from_probs([0.5, 0.25, 0.25], ["a", "b", "c"])
-        assert parse_distribution(json.dumps(d.to_json_dict())) == d
+        d = DiscreteDistribution(("a", "b", "c"), (0.5, 0.25, 0.25))
+        assert parse_distribution(json.dumps({"labels": d.labels, "probs": d.probs})) == d
 
     def test_joint(self):
         j = JointDistribution(("x0", "x1"), ("y0",), ((0.25,), (0.75,)))
-        assert parse_joint(json.dumps(j.to_json_dict())) == j
+        text = json.dumps({"x_labels": j.x_labels, "y_labels": j.y_labels, "matrix": j.matrix})
+        assert parse_joint(text) == j
 
     def test_mechanism(self):
-        m = FiniteMechanism.from_matrix([[0.75, 0.25], [0.25, 0.75]], ["a", "b"])
-        assert parse_mechanism(json.dumps(m.to_json_dict())) == m
+        outputs = ("0", "1")
+        rows = tuple(DiscreteDistribution(outputs, r) for r in ((0.75, 0.25), (0.25, 0.75)))
+        m = FiniteMechanism(("a", "b"), outputs, rows)
+        text = json.dumps({"inputs": m.inputs, "outputs": m.outputs, "matrix": m.matrix()})
+        assert parse_mechanism(text) == m
 
     def test_mechanism_row_lookup(self):
-        m = FiniteMechanism.from_matrix([[0.75, 0.25], [0.25, 0.75]], ["a", "b"])
+        matrix = [[0.75, 0.25], [0.25, 0.75]]
+        text = json.dumps({"inputs": ["a", "b"], "outputs": [0, 1], "matrix": matrix})
+        m = parse_mechanism(text)
         assert m.row_for("b") is m.rows[1]
-        assert m == FiniteMechanism.from_matrix([[0.75, 0.25], [0.25, 0.75]], ["a", "b"])
+        assert m == parse_mechanism(text)
         with pytest.raises(SchemaError):
             m.row_for("c")
 
     def test_trace(self):
-        t = Trace(((0.0, 1.0), (1.5, 3.0)))
-        assert parse_trace(json.dumps(t.to_json_dict())) == t
-
-    def test_table(self):
-        t = parse_table(
-            "zip,salary\n130,10.5\n131,-3.25\n",
-            {"roles": {"zip": "quasi-identifier", "salary": "sensitive"},
-             "kinds": {"salary": "numeric"}},
-        )
-        assert parse_table(t.to_csv(), t.to_schema_dict()) == t
+        trace = Trace(((0.0, 1.0), (1.5, 3.0)))
+        text = json.dumps({"samples": [{"t": t, "v": v} for t, v in trace.samples]})
+        assert parse_trace(text) == trace
 
     def test_region(self):
-        for r in (
-            Region(rect=(0.0, 0.5, 2.0, 3.0)),
-            Region(cells=frozenset({(0, 0), (2, 1)})),
-        ):
-            assert parse_region(json.dumps(r.to_json_dict())) == r
+        rect = Region(rect=(0.0, 0.5, 2.0, 3.0))
+        assert parse_region(json.dumps({"rect": rect.rect})) == rect
+        cells = Region(cells=frozenset({(0, 0), (2, 1)}))
+        assert parse_region(json.dumps({"cells": sorted(cells.cells)})) == cells
 
     @given(
         st.lists(
@@ -125,8 +125,9 @@ class TestRoundTrips:
     )
     def test_distribution_roundtrip_random(self, weights):
         total = sum(weights)
-        d = DiscreteDistribution.from_probs([w / total for w in weights])
-        assert parse_distribution(json.dumps(d.to_json_dict())) == d
+        labels = tuple(map(str, range(len(weights))))
+        d = DiscreteDistribution(labels, tuple(w / total for w in weights))
+        assert parse_distribution(json.dumps({"labels": d.labels, "probs": d.probs})) == d
 
 
 CSV = "zip,disease\n13053,flu\n13053,cold\n13068,flu\n13068,flu\n"

@@ -12,11 +12,13 @@ another order must not change a bit, and the textbook identities hold with
 """
 
 import math
+import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from privmetrics import indist, infogain, tabular, uncertainty
+from privmetrics import adversary, indist, infogain, tabular, uncertainty
 from privmetrics.core import (
     Column,
     DataTable,
@@ -128,6 +130,42 @@ def ref_t_closeness_categorical(table):
     )
 
 
+def ref_delta_presence(external, published):
+    """Two passes of covers() tests: one counts each group's matches, one takes the maxima."""
+    ext_qi = external.quasi_identifier_columns()
+    ext_names = [external.columns[i].name for i in ext_qi]
+    pub_qi = [published.column_index(n) for n in ext_names]
+
+    def covers(general, value):
+        g = str(general)
+        if g == str(value) or g == "*":
+            return True
+        if g.endswith("*") and str(value).startswith(g[:-1]):
+            return True
+        sep = g.find("-", 1)
+        if sep != -1:
+            try:
+                return float(g[:sep]) <= float(value) <= float(g[sep + 1 :])
+            except ValueError:
+                return False
+        return False
+
+    groups = Counter(published.project(pub_qi))
+    ext_rows = list(external.project(ext_qi))
+    match_counts = {
+        key: sum(1 for ind in ext_rows if all(covers(g, v) for g, v in zip(key, ind)))
+        for key in groups
+    }
+    probs = []
+    for ind in ext_rows:
+        best = 0.0
+        for key, size in groups.items():
+            if all(covers(g, v) for g, v in zip(key, ind)) and match_counts[key] > 0:
+                best = max(best, min(1.0, size / match_counts[key]))
+        probs.append(best)
+    return {"delta_min": min(probs), "delta_max": max(probs)}
+
+
 # ---------------------------------------------------------------------------
 # Mechanisms: rows with zeros, equal rows and subnormal entries
 
@@ -157,7 +195,7 @@ def mechanisms(draw):
     pairs = draw(
         st.lists(st.tuples(st.sampled_from(inputs), st.sampled_from(inputs)), min_size=1, max_size=8)
     )
-    return m, indist.NeighborRelation.of(pairs)
+    return m, indist.NeighborRelation(tuple(pairs))
 
 
 @settings(max_examples=300, deadline=None)
@@ -195,7 +233,7 @@ def test_geo_indistinguishability_equals_scalar_loop(data):
 def _pair(pa, pb):
     outputs = tuple(f"o{j}" for j in range(len(pa)))
     rows = (DiscreteDistribution(outputs, pa), DiscreteDistribution(outputs, pb))
-    return FiniteMechanism(("a", "b"), outputs, rows), indist.NeighborRelation.of([("a", "b")])
+    return FiniteMechanism(("a", "b"), outputs, rows), indist.NeighborRelation((("a", "b"),))
 
 
 def test_dp_epsilon_rounding_of_reverse_ratio():
@@ -203,6 +241,14 @@ def test_dp_epsilon_rounding_of_reverse_ratio():
     # largest ratio the other way, so both ends of every scan count.
     m, nr = _pair((0.4857430256993203, 0.5142569743006797), (0.35536226952193556, 0.6446377304780645))
     assert indist.dp_epsilon(m, nr) == ref_dp_epsilon(m, nr) == {"eps_eff": 0.3125419836870894}
+
+
+def test_geo_overflowing_ratio_over_overflowing_distance():
+    # 0.5 / 1e-323 overflows to inf although both rows give both outputs,
+    # and the distance overflows too: the pair adds nothing, as in the loop.
+    m, _ = _pair((0.5, 0.5), (1e-323, 1.0))
+    g = indist.GeoMechanism((("a", 0.0, -1e308), ("b", 0.0, 1e308)), m)
+    assert indist.geo_indistinguishability(g) == ref_geo_indistinguishability(g) == {"eps_eff": 0.0}
 
 
 def test_adp_delta_sum_is_exactly_rounded():
@@ -281,6 +327,40 @@ def test_categorical_table_metrics_equal_scalar_loops(data, n_qi):
     table = data.draw(tables(n_qi, st.sampled_from(["x", "y", "z", "w"]), "categorical"))
     assert tabular.l_diversity(table) == ref_l_entropy(table)
     assert tabular.t_closeness(table) == ref_t_closeness_categorical(table)
+
+
+# ---------------------------------------------------------------------------
+# delta-presence: generalized cells "*", "prefix*" and "lo-hi", a signed low
+# end, and cells that cover nothing
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_delta_presence_equals_two_pass_loop(seed):
+    rng = random.Random(seed)
+    zips = ["13053", "13068", "13101", "14850", "1305"]
+    n_ext, n_pub = rng.randint(1, 30), rng.randint(1, 30)
+    ages = [rng.randint(15, 60) for _ in range(n_ext)]
+    kind = rng.choice(["numeric", "categorical"])
+    if kind == "numeric":
+        ages = [float(a) for a in ages]
+    else:
+        ages = [rng.choice([str(a), f"{a}.0"]) for a in ages]
+    external = DataTable(
+        (Column("zip", "categorical", "quasi-identifier"),
+         Column("age", kind, "quasi-identifier")),
+        cells=([rng.choice(zips) for _ in range(n_ext)], ages),
+    )
+    zip_cells = zips + ["*", "130*", "13*", "148*", "2*"]
+    age_cells = ["*", "2*", "25.0", "25", "-5-30", "x-y", "60-"] + [
+        f"{lo}-{lo + 9}" for lo in range(10, 60, 10)
+    ]
+    published = DataTable(  # the columns in the other order, so that they are matched by name
+        (Column("age", "categorical", "quasi-identifier"),
+         Column("zip", "categorical", "quasi-identifier")),
+        cells=([rng.choice(age_cells) for _ in range(n_pub)],
+               [rng.choice(zip_cells) for _ in range(n_pub)]),
+    )
+    assert adversary.delta_presence(external, published) == ref_delta_presence(external, published)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -5,17 +6,18 @@ import numpy as np
 import pytest
 
 from privmetrics import indist as ind
-from privmetrics.core import FiniteMechanism as M, JointDistribution as J
+from privmetrics.core import JointDistribution as J, parse_mechanism
 from privmetrics.errors import DomainError, EmptyError, ParamError, SchemaError
 
 
 def rr_mechanism(p_keep):
-    return M.from_matrix(
-        [[p_keep, 1 - p_keep], [1 - p_keep, p_keep]], ["yes", "no"]
+    matrix = [[p_keep, 1 - p_keep], [1 - p_keep, p_keep]]
+    return parse_mechanism(
+        json.dumps({"inputs": ["yes", "no"], "outputs": [0, 1], "matrix": matrix})
     )
 
 
-NR = ind.NeighborRelation.of([("yes", "no")])
+NR = ind.NeighborRelation((("yes", "no"),))
 
 
 def random_mechanism(rng, n_in=None, n_out=None, zeros=False):
@@ -27,14 +29,14 @@ def random_mechanism(rng, n_in=None, n_out=None, zeros=False):
         mat[mask] = 0.0
         mat[mat.sum(axis=1) == 0, 0] = 1.0
     mat /= mat.sum(axis=1, keepdims=True)
-    return M.from_matrix(mat.tolist())
+    return parse_mechanism(
+        json.dumps({"inputs": list(range(n)), "outputs": list(range(k)), "matrix": mat.tolist()})
+    )
 
 
 def full_relation(m):
     ids = m.inputs
-    return ind.NeighborRelation.of(
-        [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
-    )
+    return ind.NeighborRelation(tuple((a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]))
 
 
 def merge_outputs(m, rng):
@@ -48,12 +50,17 @@ def merge_outputs(m, rng):
         for y, v in enumerate(row):
             new[assignment[y]] += v
         merged.append(new)
-    return M.from_matrix(merged, m.inputs)
+    return parse_mechanism(
+        json.dumps({"inputs": m.inputs, "outputs": list(range(k2)), "matrix": merged})
+    )
 
 
 class TestDpEpsilon:
     def test_identical_rows(self):
-        m = M.from_matrix([[0.5, 0.5], [0.5, 0.5]], ["yes", "no"])
+        matrix = [[0.5, 0.5], [0.5, 0.5]]
+        m = parse_mechanism(
+            json.dumps({"inputs": ["yes", "no"], "outputs": [0, 1], "matrix": matrix})
+        )
         assert ind.dp_epsilon(m, NR)["eps_eff"] == 0.0
 
     def test_randomized_response(self):
@@ -62,12 +69,15 @@ class TestDpEpsilon:
         )
 
     def test_deterministic_distinct(self):
-        m = M.from_matrix([[1, 0], [0, 1]], ["yes", "no"])
+        matrix = [[1, 0], [0, 1]]
+        m = parse_mechanism(
+            json.dumps({"inputs": ["yes", "no"], "outputs": [0, 1], "matrix": matrix})
+        )
         assert ind.dp_epsilon(m, NR)["eps_eff"] == math.inf
 
     def test_unknown_input(self):
         with pytest.raises(SchemaError):
-            ind.dp_epsilon(rr_mechanism(0.75), ind.NeighborRelation.of([("yes", "zzz")]))
+            ind.dp_epsilon(rr_mechanism(0.75), ind.NeighborRelation((("yes", "zzz"),)))
 
     def test_post_processing_never_increases(self):
         rng = np.random.default_rng(51)
@@ -83,24 +93,33 @@ class TestDpEpsilon:
         for _ in range(50):
             m1 = random_mechanism(rng, n_in=2)
             m2 = random_mechanism(rng, n_in=2)
-            nr = ind.NeighborRelation.of([(m1.inputs[0], m1.inputs[1])])
+            nr = ind.NeighborRelation((m1.inputs[:2],))
             eps1 = ind.dp_epsilon(m1, nr)["eps_eff"]
             eps2 = ind.dp_epsilon(m2, nr)["eps_eff"]
             prod_rows = []
             for r1, r2 in zip(m1.matrix(), m2.matrix()):
                 prod_rows.append([a * b for a in r1 for b in r2])
-            prod = M.from_matrix(prod_rows, m1.inputs)
+            outputs = list(range(len(prod_rows[0])))
+            prod = parse_mechanism(
+                json.dumps({"inputs": m1.inputs, "outputs": outputs, "matrix": prod_rows})
+            )
             assert ind.dp_epsilon(prod, nr)["eps_eff"] <= eps1 + eps2 + 1e-9
 
 
 class TestAdpDelta:
     def test_identical_rows(self):
-        m = M.from_matrix([[0.5, 0.5], [0.5, 0.5]], ["yes", "no"])
+        matrix = [[0.5, 0.5], [0.5, 0.5]]
+        m = parse_mechanism(
+            json.dumps({"inputs": ["yes", "no"], "outputs": [0, 1], "matrix": matrix})
+        )
         for eps in (0.0, 0.5, 3.0):
             assert ind.adp_delta(m, NR, eps) == 0.0
 
     def test_disjoint_supports(self):
-        m = M.from_matrix([[1, 0], [0, 1]], ["yes", "no"])
+        matrix = [[1, 0], [0, 1]]
+        m = parse_mechanism(
+            json.dumps({"inputs": ["yes", "no"], "outputs": [0, 1], "matrix": matrix})
+        )
         assert ind.adp_delta(m, NR, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_dp_already_holds(self):
@@ -139,23 +158,34 @@ class TestAdpDelta:
         # exp(eps) overflows (or is inf), and inf * 0 is NaN: the limit is
         # the mass one row puts where the other row has none.
         for matrix, limit in (([[1, 0], [0, 1]], 1.0), ([[0.5, 0.3, 0.2], [0.9, 0.1, 0.0]], 0.2)):
-            m = M.from_matrix(matrix, ["yes", "no"])
+            outputs = list(range(len(matrix[0])))
+            m = parse_mechanism(
+                json.dumps({"inputs": ["yes", "no"], "outputs": outputs, "matrix": matrix})
+            )
             assert ind.adp_delta(m, NR, eps) == ind.adp_delta(m, NR, 700.0) == limit
 
     def test_rows_looked_up_by_input(self):
-        m = M.from_matrix([[0.25, 0.75], [0.5, 0.5], [0.75, 0.25]], ["a", "b", "c"])
-        nr = ind.NeighborRelation.of([("c", "a")])
+        matrix = [[0.25, 0.75], [0.5, 0.5], [0.75, 0.25]]
+        m = parse_mechanism(
+            json.dumps({"inputs": ["a", "b", "c"], "outputs": [0, 1], "matrix": matrix})
+        )
+        nr = ind.NeighborRelation((("c", "a"),))
         assert ind.dp_epsilon(m, nr)["eps_eff"] == pytest.approx(math.log(3), abs=1e-12)
         assert ind.adp_delta(m, nr, 0.1) == pytest.approx(0.75 - math.exp(0.1) * 0.25, abs=1e-12)
 
     def test_zero_cells_on_a_shared_support(self):
-        m = M.from_matrix([[0.5, 0.0, 0.5], [0.25, 0.0, 0.75]], ["yes", "no"])
+        matrix = [[0.5, 0.0, 0.5], [0.25, 0.0, 0.75]]
+        m = parse_mechanism(
+            json.dumps({"inputs": ["yes", "no"], "outputs": [0, 1, 2], "matrix": matrix})
+        )
         assert ind.dp_epsilon(m, NR)["eps_eff"] == pytest.approx(math.log(2), abs=1e-12)
 
 
 class TestGeoIndistinguishability:
     def geo(self, locations, matrix):
-        mech = M.from_matrix(matrix, [loc[0] for loc in locations])
+        inputs = [loc[0] for loc in locations]
+        outputs = list(range(len(matrix[0])))
+        mech = parse_mechanism(json.dumps({"inputs": inputs, "outputs": outputs, "matrix": matrix}))
         return ind.GeoMechanism(tuple(locations), mech)
 
     def test_identical_rows(self):
@@ -297,7 +327,7 @@ class TestSingletonSufficiency:
         rng = np.random.default_rng(71)
         for _ in range(20):
             m = random_mechanism(rng, n_in=2, n_out=3)
-            nr = ind.NeighborRelation.of([(m.inputs[0], m.inputs[1])])
+            nr = ind.NeighborRelation((m.inputs[:2],))
             eps = ind.dp_epsilon(m, nr)["eps_eff"]
             if math.isinf(eps):
                 continue

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from privmetrics import infogain as ig
 from privmetrics import uncertainty as u
-from privmetrics.core import DiscreteDistribution as D, FiniteMechanism as M, JointDistribution as J
+from privmetrics.core import DiscreteDistribution as D, JointDistribution as J, parse_mechanism
 from privmetrics.errors import (
     DegenerateError,
     DomainError,
@@ -17,7 +18,7 @@ from privmetrics.errors import (
 
 def positive_dist(rng, n):
     w = rng.random(n) + 1e-6
-    return D.from_probs(w / w.sum())
+    return D(tuple(map(str, range(n))), tuple((w / w.sum()).tolist()))
 
 
 def random_joint(rng, n, m):
@@ -51,27 +52,27 @@ class TestLeakedCount:
 
 class TestKLDivergence:
     def test_identical(self):
-        d = D.from_probs([0.5, 0.3, 0.2])
+        d = D(("0", "1", "2"), (0.5, 0.3, 0.2))
         assert ig.kl_divergence(d, d) == pytest.approx(0.0, abs=1e-12)
 
     def test_point_vs_uniform(self):
-        p = D.from_probs([1.0, 0.0], ["a", "b"])
-        q = D.from_probs([0.5, 0.5], ["a", "b"])
+        p = D(("a", "b"), (1.0, 0.0))
+        q = D(("a", "b"), (0.5, 0.5))
         assert ig.kl_divergence(p, q) == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_value(self):
-        p = D.from_probs([0.75, 0.25], ["a", "b"])
-        q = D.from_probs([0.5, 0.5], ["a", "b"])
+        p = D(("a", "b"), (0.75, 0.25))
+        q = D(("a", "b"), (0.5, 0.5))
         assert ig.kl_divergence(p, q) == pytest.approx(0.188721875540867, abs=1e-9)
 
     def test_unsupported_outcome(self):
-        p = D.from_probs([0.5, 0.5], ["a", "b"])
-        q = D.from_probs([1.0, 0.0], ["a", "b"])
+        p = D(("a", "b"), (0.5, 0.5))
+        q = D(("a", "b"), (1.0, 0.0))
         assert ig.kl_divergence(p, q) == math.inf
 
     def test_label_mismatch(self):
         with pytest.raises(ShapeError):
-            ig.kl_divergence(D.from_probs([1.0], ["a"]), D.from_probs([1.0], ["b"]))
+            ig.kl_divergence(D(("a",), (1.0,)), D(("b",), (1.0,)))
 
     def test_nonnegative_random_pairs(self):
         rng = np.random.default_rng(11)
@@ -116,9 +117,8 @@ class TestMutualInformation:
         for _ in range(100):
             j = random_joint(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
             mi = ig.mutual_information(j)["mi"]
-            assert mi == pytest.approx(
-                ig.mutual_information(j.transpose())["mi"], abs=1e-9
-            )
+            transposed = J(j.y_labels, j.x_labels, tuple(zip(*j.matrix)))
+            assert mi == pytest.approx(ig.mutual_information(transposed)["mi"], abs=1e-9)
             hx = u.shannon_entropy(j.marginal_x())
             hy = u.shannon_entropy(j.marginal_y())
             hxy = h_bits([v for row in j.matrix for v in row])
@@ -159,16 +159,21 @@ class TestConditionalMutualInformation:
 class TestChannelCapacity:
     def test_identity_channels(self):
         for n in (2, 4, 8):
-            m = M.from_matrix(np.eye(n).tolist())
+            labels = list(range(n))
+            m = parse_mechanism(
+                json.dumps({"inputs": labels, "outputs": labels, "matrix": np.eye(n).tolist()})
+            )
             assert ig.channel_capacity(m) == pytest.approx(math.log2(n), abs=1e-9)
 
     def test_constant_output(self):
-        m = M.from_matrix([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        matrix = [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
+        m = parse_mechanism(json.dumps({"inputs": [0, 1, 2], "outputs": [0, 1], "matrix": matrix}))
         assert ig.channel_capacity(m) == pytest.approx(0.0, abs=1e-12)
 
     def test_binary_symmetric_closed_form(self):
         for q in (0.05, 0.11, 0.25, 0.5):
-            m = M.from_matrix([[1 - q, q], [q, 1 - q]])
+            matrix = [[1 - q, q], [q, 1 - q]]
+            m = parse_mechanism(json.dumps({"inputs": [0, 1], "outputs": [0, 1], "matrix": matrix}))
             expect = 1 - h_bits([q, 1 - q])
             assert ig.channel_capacity(m) == pytest.approx(expect, abs=1e-6)
 
@@ -178,7 +183,8 @@ class TestChannelCapacity:
             n, k = int(rng.integers(2, 5)), int(rng.integers(2, 5))
             mat = rng.random((n, k)) + 1e-6
             mat /= mat.sum(axis=1, keepdims=True)
-            m = M.from_matrix(mat.tolist())
+            labels = {"inputs": list(range(n)), "outputs": list(range(k))}
+            m = parse_mechanism(json.dumps({**labels, "matrix": mat.tolist()}))
             cap = ig.channel_capacity(m)
             for _ in range(5):
                 px = rng.random(n) + 1e-9
@@ -223,7 +229,8 @@ class TestChannelCapacity:
                     continue
                 px = np.array(list(combo) + [step - sum(combo)], dtype=float) / step
                 best = max(best, avg_mi(px))
-            channels = [M.from_matrix(m.tolist()) for m in mats]
+            labels = {"inputs": list(range(n)), "outputs": list(range(k))}
+            channels = [parse_mechanism(json.dumps({**labels, "matrix": m.tolist()})) for m in mats]
             value = ig.conditional_channel_capacity(channels, p_z.tolist())
             assert value >= best - 1e-7
             assert value <= best + 1e-3  # grid resolution bounds the gap
@@ -235,8 +242,10 @@ class TestChannelCapacity:
             mat = rng.random((n, k)) + 1e-6
             mat /= mat.sum(axis=1, keepdims=True)
             padded = np.insert(mat, int(rng.integers(0, k + 1)), 0.0, axis=1)
-            assert ig.channel_capacity(M.from_matrix(padded.tolist())) == pytest.approx(
-                ig.channel_capacity(M.from_matrix(mat.tolist())), abs=1e-12
+            m = {"inputs": list(range(n)), "outputs": list(range(k)), "matrix": mat.tolist()}
+            padded = {**m, "outputs": list(range(k + 1)), "matrix": padded.tolist()}
+            assert ig.channel_capacity(parse_mechanism(json.dumps(padded))) == pytest.approx(
+                ig.channel_capacity(parse_mechanism(json.dumps(m))), abs=1e-12
             )
 
     def test_zero_weight_channel_leaves_capacity(self):
@@ -244,14 +253,17 @@ class TestChannelCapacity:
         channels = []
         for _ in range(3):
             mat = rng.random((3, 4)) + 1e-6
-            channels.append(M.from_matrix((mat / mat.sum(axis=1, keepdims=True)).tolist()))
+            matrix = (mat / mat.sum(axis=1, keepdims=True)).tolist()
+            labels = {"inputs": [0, 1, 2], "outputs": [0, 1, 2, 3]}
+            channels.append(parse_mechanism(json.dumps({**labels, "matrix": matrix})))
         value = ig.conditional_channel_capacity(channels[:2], [0.4, 0.6])
         assert ig.conditional_channel_capacity(channels, [0.4, 0.6, 0.0]) == pytest.approx(
             value, abs=1e-12
         )
 
     def test_conditional_weight_validation(self):
-        m = M.from_matrix([[1.0, 0.0], [0.0, 1.0]])
+        matrix = [[1.0, 0.0], [0.0, 1.0]]
+        m = parse_mechanism(json.dumps({"inputs": [0, 1], "outputs": [0, 1], "matrix": matrix}))
         with pytest.raises(ShapeError):
             ig.conditional_channel_capacity([m], [0.5, 0.5])
 
@@ -420,3 +432,15 @@ class TestPointwiseMeasures:
         )
         with pytest.raises(DegenerateError):
             ig.pearson_abs([1, 1, 1], [1, 2, 3])
+
+    @pytest.mark.parametrize("x", [[1e200, -1e200], [1e-200, -1e-200]])
+    def test_pearson_at_extreme_magnitudes(self, x):
+        # unscaled, the squared deviations overflow to inf or underflow to 0
+        r = ig.pearson_abs(x, [1, 2])
+        assert r["abs"] == pytest.approx(1.0, abs=1e-12)
+        assert r["raw"] == pytest.approx(-1.0, abs=1e-12)
+
+    def test_pearson_is_unchanged_by_a_power_of_two(self):
+        x, y = [1.0, 2.0, 4.0, 3.5], [0.5, 3.0, 2.0, 2.25]
+        for k in (-600, -3, 5, 600):
+            assert ig.pearson_abs([v * 2.0**k for v in x], y) == ig.pearson_abs(x, y)

@@ -327,15 +327,15 @@ class TestXYPrivacy:
 
 class TestHistoricalK:
     H = [
-        tb.LocationHistory.of("u1", [(0, "c1"), (1, "c2")]),
-        tb.LocationHistory.of("u2", [(0, "c1"), (1, "c2")]),
-        tb.LocationHistory.of("u3", [(0, "c9"), (1, "c9")]),
+        tb.LocationHistory("u1", ((0.0, frozenset({"c1"})), (1.0, frozenset({"c2"})))),
+        tb.LocationHistory("u2", ((0.0, frozenset({"c1"})), (1.0, frozenset({"c2"})))),
+        tb.LocationHistory("u3", ((0.0, frozenset({"c9"})), (1.0, frozenset({"c9"})))),
     ]
 
     def test_own_history_only(self):
         hs = [
-            tb.LocationHistory.of("u1", [(0, "c1"), (1, "c2")]),
-            tb.LocationHistory.of("u2", [(0, "c3"), (1, "c4")]),
+            tb.LocationHistory("u1", ((0.0, frozenset({"c1"})), (1.0, frozenset({"c2"})))),
+            tb.LocationHistory("u2", ((0.0, frozenset({"c3"})), (1.0, frozenset({"c4"})))),
         ]
         assert tb.historical_k(hs, [(0, "c1"), (1, "c2")]) == 1
 
@@ -346,7 +346,7 @@ class TestHistoricalK:
         assert tb.historical_k(self.H, [(5, "c1")]) == 0
 
     def test_cell_sets(self):
-        hs = [tb.LocationHistory.of("u1", [(0, ["c1", "c2"])])]
+        hs = [tb.LocationHistory("u1", ((0.0, frozenset({"c1", "c2"})),))]
         assert tb.historical_k(hs, [(0, "c2")]) == 1
 
     def test_needs_requests(self):
@@ -474,6 +474,11 @@ class TestNormalizedVariance:
     def test_zero_variance(self):
         with pytest.raises(DegenerateError):
             tb.normalized_variance([5, 5], [1, 2])
+
+    def test_extreme_magnitudes(self):
+        # unscaled, the squared deviations, and here x - y, overflow to inf
+        assert tb.normalized_variance([1e200, -1e200], [0, 1]) == pytest.approx(1.0)
+        assert tb.normalized_variance([1e308, -1e308], [-1e308, 1e308]) == pytest.approx(4.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):

@@ -15,7 +15,7 @@ from privmetrics.errors import (
 
 dists = st.lists(
     st.floats(min_value=1e-6, max_value=1.0, allow_nan=False), min_size=1, max_size=16
-).map(lambda ws: D.from_probs([w / sum(ws) for w in ws]))
+).map(lambda ws: D(tuple(map(str, range(len(ws)))), tuple(w / sum(ws) for w in ws)))
 
 
 def random_joint(rng, n, m):
@@ -41,17 +41,18 @@ class TestAnonymitySetSize:
 
 class TestShannonEntropy:
     def test_uniform_four(self):
-        assert u.shannon_entropy(D.uniform(4)) == pytest.approx(2.0, abs=1e-12)
+        d = D(("0", "1", "2", "3"), (0.25,) * 4)
+        assert u.shannon_entropy(d) == pytest.approx(2.0, abs=1e-12)
 
     def test_point_mass(self):
-        assert u.shannon_entropy(D.from_probs([1.0])) == 0.0
+        assert u.shannon_entropy(D(("0",), (1.0,))) == 0.0
 
     def test_outlier_equivalence(self):
         # a half-weight candidate plus 100 tiny ones matches a uniform 20-set
-        lop = D.from_probs([0.5] + [0.005] * 100)
+        lop = D(tuple(map(str, range(101))), (0.5,) + (0.005,) * 100)
         assert u.shannon_entropy(lop) == pytest.approx(math.log2(20), abs=1e-9)
         assert u.shannon_entropy(lop) == pytest.approx(
-            u.shannon_entropy(D.uniform(20)), abs=1e-9
+            u.shannon_entropy(D(tuple(map(str, range(20))), (1 / 20,) * 20)), abs=1e-9
         )
 
     @given(dists)
@@ -73,23 +74,25 @@ class TestShannonEntropy:
 
 class TestRenyiEntropy:
     def test_hartley_uniform_eight(self):
-        assert u.renyi_entropy(D.uniform(8), 0) == pytest.approx(3.0, abs=1e-12)
+        d = D(tuple(map(str, range(8))), (1 / 8,) * 8)
+        assert u.renyi_entropy(d, 0) == pytest.approx(3.0, abs=1e-12)
 
     def test_min_entropy(self):
-        d = D.from_probs([0.5, 0.25, 0.25])
+        d = D(("0", "1", "2"), (0.5, 0.25, 0.25))
         assert u.renyi_entropy(d, math.inf) == pytest.approx(1.0, abs=1e-12)
         assert u.min_entropy(d) == pytest.approx(1.0, abs=1e-12)
 
     def test_alpha_two(self):
-        d = D.from_probs([0.5, 0.25, 0.25])
+        d = D(("0", "1", "2"), (0.5, 0.25, 0.25))
         assert u.renyi_entropy(d, 2) == pytest.approx(1.415037499278844, abs=1e-9)
 
     def test_negative_alpha(self):
         with pytest.raises(ParamError):
-            u.renyi_entropy(D.uniform(2), -0.5)
+            u.renyi_entropy(D(("0", "1"), (0.5, 0.5)), -0.5)
 
     def test_huge_alpha_is_min_entropy(self):
-        for d in (D.uniform(8), D.from_probs([0.5, 0.25, 0.25])):
+        uniform = D(tuple(map(str, range(8))), (1 / 8,) * 8)
+        for d in (uniform, D(("0", "1", "2"), (0.5, 0.25, 0.25))):
             assert u.renyi_entropy(d, 1e308) == pytest.approx(u.min_entropy(d), abs=1e-12)
 
     @given(dists)
@@ -108,57 +111,59 @@ class TestRenyiEntropy:
 
 class TestNormalizedEntropy:
     def test_uniform_is_one(self):
-        assert u.normalized_entropy(D.uniform(7)) == pytest.approx(1.0, abs=1e-12)
+        d = D(tuple(map(str, range(7))), (1 / 7,) * 7)
+        assert u.normalized_entropy(d) == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass_is_zero(self):
-        assert u.normalized_entropy(D.from_probs([1, 0, 0, 0])) == 0.0
+        assert u.normalized_entropy(D(("0", "1", "2", "3"), (1.0, 0.0, 0.0, 0.0))) == 0.0
 
     def test_hand_value(self):
-        d = D.from_probs([0.5, 0.25, 0.25])
+        d = D(("0", "1", "2"), (0.5, 0.25, 0.25))
         assert u.normalized_entropy(d) == pytest.approx(0.946394630357186, abs=1e-6)
 
     def test_single_outcome_rejected(self):
         with pytest.raises(ParamError):
-            u.normalized_entropy(D.from_probs([1.0]))
+            u.normalized_entropy(D(("0",), (1.0,)))
 
 
 class TestAsymmetricEntropy:
     def test_peaks_sum_to_n(self):
-        d = D.from_probs([0.2, 0.3, 0.5])
+        d = D(("0", "1", "2"), (0.2, 0.3, 0.5))
         assert u.asymmetric_entropy(d, [0.2, 0.3, 0.5]) == pytest.approx(3.0, abs=1e-12)
 
     def test_point_mass_is_zero(self):
-        d = D.from_probs([1.0, 0.0, 0.0])
+        d = D(("0", "1", "2"), (1.0, 0.0, 0.0))
         assert u.asymmetric_entropy(d, [0.5, 0.5, 0.5]) == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_special_case(self):
-        d = D.from_probs([0.8, 0.2])
+        d = D(("0", "1"), (0.8, 0.2))
         assert u.asymmetric_entropy(d, [0.5, 0.5]) == pytest.approx(1.28, abs=1e-12)
 
     def test_peak_outside_unit_interval(self):
         with pytest.raises(ParamError):
-            u.asymmetric_entropy(D.uniform(2), [0.5, 1.0])
+            u.asymmetric_entropy(D(("0", "1"), (0.5, 0.5)), [0.5, 1.0])
 
     def test_length_mismatch(self):
         with pytest.raises(ParamError):
-            u.asymmetric_entropy(D.uniform(2), [0.5])
+            u.asymmetric_entropy(D(("0", "1"), (0.5, 0.5)), [0.5])
 
 
 class TestQuantileEntropy:
     def test_all_retained(self):
-        assert u.quantile_entropy(D.uniform(4), 0.2) == pytest.approx(2.0, abs=1e-12)
+        d = D(("0", "1", "2", "3"), (0.25,) * 4)
+        assert u.quantile_entropy(d, 0.2) == pytest.approx(2.0, abs=1e-12)
 
     def test_none_retained(self):
         with pytest.raises(EmptyError):
-            u.quantile_entropy(D.uniform(4), 0.3)
+            u.quantile_entropy(D(("0", "1", "2", "3"), (0.25,) * 4), 0.3)
 
     def test_renormalized_subset(self):
-        d = D.from_probs([0.5, 0.3, 0.2])
+        d = D(("0", "1", "2"), (0.5, 0.3, 0.2))
         assert u.quantile_entropy(d, 0.3) == pytest.approx(0.954434002924965, abs=1e-9)
 
     def test_c_domain(self):
         with pytest.raises(ParamError):
-            u.quantile_entropy(D.uniform(2), 0.0)
+            u.quantile_entropy(D(("0", "1"), (0.5, 0.5)), 0.0)
 
 
 class TestConditionalEntropy:
@@ -209,26 +214,26 @@ class TestInherentPrivacy:
 
 class TestCrossEntropy:
     def test_equal_distributions(self):
-        d = D.from_probs([0.5, 0.25, 0.25])
+        d = D(("0", "1", "2"), (0.5, 0.25, 0.25))
         assert u.cross_entropy(d, d) == pytest.approx(u.shannon_entropy(d), abs=1e-12)
 
     def test_uniform_model(self):
-        p = D.from_probs([1.0, 0.0], ["a", "b"])
-        q = D.from_probs([0.5, 0.5], ["a", "b"])
+        p = D(("a", "b"), (1.0, 0.0))
+        q = D(("a", "b"), (0.5, 0.5))
         assert u.cross_entropy(p, q) == pytest.approx(1.0, abs=1e-12)
 
     def test_unsupported_outcome(self):
-        p = D.from_probs([1.0, 0.0], ["a", "b"])
-        q = D.from_probs([0.0, 1.0], ["a", "b"])
+        p = D(("a", "b"), (1.0, 0.0))
+        q = D(("a", "b"), (0.0, 1.0))
         assert u.cross_entropy(p, q) == math.inf
 
     def test_label_mismatch(self):
         with pytest.raises(ShapeError):
-            u.cross_entropy(D.from_probs([1.0], ["a"]), D.from_probs([1.0], ["b"]))
+            u.cross_entropy(D(("a",), (1.0,)), D(("b",), (1.0,)))
 
     def test_label_alignment(self):
-        p = D.from_probs([0.75, 0.25], ["a", "b"])
-        q = D.from_probs([0.25, 0.75], ["b", "a"])  # same distribution, reordered
+        p = D(("a", "b"), (0.75, 0.25))
+        q = D(("b", "a"), (0.25, 0.75))  # same distribution, reordered
         assert u.cross_entropy(p, q) == pytest.approx(u.shannon_entropy(p), abs=1e-12)
 
 
@@ -269,7 +274,7 @@ class TestUnlinkability:
 
 class TestBayesSeries:
     def test_uninformative_keeps_prior(self):
-        prior = D.from_probs([0.25, 0.75], ["s0", "s1"])
+        prior = D(("s0", "s1"), (0.25, 0.75))
         m = u.BayesTrackingModel(
             ("s0", "s1"), prior, ((1.0, 0.0), (0.0, 1.0)), ((1.0, 1.0),) * 3
         )
@@ -277,7 +282,7 @@ class TestBayesSeries:
         assert u.bayes_entropy_series(m) == pytest.approx([h0] * 3, abs=1e-12)
 
     def test_indicator_likelihoods_zero_entropy(self):
-        prior = D.uniform(3)
+        prior = D(("0", "1", "2"), (1 / 3,) * 3)
         m = u.BayesTrackingModel(
             prior.labels,
             prior,
@@ -287,14 +292,14 @@ class TestBayesSeries:
         assert u.bayes_entropy_series(m) == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_single_update_by_hand(self):
-        prior = D.from_probs([0.5, 0.5], ["s0", "s1"])
+        prior = D(("s0", "s1"), (0.5, 0.5))
         m = u.BayesTrackingModel(
             ("s0", "s1"), prior, ((1.0, 0.0), (0.0, 1.0)), ((0.9, 0.1),)
         )
         assert u.bayes_entropy_series(m)[0] == pytest.approx(0.468995593589281, abs=1e-9)
 
     def test_vanishing_posterior(self):
-        prior = D.from_probs([1.0, 0.0], ["s0", "s1"])
+        prior = D(("s0", "s1"), (1.0, 0.0))
         m = u.BayesTrackingModel(
             ("s0", "s1"), prior, ((1.0, 0.0), (0.0, 1.0)), ((0.0, 1.0),)
         )
@@ -323,14 +328,13 @@ class TestAggregates:
             u.genomic_privacy([0.5], [math.nan])
 
     def test_protection_level(self):
-        ref = D.uniform(2)
-        regions = [D.uniform(2)] * 3
+        ref = D(("0", "1"), (0.5, 0.5))
+        regions = [D(("0", "1"), (0.5, 0.5))] * 3
         assert u.protection_level(regions, ref, 3) == pytest.approx(1.0, abs=1e-12)
-        assert u.protection_level([D.uniform(4)], D.uniform(2), 1) == pytest.approx(
-            2.0, abs=1e-12
-        )
+        four = D(("0", "1", "2", "3"), (0.25,) * 4)
+        assert u.protection_level([four], ref, 1) == pytest.approx(2.0, abs=1e-12)
         assert u.protection_level(
-            [D.from_probs([1.0])], D.uniform(8), 1
+            [D(("0",), (1.0,))], D(tuple(map(str, range(8))), (1 / 8,) * 8), 1
         ) == pytest.approx(0.125, abs=1e-12)
         with pytest.raises(ParamError):
             u.protection_level(regions, ref, 0)
