@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 from typing import Sequence
 
 from .core import (
@@ -211,34 +213,25 @@ def expected_estimation_error(e: EstimateWithTruth) -> float:
     """
     if e.distance == "zero_one":
         return 1.0 - e.posterior.prob_of(e.truth)
-    import numpy as np
-
-    t = np.asarray(e.coords[e.truth], dtype=float)
-    total = 0.0
-    for label, p in zip(e.posterior.labels, e.posterior.probs):
-        total += p * float(np.linalg.norm(np.asarray(e.coords[label]) - t))
-    return total
+    t, d = e.coords[e.truth], e.posterior
+    return math.fsum(p * math.dist(e.coords[c], t) for c, p in zip(d.labels, d.probs))
 
 
 def distance_error_expectation(
-    hypotheses: Sequence[Sequence[tuple[float, float]]],
-    n_users: int,
-    k_steps: int,
+    hypotheses: Sequence[Sequence[tuple[float, float]]], n_users: int
 ) -> float:
     """Average hypothesis-weighted distance error per user and timestep.
 
     ``hypotheses`` holds, per timestep, (probability, total distance) pairs
     whose probabilities must each form a distribution.
     """
-    if n_users < 1 or k_steps < 1:
-        raise ParamError("need n_users >= 1 and k_steps >= 1")
-    if len(hypotheses) != k_steps:
-        raise ParamError(f"expected {k_steps} timesteps, got {len(hypotheses)}")
+    if n_users < 1 or not hypotheses:
+        raise ParamError("need n_users >= 1 and at least one timestep")
     total = 0.0
     for k, step in enumerate(hypotheses):
         probs = _normalized([p for p, _ in step], f"step {k} probability mass")
         total += math.fsum(p * d for p, (_, d) in zip(probs, step))
-    return total / (n_users * k_steps)
+    return total / (n_users * len(hypotheses))
 
 
 def mean_squared_error(
@@ -247,16 +240,15 @@ def mean_squared_error(
     """Mean squared Euclidean distance between truths and observations."""
     if len(truths) != len(observations) or not truths:
         raise ShapeError("need equally many truths and observations (>= 1)")
-    import numpy as np
 
-    total = 0.0
-    for t, o in zip(truths, observations):
-        ta = np.atleast_1d(np.asarray(t, dtype=float))
-        oa = np.atleast_1d(np.asarray(o, dtype=float))
-        if ta.shape != oa.shape:
-            raise ShapeError("truth/observation dimension mismatch")
-        total += float(((ta - oa) ** 2).sum())
-    return total / len(truths)
+    def vector(point):
+        return (point,) if isinstance(point, (int, float)) else point
+
+    pairs = [(vector(t), vector(o)) for t, o in zip(truths, observations)]
+    if any(len(t) != len(o) for t, o in pairs):
+        raise ShapeError("truth/observation dimension mismatch")
+    gaps = [a - b for t, o in pairs for a, b in zip(t, o)]
+    return math.fsum(map(mul, gaps, gaps)) / len(truths)
 
 
 def pct_incorrect(incorrect: int, total: int) -> float:
@@ -405,12 +397,10 @@ def tp_violation_check(
 
 
 def _ecdf_area(samples: Sequence[float], grid: Sequence[float]) -> float:
-    """Trapezoid integral of the empirical CDF over the grid."""
-    import numpy as np
-
-    s = np.sort(np.asarray(samples, dtype=float))
-    f = np.searchsorted(s, grid, side="right") / len(s)
-    return float(np.trapezoid(f, grid))
+    """Trapezoid integral of the empirical CDF over the sorted grid, which holds every sample."""
+    n = len(samples)
+    f = [c / n for c in accumulate(map(Counter(samples).get, grid, repeat(0)))]
+    return math.fsum(map(mul, map(sub, grid[1:], grid), map(add, f, f[1:]))) / 2.0
 
 
 def event_unobservability(
@@ -431,9 +421,7 @@ def event_unobservability(
         raise EmptyError("both sample sets must be non-empty")
     if alpha < 0 or eps < 0:
         raise ParamError("alpha and eps must be >= 0")
-    import numpy as np
-
-    grid = np.unique(np.concatenate([np.asarray(f1_samples, float), np.asarray(f2_samples, float)]))
+    grid = sorted({*f1_samples, *f2_samples})
     d_area = abs(_ecdf_area(f1_samples, grid) - _ecdf_area(f2_samples, grid))
     params_ok = (1 - eps) * p1 <= p2 <= (1 + eps) * p1
     return {"holds": d_area <= alpha and params_ok, "d_area": d_area}

@@ -271,9 +271,7 @@ _SPECS: dict[str, _Spec] = {
     "leaked_information": _spec("infogain.leaked_count", _record(items=_labels)),
     "relative_entropy": _spec("infogain.kl_divergence", "distribution", "distribution"),
     "mutual_information": _spec(lambda j: infogain.mutual_information(j)["mi"], "joint"),
-    "normalized_mutual_information": _spec(
-        lambda j: infogain.mutual_information(j)["nmi"], "joint"
-    ),
+    "normalized_mutual_information": _spec("infogain.normalized_mutual_information", "joint"),
     "conditional_privacy_loss": _spec(lambda j: infogain.mutual_information(j)["cpl"], "joint"),
     "conditional_mutual_information": _spec(
         "infogain.conditional_mutual_information", _record(tensor=_list(_matrix))
@@ -359,7 +357,7 @@ _SPECS: dict[str, _Spec] = {
     # --- error -------------------------------------------------------------
     "expected_estimation_error": _spec("adversary.expected_estimation_error", "estimate"),
     "expectation_of_distance_error": _spec(
-        lambda steps, n_users: adversary.distance_error_expectation(steps, n_users, len(steps)),
+        "adversary.distance_error_expectation",
         _record(steps=_list(_pairs), n_users=_integer),
     ),
     "mean_squared_error": _spec(

@@ -248,7 +248,7 @@ def _normalized(masses: Sequence[float], what: str) -> tuple[float, ...]:
 def _info_bits(terms: Iterable[tuple[float, float]]) -> float:
     """The one information sum, sum w log2 r in bits over (weight, ratio) pairs, exactly rounded.
 
-    Callers pass only pairs with w > 0; a ratio of 0 reads as log2 0 = -inf.
+    Callers pass only pairs with w != 0; a ratio of 0 reads as log2 0 = -inf.
     A sum to negate is taken from 0.0, so that a zero sum stays +0.0.
     """
     return math.fsum(w * math.log2(r) if r else -math.inf for w, r in terms)
@@ -262,12 +262,18 @@ def _entropy_bits(probs: Sequence[float]) -> float:
 def _exponent(values: Iterable[float]) -> int:
     """The binary exponent e of the largest magnitude, which lies in [2**(e-1), 2**e).
 
-    ``numpy.ldexp(v, -e)`` scales a series into [-1, 1] by a power of two,
+    ``math.ldexp(v, -e)`` scales a series into [-1, 1] by a power of two,
     which is exact unless an entry falls below the normal range. So the
     squares and products of its deviations neither overflow nor underflow
     where the series do not, and a ratio of them keeps its value to the bit.
     """
     return math.frexp(max(map(abs, values), default=0.0))[1]
+
+
+def _deviations(values: Sequence[float], e: int) -> list[float]:
+    """Each value scaled by ``2**-e``, less the mean of the scaled values (one ``math.fsum``)."""
+    scaled = list(map(math.ldexp, values, repeat(-e)))
+    return list(map(sub, scaled, repeat(math.fsum(scaled) / len(scaled))))
 
 
 def _aligned(

@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .core import (
-    DiscreteDistribution, FiniteMechanism, JointDistribution, _aligned, _entropy_bits, _exponent,
-    _fields, _info_bits, _integer, _labels, _list, _load_json, _normalized,
+    DiscreteDistribution, FiniteMechanism, JointDistribution, _aligned, _deviations, _entropy_bits,
+    _exponent, _fields, _info_bits, _integer, _labels, _list, _load_json, _normalized,
 )
 from .errors import (
     ConvergenceError,
@@ -42,9 +43,9 @@ def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 def mutual_information(j: JointDistribution) -> dict:
     """Shared information between the joint's two variables.
 
-    Returns ``{"mi": bits, "nmi": 1 - mi/H(X), "cpl": 1 - 2**-mi}``: the raw
-    mutual information, the entropy-normalized independence degree, and the
-    conditional privacy loss fraction.
+    Returns ``{"mi": bits, "cpl": 1 - 2**-mi}``: the raw mutual information
+    and the conditional privacy loss fraction. Both are defined, and 0, when
+    X is deterministic.
     """
     px = j.marginal_x().probs
     py = j.marginal_y().probs
@@ -53,31 +54,36 @@ def mutual_information(j: JointDistribution) -> dict:
         (v, v / py[y] / px[x]) for x, row in enumerate(j.matrix) for y, v in enumerate(row) if v > 0
     )
     mi = max(mi, 0.0)
-    hx = _entropy_bits(px)
+    return {"mi": mi, "cpl": 1.0 - 2.0**-mi}
+
+
+def normalized_mutual_information(j: JointDistribution) -> float:
+    """The entropy-normalized independence degree 1 - I(X;Y)/H(X); undefined when H(X) = 0."""
+    hx = _entropy_bits(j.marginal_x().probs)
     if hx <= 0:
         raise ParamError("H(X) = 0; normalized mutual information undefined")
-    return {"mi": mi, "nmi": 1.0 - mi / hx, "cpl": 1.0 - 2.0**-mi}
+    return 1.0 - mutual_information(j)["mi"] / hx
 
 
 def conditional_mutual_information(tensor: Sequence) -> float:
-    """I(X;Y|Z) from an explicit p(x, y, z) tensor (nested lists or array)."""
-    import numpy as np
+    """I(X;Y|Z) from an explicit p(x, y, z) tensor of nested sequences.
 
+    I(X;Y|Z) = H(X,Z) + H(Y,Z) - H(X,Y,Z) - H(Z), taken as one exactly
+    rounded sum of the signed p log2 p terms of the four entropies.
+    """
     try:
-        t = np.asarray(tensor, dtype=float)
-    except ValueError:  # ragged nesting
+        ny, nz = len(tensor[0]), len(tensor[0][0])
+    except (IndexError, TypeError):
+        raise ShapeError("need a non-empty 3-way tensor")
+    if any(len(plane) != ny or any(len(row) != nz for row in plane) for plane in tensor):
         raise ShapeError("tensor rows must have equal lengths")
-    if t.ndim != 3:
-        raise ShapeError(f"need a 3-way tensor, got {t.ndim} dimensions")
-    t = np.reshape(_normalized(t.ravel().tolist(), "tensor mass"), t.shape)
-
-    def h(axes_kept: tuple[int, ...]) -> float:
-        drop = tuple(a for a in range(3) if a not in axes_kept)
-        return _entropy_bits(t.sum(axis=drop).ravel())
-
-    # I(X;Y|Z) = H(X,Z) + H(Y,Z) - H(X,Y,Z) - H(Z)
-    value = h((0, 2)) + h((1, 2)) - h((0, 1, 2)) - h((2,))
-    return max(value, 0.0) if value > -1e-9 else value
+    cells = _normalized([v for plane in tensor for row in plane for v in row], "tensor mass")
+    rows = [cells[i : i + nz] for i in range(0, len(cells), nz)]  # row x * ny + y holds p(x, y, .)
+    p_xz = [math.fsum(col) for x in range(0, len(rows), ny) for col in zip(*rows[x : x + ny])]
+    p_yz = [math.fsum(col) for y in range(ny) for col in zip(*rows[y::ny])]
+    p_z = [math.fsum(col) for col in zip(*rows)]
+    signed = ((1.0, cells), (-1.0, p_xz), (-1.0, p_yz), (1.0, p_z))
+    return max(0.0, _info_bits((s * p, p) for s, ps in signed for p in ps if p > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +324,10 @@ def privacy_score(sensitivities: Sequence[float], visibilities: Sequence[float])
     for v in list(sensitivities) + list(visibilities):
         if v < 0:
             raise ParamError(f"scores must be >= 0, got {v!r}")
-    if not sensitivities:
-        return 0.0
-    import numpy as np
-
-    return float(np.dot(sensitivities, visibilities))
+    try:
+        return math.fsum(map(mul, sensitivities, visibilities))
+    except OverflowError:  # every term is >= 0, so the exact sum is past the largest float
+        return math.inf
 
 
 def pearson_abs(x: Sequence[float], y: Sequence[float]) -> dict:
@@ -335,15 +340,9 @@ def pearson_abs(x: Sequence[float], y: Sequence[float]) -> dict:
         raise ShapeError("series lengths differ")
     if len(x) < 2:
         raise ParamError("need at least two points")
-    import numpy as np
-
-    xa = np.ldexp(np.asarray(x, dtype=float), -_exponent(x))
-    ya = np.ldexp(np.asarray(y, dtype=float), -_exponent(y))
-    dx = xa - xa.mean()
-    dy = ya - ya.mean()
-    sx = float((dx * dx).sum())
-    sy = float((dy * dy).sum())
-    if sx == 0 or sy == 0:
+    if min(x) == max(x) or min(y) == max(y):
         raise DegenerateError("zero variance; correlation undefined")
-    r = float((dx * dy).sum() / math.sqrt(sx * sy))
+    dx, dy = _deviations(x, _exponent(x)), _deviations(y, _exponent(y))
+    sxx, syy = math.fsum(map(mul, dx, dx)), math.fsum(map(mul, dy, dy))
+    r = math.fsum(map(mul, dx, dy)) / math.sqrt(sxx * syy)
     return {"abs": abs(r), "raw": r}

@@ -10,12 +10,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from operator import sub, truediv
+from operator import mul, sub, truediv
 from typing import Sequence
 
 from .core import (
-    DataTable, EquivalenceClass, Value, _entropy_bits, _exponent, _fields, _finite, _label,
-    _labels, _list, _load_json, equivalence_classes,
+    DataTable, EquivalenceClass, Value, _deviations, _entropy_bits, _exponent, _fields, _finite,
+    _label, _labels, _list, _load_json, equivalence_classes,
 )
 from .errors import (
     DegenerateError,
@@ -165,18 +165,14 @@ def ct_isolation(
         raise ParamError(f"isolation factor c must be > 0, got {c!r}")
     if not 0 <= target_index < len(points):
         raise ParamError(f"target index {target_index} out of range")
-    import numpy as np
-
-    try:
-        pts = np.asarray(points, dtype=float)
-    except ValueError:  # ragged nesting
+    dims = set(map(len, points))
+    if len(dims) > 1:
         raise ShapeError("points must all have the same dimension")
-    g = np.asarray(guess, dtype=float)
-    if pts.ndim != 2 or g.shape != (pts.shape[1],):
+    if dims != {len(guess)}:
         raise ShapeError("guess dimension must match the point dimension")
-    delta = float(np.linalg.norm(g - pts[target_index]))
-    dists = np.linalg.norm(pts - g, axis=1)
-    return {"ball_count": int((dists <= c * delta + 1e-12).sum()), "delta": delta}
+    delta = math.dist(guess, points[target_index])
+    radius = c * delta + 1e-12
+    return {"ball_count": sum(math.dist(guess, p) <= radius for p in points), "delta": delta}
 
 
 def ke_anonymity(table: DataTable) -> dict:
@@ -464,16 +460,14 @@ def r_squared_transitions(protected: Sequence[float]) -> float:
     """
     if len(protected) < 3:
         raise ParamError("need at least three points")
-    import numpy as np
-
-    y = np.asarray(protected, dtype=float)
-    if np.all(y == y[0]):
+    if min(protected) == max(protected):
         raise DegenerateError("constant series; fit is degenerate")
-    x = np.arange(len(y), dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = intercept + slope * x
-    ss_e = float(((y - fitted) ** 2).sum())
-    ss_r = float(((fitted - y.mean()) ** 2).sum())
+    dt = _deviations(range(len(protected)), 0)
+    dy = _deviations(protected, _exponent(protected))  # R² does not change with scale
+    slope = math.fsum(map(mul, dt, dy)) / math.fsum(map(mul, dt, dt))
+    fitted = list(map(mul, dt, repeat(slope)))  # the fit less the mean
+    residuals = list(map(sub, dy, fitted))
+    ss_e, ss_r = math.fsum(map(mul, residuals, residuals)), math.fsum(map(mul, fitted, fitted))
     return 1.0 - ss_e / (ss_r + ss_e)
 
 
@@ -487,12 +481,10 @@ def normalized_variance(x: Sequence[float], y: Sequence[float]) -> float:
         raise ShapeError("series lengths differ")
     if len(x) < 2:
         raise ParamError("need at least two points")
-    import numpy as np
-
     e = max(_exponent(x), _exponent(y))  # one scale for both, so that x - y keeps its meaning
-    xa = np.ldexp(np.asarray(x, dtype=float), -e)
-    ya = np.ldexp(np.asarray(y, dtype=float), -e)
-    vx = float(np.var(xa))
-    if vx == 0:
+    dx, dy = _deviations(x, e), _deviations(y, e)
+    vx = math.fsum(map(mul, dx, dx))
+    if vx == 0 or min(x) == max(x):  # x's deviations also vanish when they underflow at y's scale
         raise DegenerateError("original series has zero variance")
-    return float(np.var(xa - ya) / vx)
+    gaps = list(map(sub, dx, dy))
+    return math.fsum(map(mul, gaps, gaps)) / vx

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .core import (
@@ -225,18 +226,15 @@ class BayesTrackingModel:
 
 def bayes_entropy_series(m: BayesTrackingModel) -> list[float]:
     """Posterior entropy after each predict-then-correct belief update."""
-    import numpy as np
-
-    belief = np.asarray(m.prior.probs, dtype=float)
-    transition = np.asarray(m.transition, dtype=float)
+    belief = m.prior.probs
+    columns = list(zip(*m.transition))
     out = []
     for step, like in enumerate(m.observation_likelihoods):
-        predicted = transition.T @ belief
-        posterior = predicted * np.asarray(like, dtype=float)
-        total = posterior.sum()
+        posterior = [math.fsum(map(mul, col, belief)) * v for col, v in zip(columns, like)]
+        total = math.fsum(posterior)
         if total <= 0:
             raise DomainError(f"posterior vanished at step {step}")
-        belief = posterior / total
+        belief = [p / total for p in posterior]
         out.append(_entropy_bits(belief))
     return out
 

@@ -190,17 +190,17 @@ class TestEstimationError:
 
 class TestDistanceErrorExpectation:
     def test_correct_hypothesis(self):
-        assert adv.distance_error_expectation([[(1.0, 0.0)]], 1, 1) == 0.0
+        assert adv.distance_error_expectation([[(1.0, 0.0)]], 1) == 0.0
 
     def test_single_step(self):
         assert adv.distance_error_expectation(
-            [[(0.5, 2.0), (0.5, 4.0)]], 1, 1
+            [[(0.5, 2.0), (0.5, 4.0)]], 1
         ) == pytest.approx(3.0, abs=1e-12)
 
     def test_user_scaling(self):
         steps = [[(0.5, 2.0), (0.5, 4.0)]]
-        assert adv.distance_error_expectation(steps, 2, 1) == pytest.approx(
-            adv.distance_error_expectation(steps, 1, 1) / 2, abs=1e-12
+        assert adv.distance_error_expectation(steps, 2) == pytest.approx(
+            adv.distance_error_expectation(steps, 1) / 2, abs=1e-12
         )
 
 

@@ -397,6 +397,44 @@ def test_underflowing_marginal_product_is_0(metric_id, runner, tmp_path):
     assert math.isfinite(json.loads(r.stdout)["value"])
 
 
+@pytest.mark.parametrize(
+    "metric_id, exit_code", [("mutual_information", 0), ("conditional_privacy_loss", 0),
+                             ("normalized_mutual_information", 2)]
+)
+def test_deterministic_x(metric_id, exit_code, runner, tmp_path):
+    """One x label: I(X;Y) = 0 and the privacy loss 1 - 2^-I = 0; only I/H(X) divides by H(X) = 0."""
+    joint = {"x_labels": ["a"], "y_labels": ["x", "y"], "matrix": [[0.5, 0.5]]}
+    (tmp_path / "j.json").write_text(json.dumps(joint))
+    r = runner.invoke(main, ["compute", metric_id, "--in", str(tmp_path / "j.json"), "--format", "json"])
+    assert r.exit_code == exit_code, r.output
+    if exit_code:
+        assert _error_code(r) == "E_PARAM"
+    else:
+        assert json.loads(r.stdout)["value"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "metric_id, content, exit_code",
+    [
+        # each term is finite and >= 0, and their exact sum is past the largest float
+        ("privacy_score", {"sensitivities": [1e308, 1e308], "visibilities": [1, 1]}, 0),
+        # a squared gap past the largest float
+        ("mean_squared_error", {"truths": [[1e200]], "observations": [[-1e200]]}, 0),
+        # the squares sum past the largest float, but their mean, 1e308, is below it
+        ("mean_squared_error", {"truths": [[1e154], [1e154]], "observations": [[0], [0]]}, 3),
+    ],
+)
+def test_sum_past_the_largest_float(metric_id, content, exit_code, runner, tmp_path):
+    """inf where the value is past the largest float; exit 3 where the overflow is only in the sum."""
+    (tmp_path / "in.json").write_text(json.dumps(content))
+    r = runner.invoke(main, ["compute", metric_id, "--in", str(tmp_path / "in.json"), "--format", "json"])
+    assert r.exit_code == exit_code, r.output
+    if exit_code:
+        assert _error_code(r) == "E_DOMAIN"
+    else:
+        assert json.loads(r.stdout)["value"] == "inf"
+
+
 DIST_FILE = {"labels": ["a", "b"], "probs": [0.5, 0.5]}
 
 
@@ -482,6 +520,26 @@ def _estimate(**fields):
         # a value numpy broadcast from the shorter vector
         ("expected_estimation_error", [_estimate(coords={"a": [0, 0], "b": [3, 4, 5]})], []),
         ("expected_estimation_error", [_estimate(coords={"a": [0, 0], "b": [3]})], []),
+        # empty or ragged vectors
+        ("conditional_mutual_information", [{"tensor": []}], []),
+        ("conditional_mutual_information", [{"tensor": [[]]}], []),
+        ("conditional_mutual_information", [{"tensor": [[[]]]}], []),
+        ("conditional_mutual_information", [{"tensor": [[[0.5], [0.25, 0.25]]]}], []),
+        ("conditional_mutual_information", [{"tensor": [[[0.5]], [[0.25], [0.25]]]}], []),
+        ("ct_isolation", [{"points": [[], [1]], "guess": []}], ["target_index=0", "c=1"]),
+        ("ct_isolation", [{"points": [[0, 0], [1, 1]], "guess": [0]}], ["target_index=0", "c=1"]),
+        ("ct_isolation", [{"points": [], "guess": []}], ["target_index=0", "c=1"]),
+        ("mean_squared_error", [{"truths": [[0, 0]], "observations": [[1]]}], []),
+        ("mean_squared_error", [{"truths": [], "observations": []}], []),
+        ("event_unobservability", [{"f1": [], "f2": [1]}], ["p1=1", "p2=1", "alpha=0.1", "eps=0.1"]),
+        ("pearson_correlation", [{"x": [1, 2], "y": [3]}], []),
+        ("pearson_correlation", [{"x": [1, 1], "y": [3, 4]}], []),
+        ("normalized_variance", [{"x": [2, 2], "y": [3, 4]}], []),
+        # a constant series whose mean rounds off its value: exited 0 with 0.0 and 3.5e33
+        ("pearson_correlation", [{"x": [0.1, 0.1, 0.1], "y": [1, 2, 3]}], []),
+        ("normalized_variance", [{"x": [0.1, 0.1, 0.1], "y": [1, 2, 3]}], []),
+        ("r_squared", [{"transitions": [7, 7, 7]}], []),
+        ("privacy_score", [{"sensitivities": [1], "visibilities": []}], []),
     ],
 )
 def test_mistyped_input_file_is_2(metric_id, files, params, runner, tmp_path):
@@ -574,6 +632,12 @@ def _cold(*args, cwd=None):
     return r.stdout, json.loads(r.stderr.splitlines()[-1])
 
 
+# The fixtures whose cold ``compute`` loads numpy or scipy; every other fixture loads neither.
+NUMPY_USERS = {"loss_of_anonymity": ["numpy"], "cluster_similarity": ["numpy", "scipy"]}
+# The functions that import numpy or scipy (Blahut-Arimoto and the Hungarian solver).
+NUMPY_FUNCTIONS = {"conditional_channel_capacity", "cluster_similarity"}
+
+
 class TestImportFootprint:
     def test_import_loads_neither(self):
         assert _cold() == ("", [])
@@ -591,22 +655,7 @@ class TestImportFootprint:
 
     @pytest.mark.parametrize(
         "metric_id, modules",
-        [
-            ("differential_privacy", []),
-            ("min_entropy", []),
-            ("system_anonymity_level", []),
-            ("k_anonymity", []),
-            ("t_closeness", []),
-            ("success_rate", []),
-            ("expected_estimation_error", []),
-            ("entropy", []),
-            ("renyi_entropy", []),
-            ("mutual_information", []),
-            ("degree_of_unlinkability", []),
-            ("l_diversity", []),
-            ("entropy_bayes", ["numpy"]),
-            ("cluster_similarity", ["numpy", "scipy"]),
-        ],
+        [(metric_id, NUMPY_USERS.get(metric_id, [])) for metric_id in all_fixture_ids()],
         ids=lambda v: v if isinstance(v, str) else "+".join(v) or "neither",
     )
     def test_compute_loads_what_the_metric_uses(self, metric_id, modules, tmp_path):
@@ -616,21 +665,28 @@ class TestImportFootprint:
         assert values_close(json.loads(out)["value"], fixture["expected"]["value"], fixture["tolerance"])
 
     def test_no_module_imports_numpy_or_scipy_at_import(self):
-        """numpy and scipy are imported inside the functions that use them, never at module level."""
+        """numpy and scipy are imported inside the functions of ``NUMPY_FUNCTIONS``, never at module
+        level and in no other function: a new import site is a deliberate change to that set."""
+        importers = set()
         for path in sorted((REPO / "src" / "privmetrics").glob("*.py")):
-            pending = [ast.parse(path.read_text())]
+            pending = [(ast.parse(path.read_text()), None)]
             while pending:
-                for node in ast.iter_child_nodes(pending.pop()):
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                        continue  # a function body runs when called, not at import
+                parent, function = pending.pop()
+                for node in ast.iter_child_nodes(parent):
                     if isinstance(node, ast.Import):
                         names = [alias.name for alias in node.names]
                     elif isinstance(node, ast.ImportFrom):
                         names = [node.module or ""]
                     else:
                         names = []
-                    assert not {n.split(".")[0] for n in names} & {"numpy", "scipy"}, (path.name, node.lineno)
-                    pending.append(node)
+                    if {n.split(".")[0] for n in names} & {"numpy", "scipy"}:
+                        assert function is not None, (path.name, node.lineno)  # runs at import
+                        importers.add(function)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        pending.append((node, node.name))
+                    else:
+                        pending.append((node, function))
+        assert importers == NUMPY_FUNCTIONS
 
     def test_only_core_raises_distribution_error(self):
         """The probability-mass rule lives in ``core._normalized``; no other module re-implements it."""

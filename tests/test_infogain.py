@@ -91,14 +91,14 @@ class TestMutualInformation:
         j = J(("a", "b"), ("c", "d"), tuple(tuple(x * y for y in py) for x in px))
         r = ig.mutual_information(j)
         assert r["mi"] == pytest.approx(0.0, abs=1e-12)
-        assert r["nmi"] == pytest.approx(1.0, abs=1e-9)
+        assert ig.normalized_mutual_information(j) == pytest.approx(1.0, abs=1e-9)
         assert r["cpl"] == pytest.approx(0.0, abs=1e-9)
 
     def test_identity_channel(self):
         j = J(("a", "b"), ("c", "d"), ((0.5, 0.0), (0.0, 0.5)))
         r = ig.mutual_information(j)
         assert r["mi"] == pytest.approx(1.0, abs=1e-12)
-        assert r["nmi"] == pytest.approx(0.0, abs=1e-12)
+        assert ig.normalized_mutual_information(j) == pytest.approx(0.0, abs=1e-12)
         assert r["cpl"] == pytest.approx(0.5, abs=1e-12)
 
     def test_binary_symmetric(self):
@@ -108,9 +108,11 @@ class TestMutualInformation:
         )
 
     def test_degenerate_x(self):
+        """A deterministic X shares no information: I(X;Y) = 0; only the H(X)-normalized form is undefined."""
         j = J(("a",), ("c", "d"), ((0.5, 0.5),))
+        assert ig.mutual_information(j) == {"mi": 0.0, "cpl": 0.0}
         with pytest.raises(ParamError):
-            ig.mutual_information(j)
+            ig.normalized_mutual_information(j)
 
     def test_symmetry_and_identity(self):
         rng = np.random.default_rng(5)
