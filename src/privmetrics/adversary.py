@@ -344,7 +344,7 @@ def confidence_interval_width(
     """Width of the narrowest contiguous interval holding c% of the mass.
 
     Accepts either weighted atoms (value, probability) or raw samples
-    (uniform weights); ties break toward the leftmost interval.
+    (uniform weights).
     """
     if not 0 < c <= 100:
         raise ParamError(f"confidence must lie in (0, 100], got {c!r}")
@@ -372,9 +372,7 @@ def confidence_interval_width(
             j += 1
         if mass + tol < need:
             break
-        width = values[j - 1] - values[i]
-        if width < best - tol:
-            best = width
+        best = min(best, values[j - 1] - values[i])
         mass -= masses[i]
     if math.isinf(best):
         raise DomainError("no contiguous interval reaches the requested mass")
@@ -427,27 +425,27 @@ def event_unobservability(
     return {"holds": d_area <= alpha and params_ok, "d_area": d_area}
 
 
-def region_privacy(r_u: Region, r_s: Region | None = None) -> dict:
-    """Area-based location accuracy measures.
+def region_size(r: Region) -> float:
+    """Area of the uncertainty region; a cell set counts one unit per cell."""
+    return r.area()
 
-    Always reports the uncertainty region's size; adds sensitive-region
-    coverage when ``r_s`` is given (both regions must be the same
-    representation).
+
+def region_coverage(r_u: Region, r_s: Region) -> float:
+    """Share of the uncertainty region ``r_u`` that the sensitive region ``r_s`` covers.
+
+    Both regions must be rectangles, or both cell sets.
     """
-    out: dict = {"size": r_u.area()}
-    if r_s is not None:
-        if r_s.is_rect != r_u.is_rect:
-            raise ParamError("regions must both be rectangles or both cell sets")
-        if r_u.is_rect:
-            x0 = max(r_u.rect[0], r_s.rect[0])
-            y0 = max(r_u.rect[1], r_s.rect[1])
-            x1 = min(r_u.rect[2], r_s.rect[2])
-            y1 = min(r_u.rect[3], r_s.rect[3])
-            inter = max(0.0, x1 - x0) * max(0.0, y1 - y0)
-        else:
-            inter = float(len(r_u.cells & r_s.cells))
-        out["coverage"] = inter / r_u.area()
-    return out
+    if r_s.is_rect != r_u.is_rect:
+        raise ParamError("regions must both be rectangles or both cell sets")
+    if r_u.is_rect:
+        x0 = max(r_u.rect[0], r_s.rect[0])
+        y0 = max(r_u.rect[1], r_s.rect[1])
+        x1 = min(r_u.rect[2], r_s.rect[2])
+        y1 = min(r_u.rect[3], r_s.rect[3])
+        inter = max(0.0, x1 - x0) * max(0.0, y1 - y0)
+    else:
+        inter = float(len(r_u.cells & r_s.cells))
+    return inter / r_u.area()
 
 
 def obfuscation_accuracy(r_opt: float, r_min: float) -> float:

@@ -171,10 +171,11 @@ class _Spec(NamedTuple):
     max_files: float
 
 
-def _spec(call: str | Callable, *inputs, **params) -> _Spec:
+def _spec(call: str, *inputs, **params) -> _Spec:
     """Declare a metric: its library call, its input kinds in file order, its parameters.
 
-    The call receives the loaded inputs, then the parameters, positionally.
+    ``call`` names the library function as ``"module.function"``; it receives
+    the loaded inputs, then the parameters, positionally.
     An input is a kind name, suffixed ``?`` when optional (omitted: None) or
     ``+`` when it takes all remaining files (as one list), or a ``_record``.
     """
@@ -188,44 +189,11 @@ def _spec(call: str | Callable, *inputs, **params) -> _Spec:
     arities = [arity for _, arity in kinds]
     return _Spec(
         tuple(kinds),
-        _late(call) if isinstance(call, str) else call,
+        _late(call),
         _typed(params),
         min_files=arities.count("") + arities.count("+"),
         max_files=math.inf if "+" in arities else len(arities),
     )
-
-
-def _bayes_series(states, prior, transition, likelihoods) -> dict:
-    states = tuple(states)
-    prior = core.DiscreteDistribution(states, tuple(prior))
-    model = uncertainty.BayesTrackingModel(states, prior, transition, likelihoods)
-    return {"series": uncertainty.bayes_entropy_series(model)}
-
-
-def _user_centric(h0, lam, t, t_last) -> float:
-    return uncertainty.user_centric_privacy(uncertainty.DecaySpec(h0, lam, t_last), t)
-
-
-def _loss_of_anonymity(channels, p_z) -> float:
-    if p_z is not None:
-        return infogain.conditional_channel_capacity(channels, p_z)
-    if len(channels) > 1:
-        raise ParamError("several mechanism files need --param p_z=[...]")
-    return infogain.channel_capacity(channels[0])
-
-
-def _feature_reduction(protected, protected_window, original, original_window) -> float:
-    series = infogain.FeatureSeries.of
-    return infogain.feature_mass_reduction(
-        series(protected, protected_window), series(original, original_window)
-    )
-
-
-def _ct_isolation(points, guess, target_index, c, t) -> dict:
-    result = tabular.ct_isolation(points, guess, target_index, c)
-    if t is not None:
-        result["isolated"] = result["ball_count"] < t
-    return result
 
 
 _SPECS: dict[str, _Spec] = {
@@ -239,21 +207,15 @@ _SPECS: dict[str, _Spec] = {
     "asymmetric_entropy": _spec("uncertainty.asymmetric_entropy", "distribution", w=_numbers),
     "quantile_entropy": _spec("uncertainty.quantile_entropy", "distribution", c=float),
     "conditional_entropy": _spec("uncertainty.conditional_entropy", "joint"),
-    "normalized_conditional_entropy": _spec(
-        lambda j: uncertainty.conditional_entropy(j, normalized=True), "joint"
-    ),
-    "inherent_privacy": _spec(
-        lambda d: uncertainty.inherent_privacy(uncertainty.shannon_entropy(d)), "distribution"
-    ),
-    "conditional_privacy": _spec(
-        lambda j: uncertainty.inherent_privacy(uncertainty.conditional_entropy(j)), "joint"
-    ),
+    "normalized_conditional_entropy": _spec("uncertainty.normalized_conditional_entropy", "joint"),
+    "inherent_privacy": _spec("uncertainty.inherent_privacy", "distribution"),
+    "conditional_privacy": _spec("uncertainty.conditional_privacy", "joint"),
     "cross_entropy": _spec("uncertainty.cross_entropy", "distribution", "distribution"),
     "degree_of_unlinkability": _spec(
         "uncertainty.unlinkability_degree", "partitions", "partitions?"
     ),
     "entropy_bayes": _spec(
-        _bayes_series,
+        "uncertainty.bayes_entropy_series",
         _record(states=_labels, prior=_floats, transition=_matrix, likelihoods=_matrix),
     ),
     "cumulative_entropy": _spec("uncertainty.cumulative_entropy", _record(values=_floats)),
@@ -266,24 +228,26 @@ _SPECS: dict[str, _Spec] = {
         "distribution",
         t_common=int,
     ),
-    "user_centric_privacy": _spec(_user_centric, h0=float, lam=float, t=float, t_last=(float, 0.0)),
+    "user_centric_privacy": _spec(
+        "uncertainty.user_centric_privacy", h0=float, lam=float, t=float, t_last=(float, 0.0)
+    ),
     # --- information gain --------------------------------------------------
     "leaked_information": _spec("infogain.leaked_count", _record(items=_labels)),
     "relative_entropy": _spec("infogain.kl_divergence", "distribution", "distribution"),
-    "mutual_information": _spec(lambda j: infogain.mutual_information(j)["mi"], "joint"),
+    "mutual_information": _spec("infogain.mutual_information", "joint"),
     "normalized_mutual_information": _spec("infogain.normalized_mutual_information", "joint"),
-    "conditional_privacy_loss": _spec(lambda j: infogain.mutual_information(j)["cpl"], "joint"),
+    "conditional_privacy_loss": _spec("infogain.conditional_privacy_loss", "joint"),
     "conditional_mutual_information": _spec(
         "infogain.conditional_mutual_information", _record(tensor=_list(_matrix))
     ),
-    "loss_of_anonymity": _spec(_loss_of_anonymity, "mechanism+", p_z=(_numbers, None)),
+    "loss_of_anonymity": _spec("infogain.loss_of_anonymity", "mechanism+", p_z=(_numbers, None)),
     "max_information_leakage": _spec("infogain.max_information_leakage", "joint"),
     "system_anonymity_level": _spec("infogain.system_anonymity_level", "adjacency"),
     "information_surprisal": _spec("infogain.surprisal", p=float),
     "belief_increase": _spec(
         "infogain.belief_increase_check", prior=float, posterior=float, delta=float
     ),
-    "feature_reduction": _spec(_feature_reduction, _FEATURE_SERIES, _FEATURE_SERIES),
+    "feature_reduction": _spec("infogain.feature_mass_reduction", _FEATURE_SERIES, _FEATURE_SERIES),
     "privacy_score": _spec(
         "infogain.privacy_score", _record(sensitivities=_floats, visibilities=_floats)
     ),
@@ -295,7 +259,7 @@ _SPECS: dict[str, _Spec] = {
     "m_invariance": _spec("tabular.m_invariance", "releases"),
     "t_closeness": _spec("tabular.t_closeness", "table"),
     "ct_isolation": _spec(
-        _ct_isolation,
+        "tabular.ct_isolation",
         _record(points=_matrix, guess=_floats),
         target_index=int,
         c=float,
@@ -386,10 +350,8 @@ _SPECS: dict[str, _Spec] = {
         alpha=float,
         eps=float,
     ),
-    "uncertainty_region_size": _spec(lambda r: adversary.region_privacy(r)["size"], "region"),
-    "coverage_of_sensitive_region": _spec(
-        lambda u, s: adversary.region_privacy(u, s)["coverage"], "region", "region"
-    ),
+    "uncertainty_region_size": _spec("adversary.region_size", "region"),
+    "coverage_of_sensitive_region": _spec("adversary.region_coverage", "region", "region"),
     "accuracy_of_obfuscated_region": _spec(
         "adversary.obfuscation_accuracy", r_opt=float, r_min=float
     ),

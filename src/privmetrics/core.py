@@ -370,40 +370,44 @@ def parse_joint(text: str) -> JointDistribution:
 
 @dataclass(frozen=True)
 class FiniteMechanism:
-    """Explicit conditional distribution P(output | input), one row per input."""
+    """Explicit conditional distribution P(output | input): ``matrix[i]`` holds
+    the output probabilities of ``inputs[i]``, in ``outputs`` order."""
 
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    rows: tuple[DiscreteDistribution, ...]
+    matrix: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
+        width = len(self.outputs)
+        if self.matrix and not 0 < width == len(set(self.outputs)):
+            raise SchemaError("mechanism rows need distinct output labels, at least one")
+        rows = []
+        for i, row in enumerate(self.matrix):
+            if len(row) != width:
+                raise SchemaError(f"{width} outputs vs {len(row)} probabilities in row {i}")
+            rows.append(_normalized(row, f"mechanism row {i}"))
         if not self.inputs:
             raise SchemaError("mechanism needs at least one input")
         if len(set(self.inputs)) != len(self.inputs):
             raise SchemaError("input labels must be distinct")
-        if len(self.rows) != len(self.inputs):
+        if len(rows) != len(self.inputs):
             raise ShapeError("one output distribution per input required")
-        for row in self.rows:
-            if row.labels != self.outputs:
-                raise ShapeError("all rows must share the output alphabet")
+        object.__setattr__(self, "matrix", tuple(rows))
 
     @cached_property
-    def _row_index(self) -> dict[str, DiscreteDistribution]:
-        return dict(zip(self.inputs, self.rows))
+    def _row_index(self) -> dict[str, tuple[float, ...]]:
+        return dict(zip(self.inputs, self.matrix))
 
-    def row_for(self, input_id: str) -> DiscreteDistribution:
+    def row_for(self, input_id: str) -> tuple[float, ...]:
         try:
             return self._row_index[input_id]
         except KeyError:
             raise SchemaError(f"unknown input id {input_id!r}")
 
-    def matrix(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(r.probs for r in self.rows)
-
 
 def parse_mechanism(text: str) -> FiniteMechanism:
     inputs, outputs, matrix = _MECHANISM(_load_json(text, "mechanism"), "mechanism file")
-    return FiniteMechanism(inputs, outputs, tuple(DiscreteDistribution(outputs, r) for r in matrix))
+    return FiniteMechanism(inputs, outputs, tuple(matrix))
 
 
 # ---------------------------------------------------------------------------

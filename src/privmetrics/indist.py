@@ -13,8 +13,8 @@ from operator import sub, truediv
 from typing import Sequence
 
 from .core import (
-    DiscreteDistribution, FiniteMechanism, JointDistribution, _fields, _finite, _integer, _label,
-    _labels, _list, _load_json, _matrix, _tuple,
+    FiniteMechanism, JointDistribution, _fields, _finite, _integer, _label, _labels, _list,
+    _load_json, _matrix, _tuple,
 )
 from .errors import (
     DomainError,
@@ -52,13 +52,6 @@ def parse_neighbor_relation(text: str) -> NeighborRelation:
     return NeighborRelation(tuple(pairs))
 
 
-def _check_inputs(m: FiniteMechanism, nr: NeighborRelation):
-    for a, b in nr.pairs:
-        for x in (a, b):
-            if x not in m._row_index:
-                raise SchemaError(f"neighbor relation names unknown input {x!r}")
-
-
 def _max_log_ratio(pa: Sequence[float], pb: Sequence[float]) -> float:
     """max |log(pa / pb)| over the outputs both rows give; inf if only one gives some."""
     support = list(map(bool, pa))
@@ -76,10 +69,9 @@ def dp_epsilon(m: FiniteMechanism, nr: NeighborRelation) -> dict:
     equivalent to the bound over all output sets, so the scan covers single
     outputs only. Disjoint support across a neighbor pair gives +inf.
     """
-    _check_inputs(m, nr)
     eps = 0.0
     for a, b in nr.ordered_pairs():
-        eps = max(eps, _max_log_ratio(m.row_for(a).probs, m.row_for(b).probs))
+        eps = max(eps, _max_log_ratio(m.row_for(a), m.row_for(b)))
     return {"eps_eff": eps}
 
 
@@ -92,14 +84,13 @@ def adp_delta(m: FiniteMechanism, nr: NeighborRelation, eps: float) -> float:
     """
     if eps < 0 or math.isnan(eps):
         raise ParamError(f"eps must be >= 0, got {eps!r}")
-    _check_inputs(m, nr)
     try:
         scale = math.exp(eps)
     except OverflowError:
         scale = math.inf
     delta = 0.0
     for a, b in nr.ordered_pairs():
-        pa, pb = m.row_for(a).probs, m.row_for(b).probs
+        pa, pb = m.row_for(a), m.row_for(b)
         if scale == math.inf:  # in the limit only outputs that b never gives count
             excess = math.fsum(compress(pa, map((0.0).__eq__, pb)))
         else:
@@ -129,8 +120,7 @@ class GeoMechanism:
 
 def parse_geo_mechanism(text: str) -> GeoMechanism:
     locations, outputs, matrix = _GEO(_load_json(text, "geo mechanism"), "geo file")
-    rows = tuple(DiscreteDistribution(outputs, row) for row in matrix)
-    mech = FiniteMechanism(tuple(loc[0] for loc in locations), outputs, rows)
+    mech = FiniteMechanism(tuple(loc[0] for loc in locations), outputs, tuple(matrix))
     return GeoMechanism(tuple(locations), mech)
 
 
@@ -142,16 +132,16 @@ def geo_indistinguishability(g: GeoMechanism) -> dict:
     if len(g.locations) < 2:
         raise ParamError("need at least two locations")
     eps = 0.0
-    rows = g.mechanism.rows  # in location order
+    rows = g.mechanism.matrix  # in location order
     for i in range(len(g.locations)):
         for j in range(i + 1, len(g.locations)):
-            r = _max_log_ratio(rows[i].probs, rows[j].probs)
+            r = _max_log_ratio(rows[i], rows[j])
             if r == 0:
                 continue
             _, xa, ya = g.locations[i]
             _, xb, yb = g.locations[j]
             d = math.hypot(xa - xb, ya - yb)
-            if d == math.inf and list(map(bool, rows[i].probs)) == list(map(bool, rows[j].probs)):
+            if d == math.inf and list(map(bool, rows[i])) == list(map(bool, rows[j])):
                 # a shared-support ratio that overflows is still finite in
                 # exact terms, and any finite ratio over this distance is 0
                 continue
@@ -236,10 +226,11 @@ def parse_game_transcript(text: str) -> GameTranscript:
     return GameTranscript(tuple(_TRANSCRIPT(_load_json(text, "game transcript"), "transcript")))
 
 
-def wilson_interval(successes: int, n: int, z: float = WILSON_Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (robust at small n)."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion (robust at small n)."""
     if n < 1:
         raise EmptyError("need at least one trial")
+    z = WILSON_Z95
     f = successes / n
     denom = 1.0 + z * z / n
     center = (f + z * z / (2 * n)) / denom

@@ -40,21 +40,20 @@ def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     return _info_bits((pv, pv / qv) for pv, qv in pairs)
 
 
-def mutual_information(j: JointDistribution) -> dict:
-    """Shared information between the joint's two variables.
-
-    Returns ``{"mi": bits, "cpl": 1 - 2**-mi}``: the raw mutual information
-    and the conditional privacy loss fraction. Both are defined, and 0, when
-    X is deterministic.
-    """
+def mutual_information(j: JointDistribution) -> float:
+    """I(X;Y) in bits, the information X and Y share; 0 when X is deterministic."""
     px = j.marginal_x().probs
     py = j.marginal_y().probs
     # dividing twice: the product px * py can underflow to 0
     mi = _info_bits(
         (v, v / py[y] / px[x]) for x, row in enumerate(j.matrix) for y, v in enumerate(row) if v > 0
     )
-    mi = max(mi, 0.0)
-    return {"mi": mi, "cpl": 1.0 - 2.0**-mi}
+    return max(mi, 0.0)
+
+
+def conditional_privacy_loss(j: JointDistribution) -> float:
+    """The fraction 1 - 2^-I(X;Y) of X's privacy that observing Y loses."""
+    return 1.0 - 2.0 ** -mutual_information(j)
 
 
 def normalized_mutual_information(j: JointDistribution) -> float:
@@ -62,7 +61,7 @@ def normalized_mutual_information(j: JointDistribution) -> float:
     hx = _entropy_bits(j.marginal_x().probs)
     if hx <= 0:
         raise ParamError("H(X) = 0; normalized mutual information undefined")
-    return 1.0 - mutual_information(j)["mi"] / hx
+    return 1.0 - mutual_information(j) / hx
 
 
 def conditional_mutual_information(tensor: Sequence) -> float:
@@ -100,6 +99,17 @@ def channel_capacity(channel: FiniteMechanism) -> float:
     return conditional_channel_capacity([channel], [1.0])
 
 
+def loss_of_anonymity(
+    channels: Sequence[FiniteMechanism], p_z: Sequence[float] | None = None
+) -> float:
+    """Capacity of one channel, or with ``p_z`` the conditional capacity of several."""
+    if p_z is not None:
+        return conditional_channel_capacity(channels, p_z)
+    if len(channels) > 1:
+        raise ParamError("several mechanism files need --param p_z=[...]")
+    return channel_capacity(channels[0])
+
+
 def conditional_channel_capacity(
     channels: Sequence[FiniteMechanism], p_z: Sequence[float]
 ) -> float:
@@ -126,7 +136,7 @@ def conditional_channel_capacity(
     terms = []
     for w, ch in zip(weights, channels):
         if w > 0:
-            mat = np.asarray(ch.matrix(), dtype=float)
+            mat = np.asarray(ch.matrix, dtype=float)
             neg_h = (mat * np.log2(mat, out=np.zeros_like(mat), where=mat > 0)).sum(axis=1)
             terms.append((w, mat, neg_h))
 
@@ -287,34 +297,31 @@ def belief_increase_check(prior: float, posterior: float, delta: float) -> dict:
     return {"breached": gap > delta, "gap": gap}
 
 
-@dataclass(frozen=True)
-class FeatureSeries:
-    """A transition series plus the window length its feature mass counts."""
-
-    transitions: tuple[float, ...]
-    window: int
-
-    def __post_init__(self):
-        if self.window < 0 or self.window > len(self.transitions):
-            raise ParamError(
-                f"window {self.window} outside series length {len(self.transitions)}"
-            )
-
-    @classmethod
-    def of(cls, transitions: Sequence[float], window: int | None = None):
-        t = tuple(float(v) for v in transitions)
-        return cls(t, len(t) if window is None else window)
-
-    def feature_mass(self) -> int:
-        return sum(1 for v in self.transitions[: self.window] if v != 0)
+def _feature_mass(transitions: Sequence[float], window: int | None) -> int:
+    """Non-zero transitions among the first ``window`` of the series (all, for None)."""
+    if window is None:
+        window = len(transitions)
+    if not 0 <= window <= len(transitions):
+        raise ParamError(f"window {window} outside series length {len(transitions)}")
+    return sum(1 for v in transitions[:window] if v != 0)
 
 
-def feature_mass_reduction(protected: FeatureSeries, original: FeatureSeries) -> float:
-    """Fraction of non-zero transitions surviving the protection mechanism."""
-    base = original.feature_mass()
+def feature_mass_reduction(
+    protected: Sequence[float],
+    protected_window: int | None,
+    original: Sequence[float],
+    original_window: int | None,
+) -> float:
+    """Fraction of non-zero transitions surviving the protection mechanism.
+
+    Each series counts the non-zero transitions in its first ``window``
+    entries; a window of None counts the whole series.
+    """
+    kept = _feature_mass(protected, protected_window)
+    base = _feature_mass(original, original_window)
     if base == 0:
         raise DomainError("original series has no observable transitions")
-    return protected.feature_mass() / base
+    return kept / base
 
 
 def privacy_score(sensitivities: Sequence[float], visibilities: Sequence[float]) -> float:

@@ -155,11 +155,13 @@ def ct_isolation(
     guess: Sequence[float],
     target_index: int,
     c: float,
+    t: int | None = None,
 ) -> dict:
     """How many database points a ball around the adversary's guess captures.
 
-    The ball radius is c times the guess-to-target distance; the caller
-    decides isolation by comparing ``ball_count`` against their threshold t.
+    The ball radius is c times the guess-to-target distance, widened by a
+    few ulps so that a point on the sphere counts at every scale. Given a
+    threshold ``t``, ``isolated`` says whether fewer than t points fall in.
     """
     if c <= 0:
         raise ParamError(f"isolation factor c must be > 0, got {c!r}")
@@ -171,8 +173,11 @@ def ct_isolation(
     if dims != {len(guess)}:
         raise ShapeError("guess dimension must match the point dimension")
     delta = math.dist(guess, points[target_index])
-    radius = c * delta + 1e-12
-    return {"ball_count": sum(math.dist(guess, p) <= radius for p in points), "delta": delta}
+    radius = c * delta * (1.0 + 2.0**-50)
+    result = {"ball_count": sum(math.dist(guess, p) <= radius for p in points), "delta": delta}
+    if t is not None:
+        result["isolated"] = result["ball_count"] < t
+    return result
 
 
 def ke_anonymity(table: DataTable) -> dict:

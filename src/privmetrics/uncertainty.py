@@ -106,26 +106,29 @@ def quantile_entropy(d: DiscreteDistribution, c: float) -> float:
     return _entropy_bits([p / total for p in kept])
 
 
-def conditional_entropy(j: JointDistribution, normalized: bool = False) -> float:
-    """H(X|Y) = -sum p(x,y) log2 p(x|y); optionally divided by H(X)."""
+def conditional_entropy(j: JointDistribution) -> float:
+    """H(X|Y) = -sum p(x,y) log2 p(x|y)."""
     p_y = j.marginal_y().probs
-    h = 0.0 - _info_bits((v, v / p_y[y]) for row in j.matrix for y, v in enumerate(row) if v > 0)
-    if not normalized:
-        return h
+    return 0.0 - _info_bits((v, v / p_y[y]) for row in j.matrix for y, v in enumerate(row) if v > 0)
+
+
+def normalized_conditional_entropy(j: JointDistribution) -> float:
+    """H(X|Y) / H(X): the share of X's uncertainty that observing Y leaves."""
     h_x = shannon_entropy(j.marginal_x())
     if h_x <= 0:
         raise ParamError("cannot normalize: H(X) = 0")
-    return h / h_x
+    return conditional_entropy(j) / h_x
 
 
-def inherent_privacy(h: float) -> float:
-    """2^h: entropy re-expressed as an effective anonymity-set size.
+def inherent_privacy(d: DiscreteDistribution) -> float:
+    """2^H(X): entropy re-expressed as an effective anonymity-set size."""
+    return 2.0 ** shannon_entropy(d)
 
-    Pass a conditional entropy to obtain the conditional variant.
-    """
-    if h < 0 or math.isnan(h):
-        raise ParamError(f"entropy must be >= 0, got {h!r}")
-    return 2.0**h
+
+def conditional_privacy(j: JointDistribution) -> float:
+    """2^H(X|Y): the effective anonymity-set size left after observing Y."""
+    return 2.0 ** conditional_entropy(j)
+
 
 def cross_entropy(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """-sum p(x) log2 q(x): code length for p under model q, in bits.
@@ -193,50 +196,41 @@ def unlinkability_degree(
 # Tracking over time
 
 
-@dataclass(frozen=True)
-class BayesTrackingModel:
-    """Hidden-state tracking model: prior, transitions, and per-step likelihoods.
+def bayes_entropy_series(
+    states: Sequence[str],
+    prior: Sequence[float],
+    transition: Sequence[Sequence[float]],
+    likelihoods: Sequence[Sequence[float]],
+) -> dict:
+    """Posterior entropy after each predict-then-correct belief update of a hidden state.
 
-    ``transition[i][j]`` is P(next = state j | current = state i); each row of
-    likelihoods holds one non-negative value per state for that timestep.
+    ``prior`` holds one probability per state, ``transition[i][j]`` is
+    P(next = state j | current = state i), and each row of ``likelihoods``
+    holds one non-negative value per state for that timestep. Returns
+    ``{"series": [bits, ...]}``, one entry per timestep.
     """
-
-    states: tuple[str, ...]
-    prior: DiscreteDistribution
-    transition: tuple[tuple[float, ...], ...]
-    observation_likelihoods: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.states)
-        if self.prior.labels != self.states:
-            raise ShapeError("prior must be over the model states")
-        if len(self.transition) != n or any(len(r) != n for r in self.transition):
-            raise ShapeError("transition matrix must be n x n")
-        object.__setattr__(self, "transition", tuple(
-            _normalized(row, f"transition row {i}") for i, row in enumerate(self.transition)
-        ))
-        for step, like in enumerate(self.observation_likelihoods):
-            if len(like) != n:
-                raise ShapeError(f"likelihood row {step} must have one value per state")
-            if any(v < 0 for v in like):
-                raise ParamError("likelihoods must be >= 0")
-            if not any(v > 0 for v in like):
-                raise DomainError(f"all-zero likelihood at step {step}")
-
-
-def bayes_entropy_series(m: BayesTrackingModel) -> list[float]:
-    """Posterior entropy after each predict-then-correct belief update."""
-    belief = m.prior.probs
-    columns = list(zip(*m.transition))
-    out = []
-    for step, like in enumerate(m.observation_likelihoods):
+    belief = DiscreteDistribution(tuple(states), tuple(prior)).probs
+    n = len(belief)
+    if len(transition) != n or any(len(r) != n for r in transition):
+        raise ShapeError("transition matrix must be n x n")
+    rows = (_normalized(row, f"transition row {i}") for i, row in enumerate(transition))
+    columns = list(zip(*rows))
+    for step, like in enumerate(likelihoods):
+        if len(like) != n:
+            raise ShapeError(f"likelihood row {step} must have one value per state")
+        if any(v < 0 for v in like):
+            raise ParamError("likelihoods must be >= 0")
+        if not any(v > 0 for v in like):
+            raise DomainError(f"all-zero likelihood at step {step}")
+    series = []
+    for step, like in enumerate(likelihoods):
         posterior = [math.fsum(map(mul, col, belief)) * v for col, v in zip(columns, like)]
         total = math.fsum(posterior)
         if total <= 0:
             raise DomainError(f"posterior vanished at step {step}")
         belief = [p / total for p in posterior]
-        out.append(_entropy_bits(belief))
-    return out
+        series.append(_entropy_bits(belief))
+    return {"series": series}
 
 
 def cumulative_entropy(per_zone: Sequence[float]) -> float:
@@ -280,27 +274,20 @@ def protection_level(
         raise ParamError(f"t_common must be >= 1, got {t_common!r}")
     if not trajectory_regions:
         raise EmptyError("no trajectory regions given")
-    total = math.fsum(2.0 ** shannon_entropy(r) for r in trajectory_regions)
-    return total / (t_common * 2.0 ** shannon_entropy(reference))
+    total = math.fsum(map(inherent_privacy, trajectory_regions))
+    return total / (t_common * inherent_privacy(reference))
 
 
-@dataclass(frozen=True)
-class DecaySpec:
-    """Linear privacy decay: level at the last protection event plus a slope."""
+def user_centric_privacy(h0: float, lam: float, t: float, t_last: float = 0.0) -> float:
+    """Remaining privacy h0 - lam * (t - t_last), floored at zero.
 
-    h0: float  # bits at the last protection event
-    lam: float  # bits lost per second
-    t_last: float = 0.0  # time of the last protection event
-
-    def __post_init__(self):
-        if self.h0 < 0 or math.isnan(self.h0):
-            raise ParamError(f"h0 must be >= 0, got {self.h0!r}")
-        if self.lam <= 0 or math.isnan(self.lam):
-            raise ParamError(f"decay rate must be > 0, got {self.lam!r}")
-
-
-def user_centric_privacy(spec: DecaySpec, t: float) -> float:
-    """Remaining privacy h0 - lambda * (t - t_last), floored at zero."""
-    if t < spec.t_last:
-        raise ParamError(f"t={t!r} precedes the last protection event {spec.t_last!r}")
-    return max(0.0, spec.h0 - spec.lam * (t - spec.t_last))
+    ``h0`` is the level in bits at the last protection event, at time
+    ``t_last``, and ``lam`` the bits lost per second since.
+    """
+    if h0 < 0 or math.isnan(h0):
+        raise ParamError(f"h0 must be >= 0, got {h0!r}")
+    if lam <= 0 or math.isnan(lam):
+        raise ParamError(f"decay rate must be > 0, got {lam!r}")
+    if t < t_last:
+        raise ParamError(f"t={t!r} precedes the last protection event {t_last!r}")
+    return max(0.0, h0 - lam * (t - t_last))

@@ -240,7 +240,7 @@ def test_criterion_9_cross_module_identities():
         labels = tuple(f"v{i}" for i in range(n))
         j = J(labels, labels, tuple(tuple(r) for r in w))
         # mi = H(X) - H(X|Y)
-        mi = ig.mutual_information(j)["mi"]
+        mi = ig.mutual_information(j)
         identity = u.shannon_entropy(j.marginal_x()) - u.conditional_entropy(j)
         ok &= abs(mi - identity) <= 1e-9
         # cross_entropy - entropy = KL on the two (shared-label) marginals

@@ -40,7 +40,7 @@ class TestSuccessRate:
     def test_coverage_unit_interval(self, a, b):
         r_u = adv.Region(rect=(a[0], a[1], a[0] + a[2], a[1] + a[3]))
         r_s = adv.Region(rect=(b[0], b[1], b[0] + b[2], b[1] + b[3]))
-        assert 0.0 <= adv.region_privacy(r_u, r_s)["coverage"] <= 1.0 + 1e-12
+        assert 0.0 <= adv.region_coverage(r_u, r_s) <= 1.0 + 1e-12
 
 
 class TestPathCompromise:
@@ -324,6 +324,13 @@ class TestConfidenceIntervalWidth:
         # 75% needs two adjacent atoms: [0,1] and [1,2]... only [0,1] reaches 0.75
         assert adv.confidence_interval_width(atoms=atoms, c=75.0) == 1.0
 
+    def test_narrow_interval_at_any_scale(self):
+        """Widths have no fixed scale: a gap of 1e-14 is found as surely as one of 0.01."""
+        samples = [0.0, 5e-13, 5.1e-13, 1.0]
+        assert adv.confidence_interval_width(samples=samples, c=50.0) == 5.1e-13 - 5e-13
+        scaled = [v * 1e12 for v in samples]
+        assert adv.confidence_interval_width(samples=scaled, c=50.0) == scaled[2] - scaled[1]
+
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12))
     def test_non_decreasing_in_c(self, samples):
         widths = [
@@ -377,28 +384,27 @@ class TestRegionPrivacy:
     def test_contained_coverage(self):
         r_u = Region(rect=(0.25, 0.25, 0.75, 0.75))
         r_s = Region(rect=(0.0, 0.0, 1.0, 1.0))
-        assert adv.region_privacy(r_u, r_s)["coverage"] == pytest.approx(1.0)
+        assert adv.region_coverage(r_u, r_s) == pytest.approx(1.0)
 
     def test_disjoint_coverage(self):
         r_u = Region(rect=(0, 0, 1, 1))
         r_s = Region(rect=(2, 2, 3, 3))
-        assert adv.region_privacy(r_u, r_s)["coverage"] == 0.0
+        assert adv.region_coverage(r_u, r_s) == 0.0
 
     def test_half_overlap_and_accuracy(self):
         r_u = Region(rect=(0, 0, 1, 1))
         r_s = Region(rect=(0.5, 0, 1.5, 1))
-        out = adv.region_privacy(r_u, r_s)
-        assert out["coverage"] == pytest.approx(0.5)
-        assert out["size"] == pytest.approx(1.0)
+        assert adv.region_coverage(r_u, r_s) == pytest.approx(0.5)
+        assert adv.region_size(r_u) == pytest.approx(1.0)
 
     def test_grid_cells(self):
         r_u = Region(cells=frozenset({(0, 0), (0, 1)}))
         r_s = Region(cells=frozenset({(0, 1), (5, 5)}))
-        assert adv.region_privacy(r_u, r_s)["coverage"] == pytest.approx(0.5)
+        assert adv.region_coverage(r_u, r_s) == pytest.approx(0.5)
 
     def test_mixed_representations(self):
         with pytest.raises(ParamError):
-            adv.region_privacy(Region(rect=(0, 0, 1, 1)), Region(cells=frozenset({(0, 0)})))
+            adv.region_coverage(Region(rect=(0, 0, 1, 1)), Region(cells=frozenset({(0, 0)})))
 
     def test_accuracy_of_tiny_radii(self):
         assert adv.obfuscation_accuracy(1e-300, 1e-300) == 1.0  # r² underflows to 0

@@ -90,17 +90,15 @@ class TestRoundTrips:
         assert parse_joint(text) == j
 
     def test_mechanism(self):
-        outputs = ("0", "1")
-        rows = tuple(DiscreteDistribution(outputs, r) for r in ((0.75, 0.25), (0.25, 0.75)))
-        m = FiniteMechanism(("a", "b"), outputs, rows)
-        text = json.dumps({"inputs": m.inputs, "outputs": m.outputs, "matrix": m.matrix()})
+        m = FiniteMechanism(("a", "b"), ("0", "1"), ((0.75, 0.25), (0.25, 0.75)))
+        text = json.dumps({"inputs": m.inputs, "outputs": m.outputs, "matrix": m.matrix})
         assert parse_mechanism(text) == m
 
     def test_mechanism_row_lookup(self):
         matrix = [[0.75, 0.25], [0.25, 0.75]]
         text = json.dumps({"inputs": ["a", "b"], "outputs": [0, 1], "matrix": matrix})
         m = parse_mechanism(text)
-        assert m.row_for("b") is m.rows[1]
+        assert m.row_for("b") is m.matrix[1]
         assert m == parse_mechanism(text)
         with pytest.raises(SchemaError):
             m.row_for("c")
@@ -128,6 +126,25 @@ class TestRoundTrips:
         labels = tuple(map(str, range(len(weights))))
         d = DiscreteDistribution(labels, tuple(w / total for w in weights))
         assert parse_distribution(json.dumps({"labels": d.labels, "probs": d.probs})) == d
+
+
+@pytest.mark.parametrize(
+    "inputs, outputs, matrix, error",
+    [
+        (("a", "b"), ("0", "1"), ((0.5, 0.5), (1.0,)), SchemaError),  # a row of the wrong width
+        (("a",), (), ((),), SchemaError),  # no outputs
+        (("a",), ("0", "0"), ((0.5, 0.5),), SchemaError),  # repeated outputs
+        (("a",), ("0", "1"), ((0.5, 0.6),), DistributionError),
+        ((), ("0",), ((1.0,),), SchemaError),  # no inputs
+        (("a", "a"), ("0",), ((1.0,), (1.0,)), SchemaError),
+        (("a", "b"), ("0",), ((1.0,),), ShapeError),  # one row for two inputs
+        (("a", "b"), ("0",), ((2.0,),), DistributionError),  # the first fault is reported
+        (("a",), (), (), ShapeError),
+    ],
+)
+def test_mechanism_reports_its_first_fault(inputs, outputs, matrix, error):
+    with pytest.raises(error):
+        FiniteMechanism(inputs, outputs, matrix)
 
 
 CSV = "zip,disease\n13053,flu\n13053,cold\n13068,flu\n13068,flu\n"

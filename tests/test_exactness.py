@@ -47,8 +47,8 @@ def ref_class_values(table, idx, col):
 def ref_dp_epsilon(m, nr):
     eps = 0.0
     for a, b in nr.ordered_pairs():
-        pa = m.row_for(a).probs
-        pb = m.row_for(b).probs
+        pa = m.row_for(a)
+        pb = m.row_for(b)
         for va, vb in zip(pa, pb):
             if va == 0 and vb == 0:
                 continue
@@ -60,13 +60,13 @@ def ref_dp_epsilon(m, nr):
 
 def ref_geo_indistinguishability(g):
     eps = 0.0
-    rows = g.mechanism.rows
+    rows = g.mechanism.matrix
     for i in range(len(g.locations)):
         for j in range(i + 1, len(g.locations)):
             _, xa, ya = g.locations[i]
             _, xb, yb = g.locations[j]
             d = math.hypot(xa - xb, ya - yb)
-            for va, vb in zip(rows[i].probs, rows[j].probs):
+            for va, vb in zip(rows[i], rows[j]):
                 if va == 0 and vb == 0:
                     continue
                 if va == 0 or vb == 0:
@@ -84,8 +84,8 @@ def ref_adp_delta(m, nr, eps):
     scale = math.exp(eps)
     delta = 0.0
     for a, b in nr.ordered_pairs():
-        pa = m.row_for(a).probs
-        pb = m.row_for(b).probs
+        pa = m.row_for(a)
+        pb = m.row_for(b)
         excess = math.fsum(max(0.0, va - scale * vb) for va, vb in zip(pa, pb))
         delta = max(delta, excess)
     return delta
@@ -190,7 +190,7 @@ def mechanisms(draw):
         rows.append(tuple(w / total for w in weights))
     outputs = tuple(f"o{j}" for j in range(n_out))
     inputs = tuple(f"i{k}" for k in range(n_in))
-    m = FiniteMechanism(inputs, outputs, tuple(DiscreteDistribution(outputs, r) for r in rows))
+    m = FiniteMechanism(inputs, outputs, tuple(rows))
     pairs = draw(
         st.lists(st.tuples(st.sampled_from(inputs), st.sampled_from(inputs)), min_size=1, max_size=8)
     )
@@ -231,8 +231,7 @@ def test_geo_indistinguishability_equals_scalar_loop(data):
 
 def _pair(pa, pb):
     outputs = tuple(f"o{j}" for j in range(len(pa)))
-    rows = (DiscreteDistribution(outputs, pa), DiscreteDistribution(outputs, pb))
-    return FiniteMechanism(("a", "b"), outputs, rows), indist.NeighborRelation((("a", "b"),))
+    return FiniteMechanism(("a", "b"), outputs, (pa, pb)), indist.NeighborRelation((("a", "b"),))
 
 
 def test_dp_epsilon_rounding_of_reverse_ratio():
@@ -420,4 +419,4 @@ def test_information_identities_hold_exactly():
     # Y has one value, so it reveals nothing: H(X|Y) = H(X)
     j = JointDistribution(p.labels, ("y",), tuple((v,) for v in p.probs))
     assert uncertainty.conditional_entropy(j) == uncertainty.shannon_entropy(j.marginal_x())
-    assert uncertainty.conditional_entropy(j, normalized=True) == 1.0
+    assert uncertainty.normalized_conditional_entropy(j) == 1.0

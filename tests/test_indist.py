@@ -45,7 +45,7 @@ def merge_outputs(m, rng):
     k2 = int(rng.integers(1, k + 1))
     assignment = [int(rng.integers(0, k2)) for _ in range(k)]
     merged = []
-    for row in m.matrix():
+    for row in m.matrix:
         new = [0.0] * k2
         for y, v in enumerate(row):
             new[assignment[y]] += v
@@ -97,7 +97,7 @@ class TestDpEpsilon:
             eps1 = ind.dp_epsilon(m1, nr)["eps_eff"]
             eps2 = ind.dp_epsilon(m2, nr)["eps_eff"]
             prod_rows = []
-            for r1, r2 in zip(m1.matrix(), m2.matrix()):
+            for r1, r2 in zip(m1.matrix, m2.matrix):
                 prod_rows.append([a * b for a in r1 for b in r2])
             outputs = list(range(len(prod_rows[0])))
             prod = parse_mechanism(
@@ -331,7 +331,7 @@ class TestSingletonSufficiency:
             eps = ind.dp_epsilon(m, nr)["eps_eff"]
             if math.isinf(eps):
                 continue
-            pa, pb = m.rows[0].probs, m.rows[1].probs
+            pa, pb = m.matrix[0], m.matrix[1]
             for mask in range(1, 8):
                 sa = sum(p for i, p in enumerate(pa) if mask & (1 << i))
                 sb = sum(p for i, p in enumerate(pb) if mask & (1 << i))

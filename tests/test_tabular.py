@@ -113,7 +113,7 @@ class TestLDiversity:
         t = table([("a", f"v{i}") for i, c in enumerate(counts) for _ in range(c)])
         d = DiscreteDistribution(tuple(f"v{i}" for i in range(len(counts))),
                                  tuple(c / sum(counts) for c in counts))
-        assert tb.l_diversity(t) == 2.0 ** shannon_entropy(d) == inherent_privacy(shannon_entropy(d))
+        assert tb.l_diversity(t) == 2.0 ** shannon_entropy(d) == inherent_privacy(d)
 
     def test_recursive_counts_311(self):
         # counts (3,1,1) with c=1: 3 < 1*(1+1) fails at l=2
@@ -206,6 +206,27 @@ class TestCTIsolation:
         pts = [[0, 0], [1, 1], [2, 2]]
         r = tb.ct_isolation(pts, [0, 0], 2, 100.0)
         assert r["ball_count"] == 3
+
+    def test_isolated_against_threshold(self):
+        pts = [[0, 0], [10, 10], [10, 11], [11, 10]]
+        assert "isolated" not in tb.ct_isolation(pts, [1, 1], 0, 1.0)
+        assert tb.ct_isolation(pts, [1, 1], 0, 1.0, 2)["isolated"] is True
+        assert tb.ct_isolation(pts, [1, 1], 0, 1.0, 1)["isolated"] is False
+
+    def test_zero_radius_counts_only_coincident_points(self):
+        assert tb.ct_isolation([[0, 0], [1e-13, 0]], [0, 0], 0, 1.0)["ball_count"] == 1
+
+    @pytest.mark.parametrize("c", [1.0, 1.5, 2.0, 3.0, 7.0])
+    @pytest.mark.parametrize("scale", [1e-13, 1e-5, 1.0, 1e6, 1e100, 1e200])
+    @pytest.mark.parametrize("slope", [1.0, 2.0])
+    def test_collinear_point_on_the_sphere_counts(self, slope, scale, c):
+        """The guess is the origin, so c times the target lies on the sphere of radius c * delta.
+
+        At scale 1e6, slope 1 and c = 3, one ulp of the distance exceeds 1e-12.
+        """
+        target = [scale, slope * scale]
+        on_sphere = [c * scale, c * slope * scale]
+        assert tb.ct_isolation([target, on_sphere], [0.0, 0.0], 0, c)["ball_count"] == 2
 
     def test_validation(self):
         with pytest.raises(ParamError):

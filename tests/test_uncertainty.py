@@ -193,7 +193,7 @@ class TestConditionalEntropy:
     def test_normalized_needs_entropy(self):
         j = J(("a",), ("c", "d"), ((0.5, 0.5),))
         with pytest.raises(ParamError):
-            u.conditional_entropy(j, normalized=True)
+            u.normalized_conditional_entropy(j)
 
     def test_information_cannot_hurt(self):
         rng = np.random.default_rng(7)
@@ -203,13 +203,23 @@ class TestConditionalEntropy:
 
 
 class TestInherentPrivacy:
+    WITH_ENTROPY = {  # a distribution whose entropy is h bits
+        0: D(("a",), (1.0,)),
+        3: D(tuple("abcdefgh"), (0.125,) * 8),
+        1.5: D(("a", "b", "c"), (0.5, 0.25, 0.25)),
+    }
+
     @pytest.mark.parametrize("h,expected", [(0, 1), (3, 8), (1.5, 2.8284271247461903)])
     def test_values(self, h, expected):
-        assert u.inherent_privacy(h) == pytest.approx(expected, abs=1e-9)
+        d = self.WITH_ENTROPY[h]
+        assert u.shannon_entropy(d) == h
+        assert u.inherent_privacy(d) == pytest.approx(expected, abs=1e-9)
 
-    def test_negative_rejected(self):
-        with pytest.raises(ParamError):
-            u.inherent_privacy(-0.1)
+    def test_conditional_privacy_is_two_to_the_conditional_entropy(self):
+        j = J(("0", "1"), ("0", "1"), ((0.445, 0.055), (0.055, 0.445)))
+        assert u.conditional_privacy(j) == 2.0 ** u.conditional_entropy(j)
+        identity = J(("0", "1"), ("0", "1"), ((0.5, 0.0), (0.0, 0.5)))
+        assert u.conditional_privacy(identity) == 1.0
 
 
 class TestCrossEntropy:
@@ -275,36 +285,30 @@ class TestUnlinkability:
 class TestBayesSeries:
     def test_uninformative_keeps_prior(self):
         prior = D(("s0", "s1"), (0.25, 0.75))
-        m = u.BayesTrackingModel(
-            ("s0", "s1"), prior, ((1.0, 0.0), (0.0, 1.0)), ((1.0, 1.0),) * 3
-        )
+        series = u.bayes_entropy_series(
+            prior.labels, prior.probs, ((1.0, 0.0), (0.0, 1.0)), ((1.0, 1.0),) * 3
+        )["series"]
         h0 = u.shannon_entropy(prior)
-        assert u.bayes_entropy_series(m) == pytest.approx([h0] * 3, abs=1e-12)
+        assert series == pytest.approx([h0] * 3, abs=1e-12)
 
     def test_indicator_likelihoods_zero_entropy(self):
-        prior = D(("0", "1", "2"), (1 / 3,) * 3)
-        m = u.BayesTrackingModel(
-            prior.labels,
-            prior,
+        series = u.bayes_entropy_series(
+            ("0", "1", "2"),
+            (1 / 3,) * 3,
             tuple(tuple(1.0 / 3 for _ in range(3)) for _ in range(3)),
             ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
-        )
-        assert u.bayes_entropy_series(m) == pytest.approx([0.0, 0.0], abs=1e-12)
+        )["series"]
+        assert series == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_single_update_by_hand(self):
-        prior = D(("s0", "s1"), (0.5, 0.5))
-        m = u.BayesTrackingModel(
-            ("s0", "s1"), prior, ((1.0, 0.0), (0.0, 1.0)), ((0.9, 0.1),)
-        )
-        assert u.bayes_entropy_series(m)[0] == pytest.approx(0.468995593589281, abs=1e-9)
+        series = u.bayes_entropy_series(
+            ("s0", "s1"), (0.5, 0.5), ((1.0, 0.0), (0.0, 1.0)), ((0.9, 0.1),)
+        )["series"]
+        assert series[0] == pytest.approx(0.468995593589281, abs=1e-9)
 
     def test_vanishing_posterior(self):
-        prior = D(("s0", "s1"), (1.0, 0.0))
-        m = u.BayesTrackingModel(
-            ("s0", "s1"), prior, ((1.0, 0.0), (0.0, 1.0)), ((0.0, 1.0),)
-        )
         with pytest.raises(DomainError):
-            u.bayes_entropy_series(m)
+            u.bayes_entropy_series(("s0", "s1"), (1.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), ((0.0, 1.0),))
 
 
 class TestAggregates:
@@ -344,21 +348,18 @@ class TestAggregates:
 
 class TestUserCentricPrivacy:
     def test_at_last_event(self):
-        spec = u.DecaySpec(2.0, 1.0, 10.0)
-        assert u.user_centric_privacy(spec, 10.0) == 2.0
+        assert u.user_centric_privacy(2.0, 1.0, 10.0, 10.0) == 2.0
 
     def test_after_full_decay(self):
-        spec = u.DecaySpec(2.0, 1.0, 0.0)
-        assert u.user_centric_privacy(spec, 2.0) == 0.0
-        assert u.user_centric_privacy(spec, 100.0) == 0.0
+        assert u.user_centric_privacy(2.0, 1.0, 2.0, 0.0) == 0.0
+        assert u.user_centric_privacy(2.0, 1.0, 100.0, 0.0) == 0.0
 
     def test_linear_decay(self):
-        spec = u.DecaySpec(2.0, 1.0, 0.0)
-        assert u.user_centric_privacy(spec, 0.5) == pytest.approx(1.5, abs=1e-12)
+        assert u.user_centric_privacy(2.0, 1.0, 0.5, 0.0) == pytest.approx(1.5, abs=1e-12)
 
     def test_time_before_event(self):
         with pytest.raises(ParamError):
-            u.user_centric_privacy(u.DecaySpec(2.0, 1.0, 5.0), 4.0)
+            u.user_centric_privacy(2.0, 1.0, 4.0, 5.0)
 
     @given(
         st.floats(min_value=0, max_value=10),
@@ -366,11 +367,10 @@ class TestUserCentricPrivacy:
         st.lists(st.floats(min_value=0, max_value=30), min_size=2, max_size=10),
     )
     def test_non_increasing_and_continuous(self, h0, lam, times):
-        spec = u.DecaySpec(h0, lam, 0.0)
-        values = [u.user_centric_privacy(spec, t) for t in sorted(times)]
+        values = [u.user_centric_privacy(h0, lam, t, 0.0) for t in sorted(times)]
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-12
         t_f = h0 / lam
-        before = u.user_centric_privacy(spec, max(0.0, t_f - 1e-9))
-        after = u.user_centric_privacy(spec, t_f + 1e-9)
+        before = u.user_centric_privacy(h0, lam, max(0.0, t_f - 1e-9), 0.0)
+        after = u.user_centric_privacy(h0, lam, t_f + 1e-9, 0.0)
         assert abs(before - after) <= lam * 2e-9 + 1e-12
