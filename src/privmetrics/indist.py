@@ -108,10 +108,7 @@ class GeoMechanism:
     mechanism: FiniteMechanism
 
     def __post_init__(self):
-        ids = [loc[0] for loc in self.locations]
-        if len(set(ids)) != len(ids):
-            raise SchemaError("location ids must be distinct")
-        if tuple(ids) != self.mechanism.inputs:
+        if tuple(loc[0] for loc in self.locations) != self.mechanism.inputs:
             raise ShapeError("mechanism inputs must match the location ids in order")
         for _, x, y in self.locations:
             if not (math.isfinite(x) and math.isfinite(y)):

@@ -439,22 +439,59 @@ def cluster_similarity(
     before counting matches, so the value is invariant under any relabeling
     of either side.
     """
-    import numpy as np
-    from scipy.optimize import linear_sum_assignment  # scipy's only user: import on demand
-
     if len(original_assign) != len(protected_assign):
         raise ShapeError("assignments must cover the same items")
     if not original_assign:
         raise ShapeError("assignments must be non-empty")
-    o_ids = sorted(set(map(str, original_assign)))
-    p_ids = sorted(set(map(str, protected_assign)))
-    contingency = np.zeros((len(o_ids), len(p_ids)), dtype=int)
-    o_index = {v: i for i, v in enumerate(o_ids)}
-    p_index = {v: i for i, v in enumerate(p_ids)}
-    for o, p in zip(original_assign, protected_assign):
-        contingency[o_index[str(o)], p_index[str(p)]] += 1
-    rows, cols = linear_sum_assignment(contingency, maximize=True)
-    return float(contingency[rows, cols].sum() / len(original_assign))
+    counts = Counter(zip(map(str, original_assign), map(str, protected_assign)))
+    o_ids, p_ids = dict.fromkeys(o for o, _ in counts), dict.fromkeys(p for _, p in counts)
+    weights = [[counts[o, p] for p in p_ids] for o in o_ids]
+    if len(o_ids) > len(p_ids):
+        weights = [list(column) for column in zip(*weights)]
+    return _max_assignment(weights) / len(original_assign)
+
+
+def _max_assignment(weights: list[list[int]]) -> int:
+    """Largest total weight of a matching that covers every row; needs rows <= columns.
+
+    Kuhn's Hungarian method in its shortest-augmenting-path form (Jonker and
+    Volgenant): each row joins the matching along a shortest path over the
+    reduced costs u[i] + v[j] - weights[i][j] >= 0, found by Dijkstra's method,
+    and the duals u, v then move so that the matched costs stay 0.
+    O(rows² · columns) steps, all on Python ints, so the total is exact.
+    """
+    n_cols = len(weights[0])
+    u, v = [max(row) for row in weights], [0] * n_cols
+    row_of, col_of = [None] * n_cols, [None] * len(weights)
+    for start in range(len(weights)):
+        shortest, path = [math.inf] * n_cols, [None] * n_cols
+        unreached, reached = list(range(n_cols)), []
+        i, dist = start, 0
+        while True:
+            row, base = weights[i], dist + u[i]
+            for j in unreached:
+                reduced = base + v[j] - row[j]
+                if reduced < shortest[j]:
+                    shortest[j], path[j] = reduced, i
+            dist = min(map(shortest.__getitem__, unreached))
+            tied = [j for j in unreached if shortest[j] == dist]
+            # of the nearest columns take an unmatched one if any: it ends the search
+            j = next((j for j in tied if row_of[j] is None), tied[0])
+            unreached.remove(j)
+            reached.append(j)
+            if row_of[j] is None:
+                break
+            i = row_of[j]
+        u[start] -= dist
+        for j in reached:
+            v[j] += dist - shortest[j]
+            if row_of[j] is not None:
+                u[row_of[j]] -= dist - shortest[j]
+        j = reached[-1]
+        while j is not None:  # flip the matching along the path back to row `start`
+            i = path[j]
+            row_of[j], col_of[i], j = i, j, col_of[i]
+    return sum(row[j] for row, j in zip(weights, col_of))
 
 
 def r_squared_transitions(protected: Sequence[float]) -> float:

@@ -540,6 +540,8 @@ def _estimate(**fields):
         ("normalized_variance", [{"x": [0.1, 0.1, 0.1], "y": [1, 2, 3]}], []),
         ("r_squared", [{"transitions": [7, 7, 7]}], []),
         ("privacy_score", [{"sensitivities": [1], "visibilities": []}], []),
+        # a repeated location id
+        ("geo_indistinguishability", [_geo(["b", 1, 0], [[1], [1]])], []),
     ],
 )
 def test_mistyped_input_file_is_2(metric_id, files, params, runner, tmp_path):
@@ -633,9 +635,9 @@ def _cold(*args, cwd=None):
 
 
 # The fixtures whose cold ``compute`` loads numpy or scipy; every other fixture loads neither.
-NUMPY_USERS = {"loss_of_anonymity": ["numpy"], "cluster_similarity": ["numpy", "scipy"]}
-# The functions that import numpy or scipy (Blahut-Arimoto and the Hungarian solver).
-NUMPY_FUNCTIONS = {"conditional_channel_capacity", "cluster_similarity"}
+NUMPY_USERS = {"loss_of_anonymity": ["numpy"]}
+# The functions that import numpy (Blahut-Arimoto); no function imports scipy.
+NUMPY_FUNCTIONS = {"conditional_channel_capacity"}
 
 
 class TestImportFootprint:
@@ -666,8 +668,9 @@ class TestImportFootprint:
 
     def test_no_module_imports_numpy_or_scipy_at_import(self):
         """numpy and scipy are imported inside the functions of ``NUMPY_FUNCTIONS``, never at module
-        level and in no other function: a new import site is a deliberate change to that set."""
-        importers = set()
+        level and in no other function: a new import site is a deliberate change to that set.
+        No module imports scipy at all."""
+        importers, scipy_sites = set(), []
         for path in sorted((REPO / "src" / "privmetrics").glob("*.py")):
             pending = [(ast.parse(path.read_text()), None)]
             while pending:
@@ -679,14 +682,18 @@ class TestImportFootprint:
                         names = [node.module or ""]
                     else:
                         names = []
-                    if {n.split(".")[0] for n in names} & {"numpy", "scipy"}:
+                    roots = {n.split(".")[0] for n in names}
+                    if roots & {"numpy", "scipy"}:
                         assert function is not None, (path.name, node.lineno)  # runs at import
                         importers.add(function)
+                    if "scipy" in roots:
+                        scipy_sites.append((path.name, node.lineno))
                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         pending.append((node, node.name))
                     else:
                         pending.append((node, function))
         assert importers == NUMPY_FUNCTIONS
+        assert scipy_sites == []
 
     def test_only_core_raises_distribution_error(self):
         """The probability-mass rule lives in ``core._normalized``; no other module re-implements it."""

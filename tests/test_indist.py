@@ -7,7 +7,7 @@ import pytest
 
 from privmetrics import indist as ind
 from privmetrics.core import JointDistribution as J, parse_mechanism
-from privmetrics.errors import DomainError, EmptyError, ParamError, SchemaError
+from privmetrics.errors import DomainError, EmptyError, ParamError, SchemaError, ShapeError
 
 
 def rr_mechanism(p_keep):
@@ -221,6 +221,17 @@ class TestGeoIndistinguishability:
     def test_needs_two_locations(self):
         with pytest.raises(ParamError):
             ind.geo_indistinguishability(self.geo([("a", 0, 0)], [[1.0]]))
+
+    def test_locations_must_match_the_mechanism_inputs(self):
+        mech = self.geo([("a", 0, 0), ("b", 1, 0)], [[1.0], [1.0]]).mechanism
+        for locations in ((("a", 0, 0), ("a", 1, 0)), (("b", 1, 0), ("a", 0, 0)), (("a", 0, 0),)):
+            with pytest.raises(ShapeError):
+                ind.GeoMechanism(locations, mech)
+
+    def test_coordinates_must_be_finite(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(SchemaError):
+                self.geo([("a", 0, 0), ("b", bad, 0)], [[1.0], [1.0]])
 
 
 class TestInformationPrivacy:

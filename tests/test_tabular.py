@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -453,6 +454,47 @@ class TestClusterSimilarity:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             tb.cluster_similarity([0], [0, 1])
+
+    def test_matches_scipy_assignment(self):
+        """The best total equals scipy's Hungarian solver with ``==``, on contingencies both
+        taller and wider than square, so the transposed and the direct orientation both run."""
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(41)
+        shapes = Counter()
+        for _ in range(500):
+            n_rows, n_cols = rng.randint(1, 40), rng.randint(1, 40)
+            top = rng.choice([1, 3, 20])
+            contingency = [[rng.randrange(top + 1) for _ in range(n_cols)] for _ in range(n_rows)]
+            for k in range(max(n_rows, n_cols)):  # every cluster id occurs
+                contingency[k % n_rows][k % n_cols] += 1
+            original, protected = [], []
+            for i, row in enumerate(contingency):
+                for j, count in enumerate(row):
+                    original += [f"o{i}"] * count
+                    protected += [f"p{j}"] * count
+            rows, cols = optimize.linear_sum_assignment(np.array(contingency), maximize=True)
+            best = sum(contingency[i][j] for i, j in zip(rows, cols))
+            assert tb.cluster_similarity(original, protected) == best / len(original)
+            shapes[(n_rows > n_cols) - (n_rows < n_cols)] += 1
+        assert shapes[1] > 100 and shapes[-1] > 100
+
+    def test_symmetric(self):
+        rng = random.Random(43)
+        for _ in range(50):
+            n = rng.randint(1, 60)
+            original = [int(rng.random() * 6) for _ in range(n)]
+            protected = [int(rng.random() * 9) for _ in range(n)]
+            assert tb.cluster_similarity(original, protected) == tb.cluster_similarity(
+                protected, original
+            )
+
+    def test_many_items(self):
+        """100 000 items in 10 clusters a side, 60% of them relabeled by a fixed bijection."""
+        rng = random.Random(100_000)
+        original = [int(rng.random() * 10) for _ in range(100_000)]
+        protected = [(3 * o + 1) % 10 if rng.random() < 0.6 else int(rng.random() * 10)
+                     for o in original]
+        assert tb.cluster_similarity(original, protected) == 0.64233
 
 
 class TestRSquared:
