@@ -83,9 +83,28 @@ class _Kind(NamedTuple):
     load: Callable[[str, str | None], tuple]  # (path, schema) -> library arguments
 
 
+# The value loaded last, as (key, value). The key is the input kind and every
+# text read for it; it is read and replaced as one tuple, so two threads
+# never get each other's input.
+_last: tuple = (None, None)
+
+
+def _kept(kind: str, parse: Callable, *texts):
+    """``parse(*texts)``, kept for the next load of the same kind and texts."""
+    global _last
+    last = _last
+    if last[0] == (kind, *texts):
+        return last[1]
+    _last = (None, None)
+    del last  # the old input is dropped before the parse
+    value = parse(*texts)
+    _last = ((kind, *texts), value)
+    return value
+
+
 def _parsed(parser: str, help: str) -> _Kind:
     parse = _late(parser)
-    return _Kind(help, lambda path, schema: (parse(_read(path)),))
+    return _Kind(help, lambda path, schema: (_kept(parser, parse, _read(path)),))
 
 
 def _record(**fields) -> _Kind:
@@ -97,8 +116,11 @@ def _record(**fields) -> _Kind:
 def _table(path: str, schema: str | None) -> tuple:
     if schema is None:
         raise ParamError("table metrics need --schema with the role/kind sidecar")
-    sidecar = _load_json(_read(schema), "schema sidecar")
-    return (core.parse_table(_read(path), sidecar),)
+    return (_kept("table", _parse_table, _read(schema), _read(path)),)
+
+
+def _parse_table(sidecar: str, text: str) -> core.DataTable:
+    return core.parse_table(text, _load_json(sidecar, "schema sidecar"))
 
 
 def _csv_table(path: str, csv_path: str, roles: dict, kinds: dict) -> core.DataTable:

@@ -503,6 +503,10 @@ class DataTable:
     def __len__(self) -> int:
         return len(self.cells[0])
 
+    @cached_property
+    def _classes(self) -> tuple[EquivalenceClass, ...]:
+        return _group_by_quasi_identifiers(self)
+
 
 def parse_table(csv_text: str, schema: dict) -> DataTable:
     """Parse an RFC-4180 CSV plus sidecar role/kind map into a DataTable.
@@ -648,8 +652,13 @@ def equivalence_classes(table: DataTable) -> tuple[EquivalenceClass, ...]:
     """Partition table rows by their full quasi-identifier tuple.
 
     Classes come back in first-appearance order and always cover every row
-    exactly once; each class lists its rows in ascending order.
+    exactly once; each class lists its rows in ascending order. A table is
+    grouped once: later calls on it return the same tuple.
     """
+    return table._classes
+
+
+def _group_by_quasi_identifiers(table: DataTable) -> tuple[EquivalenceClass, ...]:
     qi = table.quasi_identifier_columns()
     if not qi:
         raise SchemaError("table has no quasi-identifier columns")

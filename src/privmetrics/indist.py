@@ -7,6 +7,7 @@ exp(eps)), unlike the entropic modules which report bits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import compress
 from operator import sub, truediv
@@ -59,7 +60,16 @@ def _max_log_ratio(pa: Sequence[float], pb: Sequence[float]) -> float:
         return math.inf
     # log is monotone, so the extreme ratios carry the largest |log|
     ratios = list(map(truediv, compress(pa, support), compress(pb, support)))
-    return max(abs(math.log(max(ratios))), abs(math.log(min(ratios))))
+    return max(abs(_log_extreme(max, ratios, pa, pb)), abs(_log_extreme(min, ratios, pa, pb)))
+
+
+def _log_extreme(pick, ratios: list[float], pa: Sequence[float], pb: Sequence[float]) -> float:
+    """log of ``pick(ratios)`` while it is a normal float, else ``pick`` of log a - log b
+    over the outputs with that quotient (rounding is monotone: the true extreme is one)."""
+    q = pick(ratios)
+    if sys.float_info.min <= q < math.inf:
+        return math.log(q)
+    return pick(math.log(a) - math.log(b) for a, b in zip(pa, pb) if a and a / b == q)
 
 
 def dp_epsilon(m: FiniteMechanism, nr: NeighborRelation) -> dict:

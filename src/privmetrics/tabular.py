@@ -388,12 +388,12 @@ _HISTORY = _fields(user=_label, entries=_list(_fields(t=_finite, cells=_labels))
 _HISTORIES = _fields(histories=_list(_HISTORY))
 
 
-def parse_location_histories(text: str) -> list[LocationHistory]:
+def parse_location_histories(text: str) -> tuple[LocationHistory, ...]:
     (histories,) = _HISTORIES(_load_json(text, "location histories"), "histories file")
-    return [
+    return tuple(
         LocationHistory(user, tuple((t, frozenset(cells)) for t, cells in entries))
         for user, entries in histories
-    ]
+    )
 
 
 def haplotype_safety(

@@ -168,6 +168,22 @@ class TestExitCodes:
         assert r.exit_code == 0, r.output
         assert json.loads(r.stdout)["value"] == 1.0
 
+    def test_dp_on_a_subnormal_mass_is_finite(self, runner, tmp_path):
+        """0.5 / 5e-324 overflows, though its log is about 743.75 nats."""
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        (tmp_path / "m.json").write_text(
+            '{"inputs":["a","b"],"outputs":["x","y"],"matrix":[[0.5,0.5],[5e-324,1.0]]}'
+        )
+        (tmp_path / "n.json").write_text('{"pairs":[["a","b"]]}')
+        r = runner.invoke(main, [
+            "compute", "differential_privacy", "--in", str(tmp_path / "m.json"),
+            "--in", str(tmp_path / "n.json"), "--format", "json",
+        ])
+        assert r.exit_code == 0, r.output
+        reference = float(mpmath.log(mpmath.mpf(0.5) / mpmath.mpf(5e-324)))
+        assert json.loads(r.stdout)["value"]["eps_eff"] == pytest.approx(reference, rel=1e-15)
+
 
 class TestListDescribe:
     def test_list_csv_has_all_metrics(self, runner):

@@ -337,6 +337,14 @@ class TestEquivalenceClasses:
         with pytest.raises(SchemaError):
             equivalence_classes(t)
 
+    def test_table_is_grouped_once(self):
+        text, schema = "q,s\na,x\na,y\nb,x\n", {"roles": {"q": "quasi-identifier"}}
+        t = parse_table(text, schema)
+        before = hash(t), repr(t)
+        assert equivalence_classes(t) is equivalence_classes(t)
+        assert (hash(t), repr(t)) == before
+        assert t == parse_table(text, schema)
+
     @given(
         st.lists(
             st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=60

@@ -13,6 +13,7 @@ another order must not change a bit, and the textbook identities hold with
 
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -44,6 +45,14 @@ def ref_class_values(table, idx, col):
     return [table.rows()[i][col] for i in sorted(idx)]
 
 
+def ref_log_ratio(va, vb):
+    """log(va / vb), or log va - log vb when the quotient is not a normal float."""
+    q = va / vb
+    if sys.float_info.min <= q < math.inf:
+        return math.log(q)
+    return math.log(va) - math.log(vb)
+
+
 def ref_dp_epsilon(m, nr):
     eps = 0.0
     for a, b in nr.ordered_pairs():
@@ -54,7 +63,7 @@ def ref_dp_epsilon(m, nr):
                 continue
             if va == 0 or vb == 0:
                 return {"eps_eff": math.inf}
-            eps = max(eps, abs(math.log(va / vb)))
+            eps = max(eps, abs(ref_log_ratio(va, vb)))
     return {"eps_eff": eps}
 
 
@@ -71,7 +80,7 @@ def ref_geo_indistinguishability(g):
                     continue
                 if va == 0 or vb == 0:
                     return {"eps_eff": math.inf}
-                ratio = abs(math.log(va / vb))
+                ratio = abs(ref_log_ratio(va, vb))
                 if ratio == 0:
                     continue
                 if d == 0:
