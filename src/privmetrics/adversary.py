@@ -13,7 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add, mul, sub
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .core import (
     DataTable, DiscreteDistribution, Region, Trace, _distribution, _fields, _floats, _label,
@@ -171,15 +172,18 @@ class EstimateWithTruth:
     """Adversary's posterior over candidates plus the true outcome.
 
     ``distance`` selects the ground metric: "zero_one", or "euclidean" with a
-    coordinate vector supplied per candidate label.
+    coordinate vector supplied per candidate label. ``coords`` is stored as a
+    read-only copy, so that a value ``compute`` hands out again cannot change.
     """
 
     posterior: DiscreteDistribution
     truth: str
     distance: str = "zero_one"
-    coords: dict[str, tuple[float, ...]] | None = None
+    coords: Mapping[str, tuple[float, ...]] | None = None
 
     def __post_init__(self):
+        if self.coords is not None:
+            object.__setattr__(self, "coords", MappingProxyType(dict(self.coords)))
         if self.truth not in self.posterior.labels:
             raise SchemaError(f"truth {self.truth!r} not among the candidates")
         if self.distance not in ("zero_one", "euclidean"):

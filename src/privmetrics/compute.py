@@ -80,43 +80,45 @@ def _load(path: str, read: Callable):
 
 class _Kind(NamedTuple):
     help: str
-    load: Callable[[str, str | None], tuple]  # (path, schema) -> library arguments
+    # (path, schema, the entries of the inputs the call has loaded) -> library arguments
+    load: Callable[[str, str | None, list], tuple]
 
 
-# The value loaded last, as (key, value). The key is the input kind and every
-# text read for it; it is read and replaced as one tuple, so two threads
-# never get each other's input.
-_last: tuple = (None, None)
+# The inputs the last ``compute`` call loaded, as a tuple of (key, value)
+# entries. A key is the input kind and every text read for it. The tuple is
+# read and replaced whole, so two threads never get each other's input.
+_kept: tuple = ()
 
 
-def _kept(kind: str, parse: Callable, *texts):
-    """``parse(*texts)``, kept for the next load of the same kind and texts."""
-    global _last
-    last = _last
-    if last[0] == (kind, *texts):
-        return last[1]
-    _last = (None, None)
-    del last  # the old input is dropped before the parse
-    value = parse(*texts)
-    _last = ((kind, *texts), value)
-    return value
+def _keep(used: list, kind: str, parse: Callable, *texts):
+    """``parse(*texts)``, or the value kept for the same kind and texts; its
+    entry is added to ``used``, the entries of the current call."""
+    global _kept
+    key = (kind, *texts)
+    entry = next((entry for entry in _kept if entry[0] == key), None)
+    if entry is None:
+        _kept = tuple(used)  # the entries this call has not used are dropped before the parse
+        entry = (key, parse(*texts))
+        _kept = (*used, entry)
+    used.append(entry)
+    return entry[1]
 
 
 def _parsed(parser: str, help: str) -> _Kind:
     parse = _late(parser)
-    return _Kind(help, lambda path, schema: (_kept(parser, parse, _read(path)),))
+    return _Kind(help, lambda path, schema, used: (_keep(used, parser, parse, _read(path)),))
 
 
 def _record(**fields) -> _Kind:
     """A JSON object whose typed fields, in declared order, are library arguments."""
     read = _fields(**fields)
-    return _Kind(read.shape, lambda path, schema: _load(path, read))
+    return _Kind(read.shape, lambda path, schema, used: _load(path, read))
 
 
-def _table(path: str, schema: str | None) -> tuple:
+def _table(path: str, schema: str | None, used: list) -> tuple:
     if schema is None:
         raise ParamError("table metrics need --schema with the role/kind sidecar")
-    return (_kept("table", _parse_table, _read(schema), _read(path)),)
+    return (_keep(used, "table", _parse_table, _read(schema), _read(path)),)
 
 
 def _parse_table(sidecar: str, text: str) -> core.DataTable:
@@ -138,21 +140,21 @@ _RELEASES = _list(
 _PARTITIONS = _fields(partitions=_list(_fields(blocks=_list(_labels), prob=_finite)))
 
 
-def _join_spec(path: str, schema) -> tuple:
+def _join_spec(path: str, schema, used) -> tuple:
     persons, relations, join_keys = _load(path, _JOIN_SPEC)
     return _csv_table(path, *persons), [_csv_table(path, *r) for r in relations], join_keys
 
 
-def _presence_spec(path: str, schema) -> tuple:
+def _presence_spec(path: str, schema, used) -> tuple:
     return tuple(_csv_table(path, *entry) for entry in _load(path, _PRESENCE_SPEC))
 
 
-def _releases(path: str, schema) -> tuple:
+def _releases(path: str, schema, used) -> tuple:
     releases = enumerate(_load(path, _RELEASES))
     return ([tabular.Release(_csv_table(path, *t), i, owners) for i, (*t, owners) in releases],)
 
 
-def _partitions(path: str, schema) -> tuple:
+def _partitions(path: str, schema, used) -> tuple:
     (entries,) = _load(path, _PARTITIONS)
     parts = tuple(uncertainty.make_partition(blocks) for blocks, _ in entries)
     return (uncertainty.PartitionDistribution(parts, tuple(prob for _, prob in entries)),)
@@ -459,14 +461,17 @@ def compute(
         raise ParamError(
             f"unknown parameter(s) {unknown}; {metric_id} takes {inputs_help(metric_id)}"
         )
+    global _kept
+    used: list = []  # the (key, value) entries of the kept inputs this call loads
     args = []
     for i, (kind, arity) in enumerate(spec.inputs):
         if arity == "+":
-            args.append([arg for path in paths[i:] for arg in kind.load(path, schema)])
+            args.append([arg for path in paths[i:] for arg in kind.load(path, schema, used)])
         elif i < len(paths):
-            args.extend(kind.load(paths[i], schema))
+            args.extend(kind.load(paths[i], schema, used))
         else:
             args.append(None)  # an omitted optional input
+    _kept = tuple(used)
     for name, (kind, default) in spec.params.items():
         if name in params:
             try:

@@ -17,10 +17,11 @@ import io
 import json
 import math
 import reprlib
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import sub
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -252,6 +253,16 @@ def _info_bits(terms: Iterable[tuple[float, float]]) -> float:
     A sum to negate is taken from 0.0, so that a zero sum stays +0.0.
     """
     return math.fsum(w * math.log2(r) if r else -math.inf for w, r in terms)
+
+
+def _log_extreme(pick, ratios: list[float], pa: Iterable[float], pb: Iterable[float]) -> float:
+    """log of ``pick(ratios)``, where ``ratios`` are the quotients a / b of ``pa`` and ``pb``,
+    while it is a normal float, else ``pick`` of log a - log b over the pairs with that
+    quotient (rounding is monotone: the true extreme is one of them)."""
+    q = pick(ratios)
+    if sys.float_info.min <= q < math.inf:
+        return math.log(q)
+    return pick(math.log(a) - math.log(b) for a, b in zip(pa, pb) if a and a / b == q)
 
 
 def _entropy_bits(probs: Sequence[float]) -> float:
@@ -508,18 +519,25 @@ class DataTable:
         return _group_by_quasi_identifiers(self)
 
 
+# Characters of a plain CSV split, width-checked and typed at a time: enough
+# that each step is one C loop over thousands of cells, few enough that a
+# block's line and cell lists stay small beside the table they build.
+_BLOCK = 1 << 17
+
+
 def parse_table(csv_text: str, schema: dict) -> DataTable:
     """Parse an RFC-4180 CSV plus sidecar role/kind map into a DataTable.
 
     ``schema`` is ``{"roles": {column: role}, "kinds": {column: kind}}``;
     unmentioned columns default to plain categorical. A text without quotes
-    or CRs is split by C-level string methods; any other text is read with
-    ``csv.reader``. Either gives one flat cell list, which is sliced into
-    columns, one pass per column. When a bulk check fails, the text is read
-    again record by record, which raises the first fault in file order.
+    or CRs is split by C-level string methods, about ``_BLOCK`` characters of
+    whole lines at a time, and each block is typed before the next is split;
+    any other text is read with ``csv.reader`` into one block. When a bulk
+    check fails, the text is read again record by record, which raises the
+    first fault in file order.
     """
     roles, kinds = _SIDECAR(schema, "schema sidecar")
-    header, flat = _split_plain(csv_text) or _read_flat(csv_text)
+    header, blocks = _plain_blocks(csv_text) or _read_flat(csv_text)
     if header is None:
         raise SchemaError("CSV is empty")
     for col in list(roles) + list(kinds):
@@ -530,47 +548,61 @@ def parse_table(csv_text: str, schema: dict) -> DataTable:
         Column(name, kinds.get(name, "categorical"), roles.get(name, "plain"))
         for name in header
     )
-    width = len(columns)
-    cells = None
-    if flat is not None:
-        raw = [flat[j::width] for j in range(width)]
-        del flat  # dropped before the columns are typed
-        cells = _typed_columns(columns, raw)
+    cells = _typed_columns(columns, blocks)
+    del blocks  # the reader's cell list is dropped before a record-by-record read
     if cells is None:  # a bulk check failed
-        cells = _typed_columns(columns, _read_records(csv_text, columns))
+        cells = _typed_columns(columns, [_read_records(csv_text, columns)])
     return DataTable(columns, cells=cells)
 
 
-def _split_plain(csv_text: str) -> tuple[list[str], list[str] | None] | None:
-    """The header and the flat list of body cells, in row order, of a text
-    that needs no CSV reader, split with ``str`` methods; the cells are None
-    when a record's width differs from the header's.
+def _plain_blocks(csv_text: str) -> tuple[list[str], Iterator[list[str] | None]] | None:
+    """The header of a text that needs no CSV reader, and a generator of the
+    flat cell lists of its records, in row order, split with ``str`` methods
+    about ``_BLOCK`` characters of whole lines at a time. A block is None,
+    and the last, when one of its records differs from the header in width or
+    one of its lines is past ``csv.field_size_limit()``.
 
     None for a text that needs ``csv.reader``: an empty one, one with a quote
-    or a CR, or one with a line past ``csv.field_size_limit()``. Lines break
-    at LF only, as the reader's do (``str.splitlines`` also breaks at VT, FF
-    and others).
+    or a CR, or one whose header line is past the limit. Lines break at LF
+    only, as the reader's do (``str.splitlines`` also breaks at VT, FF and
+    others).
     """
     if not csv_text or '"' in csv_text or "\r" in csv_text:
         return None
-    lines = csv_text.split("\n")
-    if max(map(len, lines)) > csv.field_size_limit():
+    end = csv_text.find("\n")
+    if end < 0:
+        end = len(csv_text)  # no LF: the text is the header
+    if end > csv.field_size_limit():
         return None
-    header = lines[0].split(",") if lines[0] else []  # a blank line is a record of no fields
-    lines = list(filter(None, islice(lines, 1, None)))  # blank lines hold no record
-    if lines and set(map(str.count, lines, repeat(","))) != {len(header) - 1}:
-        return header, None
-    n_rows = len(lines)
-    flat = ",".join(lines)
-    del lines  # the line list and the cell list are not held at the same time
-    return header, flat.split(",") if n_rows else []
+    header = csv_text[:end].split(",") if end else []  # a blank line is a record of no fields
+    return header, _plain_records(csv_text, end + 1, len(header))
 
 
-def _read_flat(csv_text: str) -> tuple[list[str] | None, list[str] | None]:
-    """The header and the flat list of body cells, in row order, read with
-    ``csv.reader``; the header is None for an empty text, and the cells are
-    None when a record's width differs from the header's or the reader fails
-    past the header. Each record's list is dropped as soon as it is read."""
+def _plain_records(csv_text: str, start: int, width: int) -> Iterator[list[str] | None]:
+    """The blocks ``_plain_blocks`` describes, of the lines from ``start`` on."""
+    limit = csv.field_size_limit()
+    commas = {width - 1}
+    while start < len(csv_text):
+        end = csv_text.find("\n", start + _BLOCK)
+        if end < 0:
+            end = len(csv_text)
+        lines = list(filter(None, csv_text[start:end].split("\n")))  # blank lines hold no record
+        start = end + 1
+        if lines and (max(map(len, lines)) > limit
+                      or set(map(str.count, lines, repeat(","))) != commas):
+            yield None
+            return
+        text = ",".join(lines)
+        del lines  # the line list and the cell list are not held at the same time
+        yield text.split(",") if text else []
+
+
+def _read_flat(csv_text: str) -> tuple[list[str] | None, tuple[list[str] | None]]:
+    """The header and, as one block, the flat list of body cells, in row
+    order, read with ``csv.reader``; the header is None for an empty text,
+    and the block is None when a record's width differs from the header's or
+    the reader fails past the header. Each record's list is dropped as soon
+    as it is read."""
     records = _records(csv_text)
     header = next(records, None)
     flat: list[str] = []
@@ -578,10 +610,10 @@ def _read_flat(csv_text: str) -> tuple[list[str] | None, list[str] | None]:
         # the cell count after each record, blank ones skipped
         ends = list(map(len, map(flat.__iadd__, filter(None, records))))
     except SchemaError:
-        return header, None  # the record-by-record read names the line
+        return header, (None,)  # the record-by-record read names the line
     if header is None or not set(map(sub, ends, chain((0,), ends))) <= {len(header)}:
-        return header, None
-    return header, flat
+        return header, (None,)
+    return header, (flat,)
 
 
 def _records(csv_text: str) -> Iterator[list[str]]:
@@ -594,14 +626,14 @@ def _records(csv_text: str) -> Iterator[list[str]]:
         raise SchemaError(f"line {reader.line_num}: {exc}")
 
 
-def _read_records(csv_text: str, columns: tuple[Column, ...]) -> list[tuple]:
-    """The cells by column, read record by record after the header, numeric
-    cells converted; the first malformed record in file order raises, named
-    by its record number."""
+def _read_records(csv_text: str, columns: tuple[Column, ...]) -> list[Value]:
+    """The flat list of body cells, read record by record after the header,
+    numeric cells converted; the first malformed record in file order raises,
+    named by its record number."""
     numeric = [(j, col.name) for j, col in enumerate(columns) if col.kind == "numeric"]
     records = _records(csv_text)
     next(records)  # the header
-    rows = []
+    flat = []
     for lineno, raw in enumerate(records, start=2):
         if not raw:
             continue  # blank line
@@ -609,27 +641,35 @@ def _read_records(csv_text: str, columns: tuple[Column, ...]) -> list[tuple]:
             raise ShapeError(f"line {lineno}: expected {len(columns)} fields, got {len(raw)}")
         for j, name in numeric:
             raw[j] = _as_finite_float(raw[j], lineno, name)
-        rows.append(raw)
-    return list(zip(*rows)) or [()] * len(columns)
+        flat += raw
+    return flat
 
 
-def _typed_columns(columns: tuple[Column, ...], raw: list) -> list[tuple] | None:
-    """Each column's cells as a tuple: numeric ones as finite floats, or None
-    when one is not; categorical ones through one map per table, so that
-    equal cells are one object."""
+def _typed_columns(columns: tuple[Column, ...], blocks: Iterable) -> list[tuple] | None:
+    """Each column's cells as a tuple, from blocks that are flat lists of
+    whole records in row order: numeric cells as finite floats, categorical
+    ones through one map per table, so that equal cells are one object.
+    None when a block is None or a numeric cell is not a finite number."""
+    width = len(columns)
     shared: dict[str, str] = {}
-    cells = []
-    for col, values in zip(columns, raw):
-        if col.kind == "numeric":
-            try:
-                values = tuple(map(float, values))
-            except ValueError:
-                return None
-            if not all(map(math.isfinite, values)):
-                return None
-        else:
-            values = tuple(map(shared.setdefault, values, values))
-        cells.append(values)
+    cells: list = [[] for _ in columns]
+    for flat in blocks:
+        if flat is None:
+            return None
+        for j, (col, values) in enumerate(zip(columns, cells)):
+            part = flat[j::width]
+            if col.kind == "numeric":
+                try:
+                    values += map(float, part)
+                except ValueError:
+                    return None
+            else:
+                values += map(shared.setdefault, part, part)
+        flat = part = None  # dropped before the next block is split
+    for j, (col, values) in enumerate(zip(columns, cells)):
+        if col.kind == "numeric" and not all(map(math.isfinite, values)):
+            return None
+        cells[j] = tuple(values)  # each list is dropped once the next is copied
     return cells
 
 

@@ -7,15 +7,14 @@ exp(eps)), unlike the entropic modules which report bits.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from operator import sub, truediv
 from typing import Sequence
 
 from .core import (
     FiniteMechanism, JointDistribution, _fields, _finite, _integer, _label, _labels, _list,
-    _load_json, _matrix, _tuple,
+    _load_json, _log_extreme, _matrix, _tuple,
 )
 from .errors import (
     DomainError,
@@ -61,15 +60,6 @@ def _max_log_ratio(pa: Sequence[float], pb: Sequence[float]) -> float:
     # log is monotone, so the extreme ratios carry the largest |log|
     ratios = list(map(truediv, compress(pa, support), compress(pb, support)))
     return max(abs(_log_extreme(max, ratios, pa, pb)), abs(_log_extreme(min, ratios, pa, pb)))
-
-
-def _log_extreme(pick, ratios: list[float], pa: Sequence[float], pb: Sequence[float]) -> float:
-    """log of ``pick(ratios)`` while it is a normal float, else ``pick`` of log a - log b
-    over the outputs with that quotient (rounding is monotone: the true extreme is one)."""
-    q = pick(ratios)
-    if sys.float_info.min <= q < math.inf:
-        return math.log(q)
-    return pick(math.log(a) - math.log(b) for a, b in zip(pa, pb) if a and a / b == q)
 
 
 def dp_epsilon(m: FiniteMechanism, nr: NeighborRelation) -> dict:
@@ -170,17 +160,17 @@ def information_privacy(j: JointDistribution, eps: float) -> dict:
     p_s = j.marginal_x().probs
     p_u = j.marginal_y().probs
     eps_min = 0.0
-    for si, ps in enumerate(p_s):
+    for ps, row in zip(p_s, j.matrix):
         if ps == 0:
             continue
-        for ui, pu in enumerate(p_u):
-            if pu == 0:
-                continue
-            posterior = j.matrix[si][ui] / pu
-            if posterior == 0:
-                eps_min = math.inf
-            else:
-                eps_min = max(eps_min, abs(math.log(posterior / ps)))
+        posteriors = [m / pu for m, pu in zip(row, p_u) if pu]
+        if not all(posteriors):
+            eps_min = math.inf
+            break
+        # log is monotone, so the extreme posteriors carry the largest |log|
+        ratios = [posterior / ps for posterior in posteriors]
+        for pick in (max, min):
+            eps_min = max(eps_min, abs(_log_extreme(pick, ratios, posteriors, repeat(ps))))
     return {"holds": eps_min <= eps, "eps_min": eps_min}
 
 

@@ -45,14 +45,15 @@ def renyi_entropy(d: DiscreteDistribution, alpha: float) -> float:
     if alpha == 0:
         return math.log2(len(d))
     if math.isinf(alpha):
-        return -math.log2(max(d.probs))
+        return 0.0 - math.log2(max(d.probs))  # from 0.0, so that log2 1 gives +0.0
     if abs(alpha - 1.0) <= RENYI_SHANNON_WINDOW:
         return shannon_entropy(d)
     # Powers of p / max(p), whose sum is at least 1, and alpha / (1 - alpha) taken
     # first: a huge alpha approaches the min-entropy instead of underflowing the sum.
     top = max(d.probs)
     spread = math.log2(math.fsum((p / top) ** alpha for p in d.probs if p > 0))
-    return alpha / (1.0 - alpha) * math.log2(top) + spread / (1.0 - alpha)
+    # Taken from 0.0, so that a one-point distribution gives +0.0 for alpha > 1 too
+    return 0.0 + (alpha / (1.0 - alpha) * math.log2(top) + spread / (1.0 - alpha))
 
 
 def max_entropy(d: DiscreteDistribution) -> float:

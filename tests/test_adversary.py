@@ -174,6 +174,15 @@ class TestEstimationError:
         )
         assert adv.expected_estimation_error(e) == pytest.approx(0.5, abs=1e-12)
 
+    def test_coords_are_a_read_only_copy(self):
+        coords = {"t": (0.0, 0.0), "o": (1.0, 0.0)}
+        e = adv.EstimateWithTruth(D(("t", "o"), (0.5, 0.5)), "t", "euclidean", coords)
+        coords["o"] = (9.0, 0.0)  # the caller's dict is not the stored one
+        with pytest.raises(TypeError):
+            e.coords["o"] = (9.0, 0.0)
+        assert e.coords == {"t": (0.0, 0.0), "o": (1.0, 0.0)}
+        assert adv.expected_estimation_error(e) == pytest.approx(0.5, abs=1e-12)
+
     @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6))
     def test_zero_one_equals_one_minus_posterior(self, weights):
         probs = [w / sum(weights) for w in weights]

@@ -184,6 +184,49 @@ class TestExitCodes:
         reference = float(mpmath.log(mpmath.mpf(0.5) / mpmath.mpf(5e-324)))
         assert json.loads(r.stdout)["value"]["eps_eff"] == pytest.approx(reference, rel=1e-15)
 
+    def _information_privacy(self, runner, tmp_path, matrix):
+        (tmp_path / "j.json").write_text(json.dumps(
+            {"x_labels": ["a", "b"], "y_labels": ["x", "y"], "matrix": matrix}))
+        r = runner.invoke(main, [
+            "compute", "information_privacy", "--in", str(tmp_path / "j.json"),
+            "--param", "eps=1000", "--format", "json",
+        ])
+        assert r.exit_code == 0, r.output
+        return json.loads(r.stdout)["value"]
+
+    def test_information_privacy_on_a_subnormal_prior_is_finite(self, runner, tmp_path):
+        """p(a|x) / p(a) overflows when the prior p(a) is subnormal, though its
+        log is about 713.8 nats; so eps=1000 holds."""
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        value = self._information_privacy(runner, tmp_path, [[1e-310, 1e-320], [1e-320, 1.0]])
+        a, b = mpmath.mpf(1e-310), mpmath.mpf(1e-320)
+        reference = float(mpmath.log(a / (a + b) / (a + b)))  # p(a) = p(x) = a + b
+        assert reference == pytest.approx(713.80137882795417, rel=1e-16)
+        assert value["eps_min"] == pytest.approx(reference, rel=1e-15)
+        assert value["holds"] is True
+
+    def test_information_privacy_on_a_vanishing_posterior_is_inf(self, runner, tmp_path):
+        """p(a|y) = 0 against a positive prior p(a): no finite eps bounds it."""
+        value = self._information_privacy(runner, tmp_path, [[1e-310, 0], [0, 1]])
+        assert value == {"holds": False, "eps_min": "inf"}
+
+    @pytest.mark.parametrize("metric_id, params", [
+        ("min_entropy", []),
+        ("renyi_entropy", ["--param", "alpha=2"]),
+        ("renyi_entropy", ["--param", "alpha=inf"]),
+        ("entropy", []),
+    ])
+    def test_one_point_distribution_has_positive_zero_entropy(self, metric_id, params, runner,
+                                                              tmp_path):
+        (tmp_path / "d.json").write_text('{"labels": ["a", "b"], "probs": [1.0, 0.0]}')
+        r = runner.invoke(main, ["compute", metric_id, "--in", str(tmp_path / "d.json"),
+                                 *params, "--format", "json"])
+        assert r.exit_code == 0, r.output
+        assert '"value": 0.0' in r.stdout and "-0.0" not in r.stdout
+        value = json.loads(r.stdout)["value"]
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
 
 class TestListDescribe:
     def test_list_csv_has_all_metrics(self, runner):
@@ -777,7 +820,7 @@ def test_quoted_table_prints_what_the_unquoted_one_does(metric_id, sensitive, pa
     rows = [("zip", "age", "disease", "salary"), *_table_rows()]
     plain = "".join(",".join(row) + "\n" for row in rows)
     quoted = "".join(",".join(f'"{cell}"' for cell in row) + "\n" for row in rows)
-    assert core._split_plain(plain) is not None and core._split_plain(quoted) is None
+    assert core._plain_blocks(plain) is not None and core._plain_blocks(quoted) is None
     schema = {"roles": {"zip": "quasi-identifier", "age": "quasi-identifier",
                         sensitive: "sensitive"}, "kinds": {"salary": "numeric"}}
     (tmp_path / "t.roles.json").write_text(json.dumps(schema))

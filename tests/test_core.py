@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from unittest import mock
@@ -223,15 +224,29 @@ def _parsed(text, schema):
     return table, repr(table)
 
 
+def _parsed_by_reader(text, schema):
+    """``_parsed`` with the plain split turned off, so that csv.reader reads the text."""
+    with mock.patch.object(core, "_plain_blocks", return_value=None) as plain:
+        parsed = _parsed(text, schema)
+    plain.assert_called_once_with(text)  # parse_table asked the plain split, and was refused
+    return parsed
+
+
+# Blocks of a few characters, so that most records of a small text fall in
+# later blocks; and the size parse_table uses.
+BLOCKS = (1, 5, core._BLOCK)
+
+
 class TestPlainSplitAgreesWithCsvReader:
     @settings(max_examples=500, deadline=None)
     @given(plain_csv_texts())
     def test_same_table_or_same_error(self, text_and_schema):
         text, schema = text_and_schema
-        assert text == "" or core._split_plain(text) is not None  # the fast path ran
-        with mock.patch.object(core, "_split_plain", return_value=None):
-            by_reader = _parsed(text, schema)
-        assert _parsed(text, schema) == by_reader
+        assert text == "" or core._plain_blocks(text) is not None  # the fast path ran
+        by_reader = _parsed_by_reader(text, schema)
+        for block in BLOCKS:
+            with mock.patch.object(core, "_BLOCK", block):
+                assert _parsed(text, schema) == by_reader
 
     @pytest.mark.parametrize(
         "text",
@@ -247,8 +262,7 @@ class TestPlainSplitAgreesWithCsvReader:
     def test_errors_name_the_first_fault_in_file_order(self, text):
         schema = {"roles": {}, "kinds": {"n": "numeric"}} if "n" in text else {"roles": {}}
         fast = _parsed(text, schema)
-        with mock.patch.object(core, "_split_plain", return_value=None):
-            assert fast == _parsed(text, schema)
+        assert fast == _parsed_by_reader(text, schema)
         assert isinstance(fast[0], type)
 
     def test_first_fault_messages(self):
@@ -259,6 +273,43 @@ class TestPlainSplitAgreesWithCsvReader:
             parse_table("a,n\nx,1\n\ny\n", numeric)
         with pytest.raises(SchemaError, match=r"^line 3, column 'n': not finite: 'inf'$"):
             parse_table("a,n\nx,1\ny,inf\n", numeric)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize(
+        "last, error, message",
+        [
+            ("y", ShapeError, "line {}: expected 2 fields, got 1"),
+            ("y,2,3", ShapeError, "line {}: expected 2 fields, got 3"),
+            ("y,oops", SchemaError, "line {}, column 'n': not a number: 'oops'"),
+            ("y,-inf", SchemaError, "line {}, column 'n': not finite: '-inf'"),
+        ],
+    )
+    def test_a_fault_in_a_later_block_names_its_line(self, block, last, error, message,
+                                                     monkeypatch):
+        """Good records fill whole blocks before a faulty one, after a blank line."""
+        good = "a,n\n" + "".join(f"x{i},{i}\n" for i in range(30_000)) + "\n"
+        text = good + last + "\n" + "z,1\n"
+        lineno = good.count("\n") + 1
+        numeric = {"roles": {}, "kinds": {"n": "numeric"}}
+        monkeypatch.setattr(core, "_BLOCK", block)
+        assert sum(1 for _ in core._plain_blocks(good)[1]) > 1  # the good records span blocks
+        assert _parsed(text, numeric) == (error, message.format(lineno))
+        assert _parsed(text, numeric) == _parsed_by_reader(text, numeric)
+        assert len(parse_table(good, numeric)) == 30_000
+
+    def test_a_long_line_in_a_later_block_goes_to_csv_reader(self, monkeypatch):
+        """A line past the field size limit is read by csv.reader, which reads it
+        when its fields are within the limit and names its line when one is not."""
+        monkeypatch.setattr(core, "_BLOCK", 16)
+        good = "a,b\n" + "x,y\n" * 20
+        limit = csv.field_size_limit(100)
+        try:
+            table = parse_table(good + "u" * 60 + "," + "v" * 60 + "\nx,y\n", {"roles": {}})
+            error = _parsed(good + "u," + "v" * 101 + "\n", {"roles": {}})
+        finally:
+            csv.field_size_limit(limit)
+        assert table.cells[0][20] == "u" * 60 and len(table) == 22
+        assert error == (SchemaError, "line 22: field larger than field limit (100)")
 
 
 class TestColumnStorage:
