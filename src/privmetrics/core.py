@@ -6,8 +6,10 @@ function, so values can be shared freely between threads.
 Probability mass is checked by one rule, ``_normalized``: inputs within an
 absolute tolerance of 1e-9 are renormalized, anything further off is rejected.
 Every entropy, conditional entropy, mutual information, divergence and
-cross-entropy is one exactly rounded sum, ``_info_bits``, so its value does
-not depend on the order in which the outcomes are listed.
+cross-entropy is one exactly rounded sum of w log2 r, so its value does not
+depend on the order in which the outcomes are listed: ``_info_bits`` over
+(weight, ratio) pairs, or, for mutual information and divergence, whose
+ratios can pass the normal floats, ``math.fsum`` over ``_log2_quotient``.
 """
 
 from __future__ import annotations
@@ -247,7 +249,7 @@ def _normalized(masses: Sequence[float], what: str) -> tuple[float, ...]:
 
 
 def _info_bits(terms: Iterable[tuple[float, float]]) -> float:
-    """The one information sum, sum w log2 r in bits over (weight, ratio) pairs, exactly rounded.
+    """The information sum, sum w log2 r in bits over (weight, ratio) pairs, exactly rounded.
 
     Callers pass only pairs with w != 0; a ratio of 0 reads as log2 0 = -inf.
     A sum to negate is taken from 0.0, so that a zero sum stays +0.0.
@@ -255,14 +257,27 @@ def _info_bits(terms: Iterable[tuple[float, float]]) -> float:
     return math.fsum(w * math.log2(r) if r else -math.inf for w, r in terms)
 
 
-def _log_extreme(pick, ratios: list[float], pa: Iterable[float], pb: Iterable[float]) -> float:
-    """log of ``pick(ratios)``, where ``ratios`` are the quotients a / b of ``pa`` and ``pb``,
-    while it is a normal float, else ``pick`` of log a - log b over the pairs with that
+def _log2_quotient(a: float, b: float, c: float = 1.0) -> float:
+    """log2(a / b / c) from the quotient while it is a normal float, else log2 a - log2 b - log2 c,
+    which keeps the digits that a quotient past the normal floats loses."""
+    q = a / b / c
+    if sys.float_info.min <= q < math.inf:
+        return math.log2(q)
+    return math.log2(a) - math.log2(b) - math.log2(c)
+
+
+def _log_extreme(
+    pick, ratios: list[float], pa: Iterable[float], pb: Iterable[float], c: float = 1.0
+) -> float:
+    """log of ``pick(ratios)``, where ``ratios`` are the quotients a / b / c over ``pa`` and ``pb``,
+    while it is a normal float, else ``pick`` of log a - log b - log c over the pairs with that
     quotient (rounding is monotone: the true extreme is one of them)."""
     q = pick(ratios)
     if sys.float_info.min <= q < math.inf:
         return math.log(q)
-    return pick(math.log(a) - math.log(b) for a, b in zip(pa, pb) if a and a / b == q)
+    return pick(
+        math.log(a) - math.log(b) - math.log(c) for a, b in zip(pa, pb) if a and a / b / c == q
+    )
 
 
 def _entropy_bits(probs: Sequence[float]) -> float:

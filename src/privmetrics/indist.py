@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
 from operator import sub, truediv
 from typing import Sequence
 
@@ -138,10 +138,6 @@ def geo_indistinguishability(g: GeoMechanism) -> dict:
             _, xa, ya = g.locations[i]
             _, xb, yb = g.locations[j]
             d = math.hypot(xa - xb, ya - yb)
-            if d == math.inf and list(map(bool, rows[i])) == list(map(bool, rows[j])):
-                # a shared-support ratio that overflows is still finite in
-                # exact terms, and any finite ratio over this distance is 0
-                continue
             if r == math.inf or d == 0:
                 return {"eps_eff": math.inf}
             eps = max(eps, r / d)
@@ -163,14 +159,14 @@ def information_privacy(j: JointDistribution, eps: float) -> dict:
     for ps, row in zip(p_s, j.matrix):
         if ps == 0:
             continue
-        posteriors = [m / pu for m, pu in zip(row, p_u) if pu]
-        if not all(posteriors):
+        # p(s|u) / p(s) = p(s, u) / p(u) / p(s); log is monotone, so the
+        # extreme ratios carry the largest |log|
+        ratios = [m / pu / ps for m, pu in zip(row, p_u) if pu]
+        if not all(ratios):
             eps_min = math.inf
             break
-        # log is monotone, so the extreme posteriors carry the largest |log|
-        ratios = [posterior / ps for posterior in posteriors]
         for pick in (max, min):
-            eps_min = max(eps_min, abs(_log_extreme(pick, ratios, posteriors, repeat(ps))))
+            eps_min = max(eps_min, abs(_log_extreme(pick, ratios, row, p_u, ps)))
     return {"holds": eps_min <= eps, "eps_min": eps_min}
 
 

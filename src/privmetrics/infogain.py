@@ -10,7 +10,8 @@ from typing import Sequence
 
 from .core import (
     DiscreteDistribution, FiniteMechanism, JointDistribution, _aligned, _deviations, _entropy_bits,
-    _exponent, _fields, _info_bits, _integer, _labels, _list, _load_json, _normalized,
+    _exponent, _fields, _info_bits, _integer, _labels, _list, _load_json, _log2_quotient,
+    _normalized,
 )
 from .errors import (
     ConvergenceError,
@@ -37,7 +38,7 @@ def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     pairs = _aligned(p, q, "divergence")
     if any(qv == 0 for _, qv in pairs):
         return math.inf
-    return _info_bits((pv, pv / qv) for pv, qv in pairs)
+    return math.fsum(pv * _log2_quotient(pv, qv) for pv, qv in pairs)
 
 
 def mutual_information(j: JointDistribution) -> float:
@@ -45,8 +46,9 @@ def mutual_information(j: JointDistribution) -> float:
     px = j.marginal_x().probs
     py = j.marginal_y().probs
     # dividing twice: the product px * py can underflow to 0
-    mi = _info_bits(
-        (v, v / py[y] / px[x]) for x, row in enumerate(j.matrix) for y, v in enumerate(row) if v > 0
+    mi = math.fsum(
+        v * _log2_quotient(v, py[y], px[x])
+        for x, row in enumerate(j.matrix) for y, v in enumerate(row) if v > 0
     )
     return max(mi, 0.0)
 
@@ -217,39 +219,25 @@ def parse_adjacency(text: str) -> AdjacencyMatrix:
 def matrix_permanent(a: AdjacencyMatrix) -> int:
     """Permanent via Ryser's inclusion-exclusion formula, exact over integers.
 
-    Gray-code column updates keep the subset scan at O(2^n * n); n is capped
-    at 20.
+    per(A) = sum over column subsets S of (-1)^(n - |S|) times the product of
+    the row sums over S, taken by a Gray-code walk, O(2^n * n) with n capped
+    at 20: step k adds or removes column j, the lowest set bit of k (removes
+    it when bit j + 1 of k is set), and |S| is odd exactly when k is. The n
+    row sums are the bytes of one int, at most n <= 20 < 256 each, so a step
+    is one int add and its product runs in C.
     """
     n = a.size
     if n > PERMANENT_MAX_N:
         raise ParamError(f"permanent capped at n={PERMANENT_MAX_N}, got {n}")
-    rows = [list(r) for r in a.bits]
-    rowsums = [0] * n
-    total = 0
-    gray = 0
-    sign = 1  # sign of (-1)^(n - |S|), updated incrementally
+    # a row sum is at most n <= PERMANENT_MAX_N = 20 < 256: no byte carries into the next
+    columns = [int.from_bytes(bytes(column), "little") for column in zip(*a.bits)]
+    sums = total = 0
     for k in range(1, 1 << n):
-        bit = k & -k
-        j = bit.bit_length() - 1
-        if gray & bit:
-            gray ^= bit
-            for i in range(n):
-                rowsums[i] -= rows[i][j]
-            sign = -sign
-        else:
-            gray ^= bit
-            for i in range(n):
-                rowsums[i] += rows[i][j]
-            sign = -sign
-        prod = 1
-        for s in rowsums:
-            if s == 0:
-                prod = 0
-                break
-            prod *= s
-        # |S| parity flips each step; fold (-1)^n in at the end
-        total += sign * prod
-    return total if n % 2 == 0 else -total
+        j = (k & -k).bit_length() - 1
+        sums += -columns[j] if k >> j & 2 else columns[j]
+        term = math.prod(sums.to_bytes(n, "little"))
+        total += -term if (n ^ k) & 1 else term
+    return total
 
 
 def system_anonymity_level(a: AdjacencyMatrix) -> float:

@@ -523,7 +523,7 @@ def normalized_variance(x: Sequence[float], y: Sequence[float]) -> float:
         raise ShapeError("series lengths differ")
     if len(x) < 2:
         raise ParamError("need at least two points")
-    e = max(_exponent(x), _exponent(y))  # one scale for both, so that x - y keeps its meaning
+    e = _exponent([*x, *y])  # one scale for both, so that x - y keeps its meaning
     dx, dy = _deviations(x, e), _deviations(y, e)
     vx = math.fsum(map(mul, dx, dx))
     if vx == 0 or min(x) == max(x):  # x's deviations also vanish when they underflow at y's scale

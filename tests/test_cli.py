@@ -206,6 +206,50 @@ class TestExitCodes:
         assert value["eps_min"] == pytest.approx(reference, rel=1e-15)
         assert value["holds"] is True
 
+    def test_information_privacy_keeps_a_subnormal_posterior_unrounded(self, runner, tmp_path):
+        """p(a|x) = 1e-320 / 0.3 rounds to a subnormal with few digits; the log is taken
+        from the masses, log p(a, x) - log p(x) - log p(a), instead."""
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        value = self._information_privacy(runner, tmp_path, [[1e-320, 0.5], [0.3, 0.2 - 1e-320]])
+        m = mpmath.mpf(1e-320)
+        reference = float(-mpmath.log(m / (m + mpmath.mpf(0.3)) / (m + mpmath.mpf(0.5))))
+        assert reference == pytest.approx(734.9301209060881, rel=1e-16)
+        assert value["eps_min"] == pytest.approx(reference, rel=1e-15)
+
+    def _value(self, runner, tmp_path, metric_id, **files):
+        for name, content in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(content))
+        ins = [arg for name in files for arg in ("--in", str(tmp_path / f"{name}.json"))]
+        r = runner.invoke(main, ["compute", metric_id, *ins, "--format", "json"])
+        assert r.exit_code == 0, r.output
+        return json.loads(r.stdout)["value"]
+
+    def test_mutual_information_on_a_subnormal_mass_is_finite(self, runner, tmp_path):
+        """p(a, x) / p(x) / p(a) overflows when the masses are subnormal, though its
+        log2 is about 1029 and the value about 1e-307."""
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        value = self._value(runner, tmp_path, "mutual_information", j={
+            "x_labels": ["a", "b"], "y_labels": ["x", "y"], "matrix": [[1e-310, 0], [0, 1]]})
+        a, b = mpmath.mpf(1e-310), mpmath.mpf(1)
+        pa, pb = a / (a + b), b / (a + b)  # p(a) = p(x) and p(b) = p(y): I = H(X)
+        reference = float(-pa * mpmath.log(pa, 2) - pb * mpmath.log(pb, 2))
+        assert reference == pytest.approx(1.0297977094150792e-307, rel=1e-16)
+        assert value == pytest.approx(reference, rel=1e-15)
+
+    def test_relative_entropy_against_a_subnormal_mass_is_finite(self, runner, tmp_path):
+        """0.5 / 1e-310 overflows, though 0.5 log2 of it is about 514.4 bits."""
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        value = self._value(runner, tmp_path, "relative_entropy",
+                            p={"labels": ["a", "b"], "probs": [0.5, 0.5]},
+                            q={"labels": ["a", "b"], "probs": [1e-310, 1.0]})
+        half = mpmath.mpf(0.5)
+        reference = float(half * mpmath.log(half / mpmath.mpf(1e-310), 2) + half * mpmath.log(half, 2))
+        assert reference == pytest.approx(513.8988547075412, rel=1e-16)
+        assert value == pytest.approx(reference, rel=1e-15)
+
     def test_information_privacy_on_a_vanishing_posterior_is_inf(self, runner, tmp_path):
         """p(a|y) = 0 against a positive prior p(a): no finite eps bounds it."""
         value = self._information_privacy(runner, tmp_path, [[1e-310, 0], [0, 1]])

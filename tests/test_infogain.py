@@ -39,6 +39,39 @@ def brute_force_permanent(bits):
     )
 
 
+def gray_code_permanent(bits):
+    """Ryser's formula as the library scanned it before the row sums were packed into one int:
+    a Gray-code walk with one Python loop per row, kept as a reference."""
+    n = len(bits)
+    rows = [list(r) for r in bits]
+    rowsums = [0] * n
+    total = 0
+    gray = 0
+    sign = 1  # sign of (-1)^(n - |S|), updated incrementally
+    for k in range(1, 1 << n):
+        bit = k & -k
+        j = bit.bit_length() - 1
+        if gray & bit:
+            gray ^= bit
+            for i in range(n):
+                rowsums[i] -= rows[i][j]
+            sign = -sign
+        else:
+            gray ^= bit
+            for i in range(n):
+                rowsums[i] += rows[i][j]
+            sign = -sign
+        prod = 1
+        for s in rowsums:
+            if s == 0:
+                prod = 0
+                break
+            prod *= s
+        # |S| parity flips each step; fold (-1)^n in at the end
+        total += sign * prod
+    return total if n % 2 == 0 else -total
+
+
 def h_bits(ps):
     return -sum(p * math.log2(p) for p in ps if p > 0)
 
@@ -308,6 +341,19 @@ class TestMatrixPermanent:
             bits = tuple(tuple(int(v) for v in rng.integers(0, 2, n)) for _ in range(n))
             a = ig.AdjacencyMatrix(bits)
             assert ig.matrix_permanent(a) == brute_force_permanent(bits)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_equals_the_gray_code_scan(self, n):
+        rng = np.random.default_rng(100 + n)
+        for density in (0.2, 0.5, 0.8):
+            for _ in range(2):
+                bits = tuple(tuple(int(v) for v in rng.random(n) < density) for _ in range(n))
+                assert ig.matrix_permanent(ig.AdjacencyMatrix(bits)) == gray_code_permanent(bits)
+
+    def test_all_ones_is_n_factorial(self):
+        for n in range(1, 17):
+            a = ig.AdjacencyMatrix(((1,) * n,) * n)
+            assert ig.matrix_permanent(a) == math.factorial(n)
 
     def test_size_cap(self):
         a = ig.AdjacencyMatrix(tuple(tuple(1 for _ in range(21)) for _ in range(21)))

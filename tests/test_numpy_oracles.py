@@ -115,7 +115,7 @@ def np_r_squared(protected):
 
 
 def np_normalized_variance(x, y):
-    e = max(_exponent(x), _exponent(y))
+    e = _exponent([*x, *y])
     xa = np.ldexp(np.asarray(x, dtype=float), -e)
     ya = np.ldexp(np.asarray(y, dtype=float), -e)
     return float(np.var(xa - ya) / np.var(xa))

@@ -531,6 +531,10 @@ class TestNormalizedVariance:
     def test_constant_perturbation(self):
         assert tb.normalized_variance([1, 2, 3, 4], [0, 0, 0, 0]) == pytest.approx(1.0)
 
+    def test_tiny_series_against_zeros(self):
+        """An all-zero series sets no scale: the tiny one is scaled by its own magnitude."""
+        assert tb.normalized_variance([0.0, 1e-300], [0.0, 0.0]) == 1.0
+
     def test_sign_flip_exceeds_one(self):
         assert tb.normalized_variance([1, 2, 3], [-1, -2, -3]) == pytest.approx(4.0)
 
