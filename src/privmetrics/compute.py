@@ -18,39 +18,19 @@ from typing import Callable, NamedTuple, Sequence
 from . import core, registry
 from .core import (
     _REQUIRED, MetricValue, _boolean, _distribution, _fields, _finite, _floats, _integer, _label,
-    _labels, _list, _load_json, _matrix, _point, _read, _string, _string_map, _tuple, _typed,
+    _labels, _list, _load_json, _mapping, _matrix, _point, _read, _string, _tuple, _typed,
 )
 from .errors import DomainError, ParamError, SchemaError
 
 
-class _OnFirstUse:
-    """Stands in for a metric module until this module first reads one of its
-    attributes; that read imports the module and rebinds the global name to it,
-    so a process imports only the modules its metrics use, and later reads go
-    straight to the module."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __getattr__(self, attr: str):
-        module = importlib.import_module(f".{self.name}", __package__)
-        globals()[self.name] = module
-        return getattr(module, attr)
-
-
-adversary, indist, infogain, tabular, uncertainty = map(
-    _OnFirstUse, ("adversary", "indist", "infogain", "tabular", "uncertainty")
-)
-
-
 def _late(path: str) -> Callable:
-    """Call ``module.function``, with both names looked up on every call rather
-    than at import: the module's global name, so that the first call imports a
-    metric module (see ``_OnFirstUse``), and the function's attribute on it, so
-    that a wrapper installed on the module attribute is the one that runs."""
-    module, name = path.split(".")
-    namespace = globals()
-    return lambda *args: getattr(namespace[module], name)(*args)
+    """Call ``module.function`` of this package, with both looked up on every
+    call rather than at import: the module through the import system, so that
+    the first call imports a metric module and a call from another thread waits
+    until that import is done, and the function's attribute on it, so that a
+    wrapper installed on the module attribute is the one that runs."""
+    module, name = f"{__package__}.{path}".rsplit(".", 1)
+    return lambda *args: getattr(importlib.import_module(module), name)(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +111,14 @@ def _csv_table(path: str, csv_path: str, roles: dict, kinds: dict) -> core.DataT
     return core.parse_table(_read(csv_path), {"roles": roles, "kinds": kinds})
 
 
-_TABLE_ENTRY = _fields(csv_path=_string, roles=(_string_map, {}), kinds=(_string_map, {}))
+_TABLE_ENTRY = _fields(
+    csv_path=_string, roles=(_mapping(_string), {}), kinds=(_mapping(_string), {})
+)
 _JOIN_SPEC = _fields(persons=_TABLE_ENTRY, relations=_list(_TABLE_ENTRY), join_keys=_labels)
 _PRESENCE_SPEC = _fields(external=_TABLE_ENTRY, published=_TABLE_ENTRY)
-_RELEASES = _list(
-    _fields(csv_path=_string, roles=_string_map, kinds=(_string_map, {}), owners=_labels)
-)
+_RELEASES = _list(_fields(
+    csv_path=_string, roles=_mapping(_string), kinds=(_mapping(_string), {}), owners=_labels
+))
 _PARTITIONS = _fields(partitions=_list(_fields(blocks=_list(_labels), prob=_finite)))
 
 
@@ -149,15 +131,20 @@ def _presence_spec(path: str, schema, used) -> tuple:
     return tuple(_csv_table(path, *entry) for entry in _load(path, _PRESENCE_SPEC))
 
 
+_release = _late("tabular.Release")
+_make_partition = _late("uncertainty.make_partition")
+_partition_distribution = _late("uncertainty.PartitionDistribution")
+
+
 def _releases(path: str, schema, used) -> tuple:
     releases = enumerate(_load(path, _RELEASES))
-    return ([tabular.Release(_csv_table(path, *t), i, owners) for i, (*t, owners) in releases],)
+    return ([_release(_csv_table(path, *t), i, owners) for i, (*t, owners) in releases],)
 
 
 def _partitions(path: str, schema, used) -> tuple:
     (entries,) = _load(path, _PARTITIONS)
-    parts = tuple(uncertainty.make_partition(blocks) for blocks, _ in entries)
-    return (uncertainty.PartitionDistribution(parts, tuple(prob for _, prob in entries)),)
+    parts = tuple(_make_partition(blocks) for blocks, _ in entries)
+    return (_partition_distribution(parts, tuple(prob for _, prob in entries)),)
 
 
 _KINDS = {
@@ -174,8 +161,8 @@ _KINDS = {
     "histories": _parsed("tabular.parse_location_histories", "location histories JSON"),
     "releases": _Kind("releases JSON", _releases),
     "table": _Kind("table CSV + --schema", _table),
-    "join_spec": _Kind('join spec {"persons", "relations", "join_keys"}', _join_spec),
-    "presence_spec": _Kind('presence spec {"external", "published"}', _presence_spec),
+    "join_spec": _Kind("join spec " + _JOIN_SPEC.shape, _join_spec),
+    "presence_spec": _Kind("presence spec " + _PRESENCE_SPEC.shape, _presence_spec),
     "partitions": _Kind('{"partitions": [{"blocks", "prob"}, ...]}', _partitions),
 }
 _pairs = _list(_tuple(_finite, _finite))

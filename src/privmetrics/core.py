@@ -176,12 +176,6 @@ def _labels(value, what: str) -> tuple[str, ...]:
 _matrix = _list(_floats)
 
 
-def _string_map(value, what: str) -> dict[str, str]:
-    if type(value) is not dict or not _STRING.issuperset(map(type, value.values())):
-        raise _mistyped(what, "a JSON object of strings", value)
-    return value
-
-
 def _typed(decls: dict) -> dict:
     """``name=type`` declares a required value, ``name=(type, default)`` an optional one."""
     return {k: v if isinstance(v, tuple) else (v, _REQUIRED) for k, v in decls.items()}
@@ -215,7 +209,7 @@ def _fields(**types):
 _DISTRIBUTION = _fields(labels=_labels, probs=_floats)
 _JOINT = _fields(x_labels=_labels, y_labels=_labels, matrix=_matrix)
 _MECHANISM = _fields(inputs=_labels, outputs=_labels, matrix=_matrix)
-_SIDECAR = _fields(roles=(_string_map, {}), kinds=(_string_map, {}))  # by column name
+_SIDECAR = _fields(roles=(_mapping(_string), {}), kinds=(_mapping(_string), {}))  # by column name
 _TRACE = _fields(samples=_list(_fields(t=_finite, v=_finite)))
 _RECT, _CELL = _tuple(_finite, _finite, _finite, _finite), _tuple(_integer, _integer)
 _REGION = _fields(rect=(_RECT, None), cells=(_list(_CELL), None))
@@ -546,13 +540,14 @@ def parse_table(csv_text: str, schema: dict) -> DataTable:
     ``schema`` is ``{"roles": {column: role}, "kinds": {column: kind}}``;
     unmentioned columns default to plain categorical. A text without quotes
     or CRs is split by C-level string methods, about ``_BLOCK`` characters of
-    whole lines at a time, and each block is typed before the next is split;
-    any other text is read with ``csv.reader`` into one block. When a bulk
-    check fails, the text is read again record by record, which raises the
-    first fault in file order.
+    whole lines at a time, and each block is typed before the next is split.
+    Any other text, and a plain one whose bulk check fails, is read with
+    ``csv.reader`` record by record, which raises the first fault in file
+    order.
     """
     roles, kinds = _SIDECAR(schema, "schema sidecar")
-    header, blocks = _plain_blocks(csv_text) or _read_flat(csv_text)
+    plain = _plain_blocks(csv_text)
+    header = plain[0] if plain else next(_records(csv_text), (None, None))[1]
     if header is None:
         raise SchemaError("CSV is empty")
     for col in list(roles) + list(kinds):
@@ -563,9 +558,9 @@ def parse_table(csv_text: str, schema: dict) -> DataTable:
         Column(name, kinds.get(name, "categorical"), roles.get(name, "plain"))
         for name in header
     )
-    cells = _typed_columns(columns, blocks)
-    del blocks  # the reader's cell list is dropped before a record-by-record read
-    if cells is None:  # a bulk check failed
+    cells = plain and _typed_columns(columns, plain[1])
+    del plain  # a suspended split is dropped before a record-by-record read
+    if cells is None:  # a text that needs csv.reader, or a failed bulk check
         cells = _typed_columns(columns, [_read_records(csv_text, columns)])
     return DataTable(columns, cells=cells)
 
@@ -612,31 +607,16 @@ def _plain_records(csv_text: str, start: int, width: int) -> Iterator[list[str] 
         yield text.split(",") if text else []
 
 
-def _read_flat(csv_text: str) -> tuple[list[str] | None, tuple[list[str] | None]]:
-    """The header and, as one block, the flat list of body cells, in row
-    order, read with ``csv.reader``; the header is None for an empty text,
-    and the block is None when a record's width differs from the header's or
-    the reader fails past the header. Each record's list is dropped as soon
-    as it is read."""
-    records = _records(csv_text)
-    header = next(records, None)
-    flat: list[str] = []
-    try:
-        # the cell count after each record, blank ones skipped
-        ends = list(map(len, map(flat.__iadd__, filter(None, records))))
-    except SchemaError:
-        return header, (None,)  # the record-by-record read names the line
-    if header is None or not set(map(sub, ends, chain((0,), ends))) <= {len(header)}:
-        return header, (None,)
-    return header, (flat,)
-
-
-def _records(csv_text: str) -> Iterator[list[str]]:
-    """``csv.reader``'s records of the text; a reader error, such as a field
+def _records(csv_text: str) -> Iterator[tuple[int, list[str]]]:
+    """``csv.reader``'s records of the text, each with the line on which it
+    starts (a quoted field can span lines); a reader error, such as a field
     past ``csv.field_size_limit()``, is a SchemaError naming its line."""
     reader = csv.reader(io.StringIO(csv_text))
+    start = 1
     try:
-        yield from reader
+        for record in reader:
+            yield start, record
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise SchemaError(f"line {reader.line_num}: {exc}")
 
@@ -644,12 +624,12 @@ def _records(csv_text: str) -> Iterator[list[str]]:
 def _read_records(csv_text: str, columns: tuple[Column, ...]) -> list[Value]:
     """The flat list of body cells, read record by record after the header,
     numeric cells converted; the first malformed record in file order raises,
-    named by its record number."""
+    named by the line on which it starts."""
     numeric = [(j, col.name) for j, col in enumerate(columns) if col.kind == "numeric"]
     records = _records(csv_text)
     next(records)  # the header
     flat = []
-    for lineno, raw in enumerate(records, start=2):
+    for lineno, raw in records:
         if not raw:
             continue  # blank line
         if len(raw) != len(columns):

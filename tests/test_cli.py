@@ -743,6 +743,33 @@ NUMPY_USERS = {"loss_of_anonymity": ["numpy"]}
 NUMPY_FUNCTIONS = {"conditional_channel_capacity"}
 
 
+# One fixture from each metric module, in the order each thread computes them.
+_ONE_PER_MODULE = ("entropy", "mutual_information", "differential_privacy", "success_rate",
+                   "k_anonymity")
+_THREADS = 4
+_THREADED = f"""\
+import json, sys, threading
+from privmetrics import compute, core
+calls = json.loads(sys.argv[1])
+barrier = threading.Barrier({_THREADS})
+results = [None] * {_THREADS}
+
+
+def run(i):
+    barrier.wait(timeout=60)
+    results[i] = [core.jsonable(compute.compute(*call).value) for call in calls]
+
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=run, args=(i,)) for i in range({_THREADS})]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+print(json.dumps(results))
+"""
+
+
 class TestImportFootprint:
     def test_import_loads_neither(self):
         assert _cold() == ("", [])
@@ -808,6 +835,29 @@ class TestImportFootprint:
                     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                     name = getattr(exc, "id", getattr(exc, "attr", None))
                     assert name != "DistributionError", (path.name, node.lineno)
+
+    def test_first_use_from_several_threads(self, tmp_path):
+        """Threads that start at once in a fresh interpreter each import the metric modules on
+        first use, or wait for the thread that does; none reads a partly imported module."""
+        fixtures = [load_fixture(m) for m in _ONE_PER_MODULE]
+        calls = []
+        for fixture in fixtures:
+            directory = tmp_path / fixture["metric"]
+            directory.mkdir()
+            materialize_fixture(fixture, directory)
+            schema = fixture["schema"] and str(directory / fixture["schema"])
+            calls.append([fixture["metric"], [str(directory / n) for n in fixture["in"]], schema,
+                          fixture["params"]])
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        r = subprocess.run([sys.executable, "-c", _THREADED, json.dumps(calls)], capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert r.returncode == 0, r.stderr
+        results = json.loads(r.stdout)
+        assert len(results) == _THREADS
+        for values in results:
+            assert values is not None, r.stderr  # the thread returned
+            for fixture, value in zip(fixtures, values, strict=True):
+                assert values_close(value, fixture["expected"]["value"], fixture["tolerance"])
 
 
 @pytest.mark.parametrize("quote", ["", '"'])

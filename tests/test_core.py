@@ -274,6 +274,18 @@ class TestPlainSplitAgreesWithCsvReader:
         with pytest.raises(SchemaError, match=r"^line 3, column 'n': not finite: 'inf'$"):
             parse_table("a,n\nx,1\ny,inf\n", numeric)
 
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ('a,n\n"x\ny",1\nz,oops\n', SchemaError, "line 4, column 'n': not a number: 'oops'"),
+            ('a,n\n"x\ny",1\nz\n', ShapeError, "line 4: expected 2 fields, got 1"),
+            ('a,n\r\n"x\r\ny",1\r\nz,1,2\r\n', ShapeError, "line 4: expected 2 fields, got 3"),
+        ],
+    )
+    def test_a_fault_after_a_multi_line_field_names_its_line(self, text, error, message):
+        """A quoted field that spans lines moves the next record's line down."""
+        assert _parsed(text, {"roles": {}, "kinds": {"n": "numeric"}}) == (error, message)
+
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize(
         "last, error, message",
