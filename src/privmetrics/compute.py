@@ -20,7 +20,7 @@ from .core import (
     _REQUIRED, MetricValue, _boolean, _distribution, _fields, _finite, _floats, _integer, _label,
     _labels, _list, _load_json, _mapping, _matrix, _point, _read, _string, _tuple, _typed,
 )
-from .errors import DomainError, ParamError, SchemaError
+from .errors import DomainError, MetricError, ParamError, SchemaError
 
 
 def _late(path: str) -> Callable:
@@ -60,49 +60,125 @@ def _load(path: str, read: Callable):
 
 class _Kind(NamedTuple):
     help: str
-    # (path, schema, the entries of the inputs the call has loaded) -> library arguments
-    load: Callable[[str, str | None, list], tuple]
+    # (path, schema) -> (key, load). ``key`` names the value the input keeps
+    # between calls (None for a kind that keeps nothing), and ``load(kept)``
+    # returns that value and the library arguments, from the kept value or,
+    # when ``kept`` is None, from the file.
+    read: Callable[[str, str | None], tuple]
 
 
 # The inputs the last ``compute`` call loaded, as a tuple of (key, value)
-# entries. A key is the input kind and every text read for it. The tuple is
-# read and replaced whole, so two threads never get each other's input.
+# entries. A key is the input kind and the texts the value depends on. The
+# tuple is read and replaced whole, so two threads never get each other's input.
 _kept: tuple = ()
 
 
-def _keep(used: list, kind: str, parse: Callable, *texts):
-    """``parse(*texts)``, or the value kept for the same kind and texts; its
-    entry is added to ``used``, the entries of the current call."""
+def _read_ahead(kind: _Kind, path: str, schema: str | None) -> tuple:
+    """``kind.read(path, schema)``, or a load that raises its error when the
+    input's turn comes, so that faults are still reported in file order."""
+    try:
+        return kind.read(path, schema)
+    except MetricError as exc:
+        def fail(kept, exc=exc):
+            raise exc
+        return None, fail
+
+
+def _load_inputs(spec: _Spec, paths: Sequence[str], schema: str | None) -> list:
+    """The library arguments the spec's input files hold, each file loaded
+    from the value kept under its key when there is one. Every file is read
+    before the first parse, so that the kept values that no file of this call
+    has the key of can be dropped before it."""
     global _kept
-    key = (kind, *texts)
-    entry = next((entry for entry in _kept if entry[0] == key), None)
-    if entry is None:
-        _kept = tuple(used)  # the entries this call has not used are dropped before the parse
-        entry = (key, parse(*texts))
-        _kept = (*used, entry)
-    used.append(entry)
-    return entry[1]
+    reads = []  # (arity, key, load) of each input file; an omitted optional input has no load
+    for i, (kind, arity) in enumerate(spec.inputs):
+        if arity == "+":
+            for path in paths[i:]:
+                reads.append((arity, *_read_ahead(kind, path, schema)))
+        elif i < len(paths):
+            reads.append((arity, *_read_ahead(kind, paths[i], schema)))
+        else:
+            reads.append((arity, None, None))
+    args, used, group = [], [], None  # used: this call's (key, value) entries; group: a "+" list
+    stale = bool(_kept)  # whether _kept may hold values that no file of this call uses
+    for arity, key, load in reads:
+        if load is None:
+            args.append(None)  # an omitted optional input
+            continue
+        for k, kept in _kept:
+            if k == key:
+                break
+        else:
+            kept = None
+            if key is not None and stale:  # the first parse of this call
+                keys = [read[1] for read in reads]
+                _kept = tuple(entry for entry in _kept if entry[0] in keys)
+                stale = False
+        value, loaded = load(kept)
+        if key is not None:
+            used.append((key, value))
+            if kept is None:
+                _kept = (*_kept, (key, value))
+        if arity != "+":
+            args += loaded
+        elif group is None:
+            args.append(group := list(loaded))
+        else:
+            group += loaded
+    _kept = tuple(used)
+    return args
+
+
+def _fresh(help: str, load: Callable[[str, str | None], tuple]) -> _Kind:
+    """A kind that keeps nothing: ``load(path, schema)`` runs when its turn comes."""
+    return _Kind(help, lambda path, schema: (None, lambda kept: (None, load(path, schema))))
 
 
 def _parsed(parser: str, help: str) -> _Kind:
     parse = _late(parser)
-    return _Kind(help, lambda path, schema, used: (_keep(used, parser, parse, _read(path)),))
+
+    def read(path: str, schema) -> tuple:
+        text = _read(path)
+
+        def load(kept):
+            value = parse(text) if kept is None else kept
+            return value, (value,)
+        return (parser, text), load
+
+    return _Kind(help, read)
 
 
 def _record(**fields) -> _Kind:
     """A JSON object whose typed fields, in declared order, are library arguments."""
     read = _fields(**fields)
-    return _Kind(read.shape, lambda path, schema, used: _load(path, read))
+    return _fresh(read.shape, lambda path, schema: _load(path, read))
 
 
-def _table(path: str, schema: str | None, used: list) -> tuple:
+def _table(path: str, schema: str | None) -> tuple:
+    """A table is kept on its CSV text and column kinds, not on its roles: a
+    kept table is handed out re-tagged with the roles of the call."""
     if schema is None:
         raise ParamError("table metrics need --schema with the role/kind sidecar")
-    return (_keep(used, "table", _parse_table, _read(schema), _read(path)),)
+    sidecar, text = _read(schema), _read(path)
+    sidecar = _load_json(sidecar, "schema sidecar")
+
+    def load(kept):
+        if kept is None:
+            kept = core.parse_table(text, sidecar)
+            return kept, (kept,)
+        roles, _ = core._SIDECAR(sidecar, "schema sidecar")
+        return kept, (kept.with_roles(roles),)
+    return ("table", text, _kinds(sidecar)), load
 
 
-def _parse_table(sidecar: str, text: str) -> core.DataTable:
-    return core.parse_table(text, _load_json(sidecar, "schema sidecar"))
+def _kinds(sidecar) -> frozenset | None:
+    """The sidecar's column kinds as a set of (column, kind) pairs, or None
+    when they are not an object. A kept table's kinds are strings, so a key
+    with any other kind finds no table, and the parse names the fault."""
+    try:
+        return frozenset(sidecar.get("kinds", {}).items())
+    except (AttributeError, TypeError):  # not an object, or a kind that is an array or object
+        return None
 
 
 def _csv_table(path: str, csv_path: str, roles: dict, kinds: dict) -> core.DataTable:
@@ -122,12 +198,12 @@ _RELEASES = _list(_fields(
 _PARTITIONS = _fields(partitions=_list(_fields(blocks=_list(_labels), prob=_finite)))
 
 
-def _join_spec(path: str, schema, used) -> tuple:
+def _join_spec(path: str, schema) -> tuple:
     persons, relations, join_keys = _load(path, _JOIN_SPEC)
     return _csv_table(path, *persons), [_csv_table(path, *r) for r in relations], join_keys
 
 
-def _presence_spec(path: str, schema, used) -> tuple:
+def _presence_spec(path: str, schema) -> tuple:
     return tuple(_csv_table(path, *entry) for entry in _load(path, _PRESENCE_SPEC))
 
 
@@ -136,12 +212,12 @@ _make_partition = _late("uncertainty.make_partition")
 _partition_distribution = _late("uncertainty.PartitionDistribution")
 
 
-def _releases(path: str, schema, used) -> tuple:
+def _releases(path: str, schema) -> tuple:
     releases = enumerate(_load(path, _RELEASES))
     return ([_release(_csv_table(path, *t), i, owners) for i, (*t, owners) in releases],)
 
 
-def _partitions(path: str, schema, used) -> tuple:
+def _partitions(path: str, schema) -> tuple:
     (entries,) = _load(path, _PARTITIONS)
     parts = tuple(_make_partition(blocks) for blocks, _ in entries)
     return (_partition_distribution(parts, tuple(prob for _, prob in entries)),)
@@ -159,11 +235,11 @@ _KINDS = {
     "geo_mechanism": _parsed("indist.parse_geo_mechanism", '{"locations", "outputs", "matrix"}'),
     "estimate": _parsed("adversary.parse_estimate", '{"posterior", "truth", "metric"?, "coords"?}'),
     "histories": _parsed("tabular.parse_location_histories", "location histories JSON"),
-    "releases": _Kind("releases JSON", _releases),
+    "releases": _fresh("releases JSON", _releases),
     "table": _Kind("table CSV + --schema", _table),
-    "join_spec": _Kind("join spec " + _JOIN_SPEC.shape, _join_spec),
-    "presence_spec": _Kind("presence spec " + _PRESENCE_SPEC.shape, _presence_spec),
-    "partitions": _Kind('{"partitions": [{"blocks", "prob"}, ...]}', _partitions),
+    "join_spec": _fresh("join spec " + _JOIN_SPEC.shape, _join_spec),
+    "presence_spec": _fresh("presence spec " + _PRESENCE_SPEC.shape, _presence_spec),
+    "partitions": _fresh('{"partitions": [{"blocks", "prob"}, ...]}', _partitions),
 }
 _pairs = _list(_tuple(_finite, _finite))
 _XY = _record(x=_floats, y=_floats)
@@ -448,17 +524,7 @@ def compute(
         raise ParamError(
             f"unknown parameter(s) {unknown}; {metric_id} takes {inputs_help(metric_id)}"
         )
-    global _kept
-    used: list = []  # the (key, value) entries of the kept inputs this call loads
-    args = []
-    for i, (kind, arity) in enumerate(spec.inputs):
-        if arity == "+":
-            args.append([arg for path in paths[i:] for arg in kind.load(path, schema, used)])
-        elif i < len(paths):
-            args.extend(kind.load(paths[i], schema, used))
-        else:
-            args.append(None)  # an omitted optional input
-    _kept = tuple(used)
+    args = _load_inputs(spec, paths, schema)
     for name, (kind, default) in spec.params.items():
         if name in params:
             try:

@@ -14,6 +14,7 @@ ratios can pass the normal floats, ``math.fsum`` over ``_log2_quotient``.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -145,8 +146,19 @@ def _tuple(*items):
 
 
 def _mapping(item):
-    """Field type of a JSON object whose values all have type ``item``."""
-    return lambda value, what: {k: item(v, what) for k, v in _object(value, what).items()}
+    """Field type of a JSON object whose values all have type ``item``; a
+    mistyped value is named by its key, as ``what['key']``."""
+
+    def read(value, what):
+        obj = _object(value, what)
+        try:
+            return {k: item(v, what) for k, v in obj.items()}
+        except SchemaError:
+            for k, v in obj.items():  # the first mistyped value again, named by its key
+                item(v, f"{what}[{k!r}]")
+            raise
+
+    return read
 
 
 def _floats(value, what: str) -> tuple[float, ...]:
@@ -522,6 +534,25 @@ class DataTable:
 
     def __len__(self) -> int:
         return len(self.cells[0])
+
+    def with_roles(self, roles: dict[str, str]) -> DataTable:
+        """These cells under the roles ``roles`` (by column name; an
+        unmentioned column is plain), checked in the order ``parse_table``
+        checks them. The cells are shared, not copied or checked again, and so
+        is the grouping when the quasi-identifier columns are the same; a
+        table whose roles already are ``roles`` is returned itself."""
+        names = {c.name for c in self.columns}
+        for name in roles:
+            if name not in names:
+                raise SchemaError(f"schema mentions unknown column {name!r}")
+        columns = tuple(Column(c.name, c.kind, roles.get(c.name, "plain")) for c in self.columns)
+        if columns == self.columns:
+            return self
+        table = copy.copy(self)  # the instance dict, with the grouping if there is one
+        object.__setattr__(table, "columns", columns)
+        if table.quasi_identifier_columns() != self.quasi_identifier_columns():
+            vars(table).pop("_classes", None)
+        return table
 
     @cached_property
     def _classes(self) -> tuple[EquivalenceClass, ...]:

@@ -523,10 +523,23 @@ def normalized_variance(x: Sequence[float], y: Sequence[float]) -> float:
         raise ShapeError("series lengths differ")
     if len(x) < 2:
         raise ParamError("need at least two points")
+    if min(x) == max(x):
+        raise DegenerateError("original series has zero variance")
     e = _exponent([*x, *y])  # one scale for both, so that x - y keeps its meaning
     dx, dy = _deviations(x, e), _deviations(y, e)
-    vx = math.fsum(map(mul, dx, dx))
-    if vx == 0 or min(x) == max(x):  # x's deviations also vanish when they underflow at y's scale
-        raise DegenerateError("original series has zero variance")
     gaps = list(map(sub, dx, dy))
-    return math.fsum(map(mul, gaps, gaps)) / vx
+    # Then by x's largest deviation, so that its squares do not underflow at y's
+    # scale; a power of two, so where nothing underflows the ratio is unchanged.
+    s = _exponent(dx)
+    dx = list(map(math.ldexp, dx, repeat(-s)))
+    vx = math.fsum(map(mul, dx, dx))
+    if vx == 0 and not any(gaps):  # x varies below the smallest float at the scale of a constant y
+        return 1.0  # var(x - y) = var(x)
+    try:
+        gaps = list(map(math.ldexp, gaps, repeat(-s)))
+        ratio = math.fsum(map(mul, gaps, gaps)) / vx
+    except (OverflowError, ZeroDivisionError):
+        ratio = math.inf
+    if math.isinf(ratio):  # Python float division overflows to inf without raising
+        raise OverflowError("gap variance / original variance exceeds the largest float")
+    return ratio

@@ -157,6 +157,36 @@ class TestExitCodes:
         assert r.exit_code == 3, r.output
         assert _error_code(r) == "E_DOMAIN"
 
+    def test_variance_ratio_past_the_largest_float_is_3(self, runner, tmp_path):
+        """x varies, but only below the smallest float at y's scale: the ratio is about 1e620."""
+        for x, code, exit_code in (([0.0, 1e-300], "E_DOMAIN", 3), ([1e-300, 1e-300], "E_DEGENERATE", 2)):
+            (tmp_path / "xy.json").write_text(json.dumps({"x": x, "y": [0.0, 1e10]}))
+            r = runner.invoke(main, ["compute", "normalized_variance", "--in", str(tmp_path / "xy.json")])
+            assert r.exit_code == exit_code, r.output
+            assert _error_code(r) == code
+
+    @pytest.mark.parametrize("metric_id, files, schema, detail", [
+        ("k_anonymity", {"t.csv": "zip,disease\n1,flu\n"}, {"roles": {"zip": 5}},
+         "roles['zip']: expected a string, got 5"),
+        ("k_anonymity", {"t.csv": "zip,disease\n1,flu\n"}, {"kinds": {"zip": "numeric", "disease": []}},
+         "kinds['disease']: expected a string, got []"),
+        ("expected_estimation_error",
+         {"e.json": {"posterior": {"labels": ["a", "b"], "probs": [0.5, 0.5]}, "truth": "a",
+                     "metric": "euclidean", "coords": {"a": [0], "b": ["q"]}}},
+         None, "coords['b']: expected a finite number, got 'q'"),
+    ])
+    def test_mistyped_map_value_names_its_key(self, runner, tmp_path, metric_id, files, schema, detail):
+        args = ["compute", metric_id]
+        for name, content in files.items():
+            (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+            args += ["--in", str(tmp_path / name)]
+        if schema is not None:
+            (tmp_path / "s.json").write_text(json.dumps(schema))
+            args += ["--schema", str(tmp_path / "s.json")]
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, r.output
+        assert json.loads(r.stdout.splitlines()[0]) == {"error": "E_SCHEMA", "detail": detail}
+
     @pytest.mark.parametrize("eps", ["700", "1e308", "inf"])
     def test_adp_at_huge_eps_is_the_limit(self, runner, tmp_path, eps):
         (tmp_path / "m.json").write_text('{"inputs":["a","b"],"outputs":["x","y"],"matrix":[[1,0],[0,1]]}')

@@ -1,7 +1,8 @@
 """``compute`` keeps the inputs the last call loaded and hands them out again
 for the same bytes; these tests check that a kept value is never stale, that
-no metric changes the value it is handed, and that an input the next call
-does not use is dropped before that call parses."""
+no metric changes the value it is handed, that an input the next call does
+not use is dropped before that call parses, and that a kept table is shared
+by sidecars that differ only in roles."""
 
 import importlib
 import json
@@ -87,6 +88,75 @@ def test_malformed_file_after_a_good_one_still_raises(tmp_path):
     assert _k(good, sidecar) == 2
 
 
+def _sidecar(path, roles, kinds=SIDECAR["kinds"]):
+    path.write_text(json.dumps({"roles": roles, "kinds": kinds}))
+    return path
+
+
+def test_sidecars_that_differ_in_roles_share_one_parse_and_one_grouping(tmp_path, monkeypatch):
+    monkeypatch.setattr(compute, "_kept", ())
+    calls = []
+    _counting(monkeypatch, core, "parse_table", calls)
+    _counting(monkeypatch, core, "_group_by_quasi_identifiers", calls)
+    table = _table(tmp_path / "t.csv", [("a", 1, "x"), ("a", 2, "y"), ("b", 3, "x"), ("b", 5, "y")])
+    categorical = _sidecar(tmp_path / "c.json", SIDECAR["roles"])
+    numeric = _sidecar(tmp_path / "n.json", {"zip": "quasi-identifier", "age": "sensitive"})
+    assert _k(table, categorical) == 2
+    ke = compute.compute("ke_anonymity", [str(table)], str(numeric)).value
+    assert ke == {"k": 2, "e": 1.0}
+    assert calls == ["parse_table", "_group_by_quasi_identifiers"]
+    fresh = core.parse_table(table.read_text(), json.loads(numeric.read_text()))
+    assert ke == compute._SPECS["ke_anonymity"].call(fresh)
+
+
+def test_a_kept_table_under_its_own_roles_is_handed_out_itself(tmp_path, monkeypatch):
+    monkeypatch.setattr(compute, "_kept", ())
+    table = _table(tmp_path / "t.csv", [("a", 1, "x"), ("a", 2, "y")])
+    sidecar = _sidecar(tmp_path / "s.json", SIDECAR["roles"])
+    (first,) = compute._load_inputs(compute._SPECS["k_anonymity"], [str(table)], str(sidecar))
+    (second,) = compute._load_inputs(compute._SPECS["l_diversity"], [str(table)], str(sidecar))
+    assert second is first
+    classes = core.equivalence_classes(first)
+    other = _sidecar(tmp_path / "o.json", {"zip": "quasi-identifier", "age": "sensitive"})
+    (retagged,) = compute._load_inputs(compute._SPECS["ke_anonymity"], [str(table)], str(other))
+    assert retagged.cells is first.cells
+    assert core.equivalence_classes(retagged) is classes
+
+
+def test_other_kinds_parse_again_and_other_quasi_identifiers_group_again(tmp_path, monkeypatch):
+    monkeypatch.setattr(compute, "_kept", ())
+    calls = []
+    _counting(monkeypatch, core, "parse_table", calls)
+    _counting(monkeypatch, core, "_group_by_quasi_identifiers", calls)
+    table = _table(tmp_path / "t.csv", [("a", 1, "x"), ("a", 2, "y"), ("b", 3, "x"), ("b", 3, "y")])
+    assert _k(table, _sidecar(tmp_path / "s.json", SIDECAR["roles"])) == 2
+    assert _k(table, _sidecar(tmp_path / "k.json", SIDECAR["roles"], kinds={})) == 2
+    assert calls == ["parse_table", "_group_by_quasi_identifiers"] * 2
+    both = _sidecar(tmp_path / "q.json", {**SIDECAR["roles"], "age": "quasi-identifier"}, kinds={})
+    assert _k(table, both) == 1
+    assert calls[4:] == ["_group_by_quasi_identifiers"]
+
+
+@pytest.mark.parametrize("roles", [
+    {"zip": "quasi-identifier", "nosuch": "sensitive"},
+    {"zip": "quasi-identifier", "disease": "secret"},
+    {"zip": "quasi-identifier", "disease": 5},
+    {"nosuch": "quasi-identifier", "disease": "secret"},
+    {"disease": "secret", "zip": "nosuch"},
+], ids=["unknown-column", "unknown-role", "non-string-role", "column-before-role", "header-order"])
+def test_a_role_fault_on_a_kept_table_is_the_fault_of_a_fresh_parse(roles, tmp_path, monkeypatch):
+    table = _table(tmp_path / "t.csv", [("a", 1, "x"), ("a", 2, "y")])
+    args = ["compute", "k_anonymity", "--in", str(table), "--schema",
+            str(_sidecar(tmp_path / "bad.json", roles))]
+    runner = CliRunner()
+    monkeypatch.setattr(compute, "_kept", ())
+    fresh = runner.invoke(main, args)
+    assert _k(table, _sidecar(tmp_path / "good.json", SIDECAR["roles"])) == 2
+    kept = runner.invoke(main, args)
+    assert fresh.exit_code == kept.exit_code == 2
+    assert kept.stdout == fresh.stdout and "E_SCHEMA" in fresh.stdout
+
+
 def _mechanism(path, rows):
     path.write_text(json.dumps({"inputs": [f"d{i}" for i in range(len(rows))],
                                 "outputs": [f"o{j}" for j in range(len(rows[0]))],
@@ -154,6 +224,27 @@ def test_an_input_the_next_call_does_not_use_is_dropped_before_it_parses(tmp_pat
     assert alive_at_parse == [False]
 
 
+def test_a_file_both_mechanisms_share_is_parsed_once(tmp_path, monkeypatch):
+    from privmetrics import indist
+    monkeypatch.setattr(compute, "_kept", ())
+    calls = []
+    _counting(monkeypatch, indist, "parse_neighbor_relation", calls)
+    m1, neighbors = _dp_files(tmp_path)
+    m2 = str(_mechanism(tmp_path / "m2.json", [[0.5, 0.5], [0.5, 0.5], [0.25, 0.75]]))
+    for mechanism in (m1, m2, m1):
+        compute.compute("differential_privacy", [mechanism, neighbors])
+    assert calls == ["parse_neighbor_relation"]
+
+
+def test_a_malformed_first_file_is_reported_before_a_missing_second_one(tmp_path):
+    (tmp_path / "m.json").write_text("{broken")
+    with pytest.raises(SchemaError, match="malformed"):
+        compute.compute("differential_privacy", [str(tmp_path / "m.json"), str(tmp_path / "no.json")])
+    m, _ = _dp_files(tmp_path)
+    with pytest.raises(SchemaError, match="cannot read"):
+        compute.compute("differential_privacy", [m, str(tmp_path / "no.json")])
+
+
 def _run_alternating(calls):
     """More threads than cores, switching often, each alternating the calls
     ``calls`` maps to their expected values."""
@@ -205,3 +296,10 @@ def test_threads_alternating_two_mechanisms_with_one_neighbour_file(tmp_path):
         calls[lambda files=files: compute.compute("differential_privacy", files).value["eps_eff"]] = expected
     assert sorted(calls.values())[0] == 0.0 < sorted(calls.values())[1]
     _run_alternating(calls)
+
+
+def test_threads_alternating_two_role_sidecars_over_one_table(tmp_path):
+    table = _table(tmp_path / "t.csv", [(f"z{i // 4}", i // 2, "x") for i in range(2000)])
+    by_zip = _sidecar(tmp_path / "zip.json", SIDECAR["roles"])
+    by_zip_and_age = _sidecar(tmp_path / "both.json", {**SIDECAR["roles"], "age": "quasi-identifier"})
+    _run_alternating({lambda: _k(table, by_zip): 4, lambda: _k(table, by_zip_and_age): 2})

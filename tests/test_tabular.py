@@ -538,6 +538,15 @@ class TestNormalizedVariance:
     def test_sign_flip_exceeds_one(self):
         assert tb.normalized_variance([1, 2, 3], [-1, -2, -3]) == pytest.approx(4.0)
 
+    def test_tiny_series_against_a_large_one(self):
+        """x's deviations underflow when squared at y's scale; the ratio is
+        taken at x's own scale, and overflows only when it passes the largest float."""
+        assert tb.normalized_variance([0.0, 1e-150], [0.0, 1.0]) == pytest.approx(1e300, rel=1e-12)
+        assert tb.normalized_variance([0.0, 1e-320], [1e10, 1e10]) == 1.0  # var(x - c) = var(x)
+        for x, y in (([0.0, 1e-160], [0.0, 1.0]), ([0.0, 1e-320], [1e10, 0.0])):
+            with pytest.raises(OverflowError, match="exceeds the largest float"):
+                tb.normalized_variance(x, y)
+
     def test_zero_variance(self):
         with pytest.raises(DegenerateError):
             tb.normalized_variance([5, 5], [1, 2])
