@@ -27,6 +27,7 @@ from .errors import (
     SchemaError,
     ShapeError,
 )
+from .ranges import domains, interval
 
 def success_rate(trials: Sequence[bool]) -> float:
     """Fraction of attempts in which the adversary succeeded."""
@@ -35,17 +36,18 @@ def success_rate(trials: Sequence[bool]) -> float:
     return sum(1 for t in trials if t) / len(trials)
 
 
+@domains(compromised=interval(0, None), total_relays=interval(1, None),
+         path_length=interval(1, None))
 def path_compromise_probability(
     compromised: int, total_relays: int, path_length: int
 ) -> float:
     """Chance that every relay on a uniformly chosen path is compromised."""
-    if total_relays < 1 or path_length < 1:
-        raise ParamError("need total_relays >= 1 and path_length >= 1")
-    if not 0 <= compromised <= total_relays:
+    if compromised > total_relays:
         raise ParamError("compromised count must lie in [0, total_relays]")
     return (compromised / total_relays) ** path_length
 
 
+@domains(theta=interval(0, 1), alpha=interval(0, 1))
 def degrees_of_anonymity(
     posterior: DiscreteDistribution,
     target: str,
@@ -59,8 +61,6 @@ def degrees_of_anonymity(
     minimal probability, below the innocence bound alpha, below the maximum,
     and otherwise exposed.
     """
-    if not 0.0 <= theta <= 1.0 or not 0.0 <= alpha <= 1.0:
-        raise ParamError("theta and alpha must lie in [0, 1]")
     p = posterior.prob_of(target)
     tol = 1e-12
     if p >= 1.0 - tol:
@@ -89,14 +89,11 @@ def privacy_breach_check(posteriors: Sequence[float], rho: float) -> dict:
     return {"breached": top >= rho, "max_post": top}
 
 
+@domains(prior=interval(0, 1, lo_open=True), posterior=interval(0, 1), d=interval(0, 1),
+         gamma=interval(0, 1, lo_open=True))
 def dg_privacy_check(prior: float, posterior: float, d: float, gamma: float) -> bool:
     """Bounded-prior variant: prior <= d, posterior <= gamma, and the
     posterior/prior ratio at least d/gamma."""
-    for name, v in (("prior", prior), ("posterior", posterior), ("d", d), ("gamma", gamma)):
-        if not 0.0 <= v <= 1.0:
-            raise ParamError(f"{name} must lie in [0, 1], got {v!r}")
-    if prior <= 0 or gamma <= 0:
-        raise ParamError("prior and gamma must be > 0")
     return prior <= d and posterior <= gamma and d / gamma <= posterior / prior
 
 
@@ -221,6 +218,7 @@ def expected_estimation_error(e: EstimateWithTruth) -> float:
     return math.fsum(p * math.dist(e.coords[c], t) for c, p in zip(d.labels, d.probs))
 
 
+@domains(n_users=interval(1, None))
 def distance_error_expectation(
     hypotheses: Sequence[Sequence[tuple[float, float]]], n_users: int
 ) -> float:
@@ -229,8 +227,8 @@ def distance_error_expectation(
     ``hypotheses`` holds, per timestep, (probability, total distance) pairs
     whose probabilities must each form a distribution.
     """
-    if n_users < 1 or not hypotheses:
-        raise ParamError("need n_users >= 1 and at least one timestep")
+    if not hypotheses:
+        raise ParamError("need at least one timestep")
     total = 0.0
     for k, step in enumerate(hypotheses):
         probs = _normalized([p for p, _ in step], f"step {k} probability mass")
@@ -255,10 +253,11 @@ def mean_squared_error(
     return math.fsum(map(mul, gaps, gaps)) / len(truths)
 
 
+@domains(incorrect=interval(0, None), total=interval(1, None))
 def pct_incorrect(incorrect: int, total: int) -> float:
     """Share of users or events the adversary classified wrongly."""
-    if total < 1 or not 0 <= incorrect <= total:
-        raise ParamError("need 0 <= incorrect <= total with total >= 1")
+    if incorrect > total:
+        raise ParamError(f"incorrect={incorrect} exceeds total={total}")
     return incorrect / total
 
 
@@ -278,11 +277,11 @@ def health_privacy(weights: Sequence[float], base_values: Sequence[float]) -> fl
 # Time metrics
 
 
+@domains(m=interval(1, None), l=interval(1, None), n_partners=interval(1, None),
+         b=interval(1, None))
 def batch_mix_rounds(m: int, l: int, n_partners: int, b: int) -> float:
     """Expected mixing rounds before a batch-mix adversary links all of a
     sender's m recipients, for batch size b and security parameter l."""
-    if min(m, l, n_partners, b) < 1:
-        raise ParamError("all parameters must be >= 1")
     n = n_partners
     first = math.sqrt((n - 1) / n * (b - 1))
     second = math.sqrt((n - 1) / (n * n) * (b - 1) + (m - 1) / m)
@@ -340,6 +339,7 @@ def time_to_confusion(trace: Trace, delta: float, end_time: float) -> dict:
 # Accuracy metrics
 
 
+@domains(c=interval(0, 100, lo_open=True))
 def confidence_interval_width(
     atoms: Sequence[tuple[float, float]] | None = None,
     samples: Sequence[float] | None = None,
@@ -350,8 +350,6 @@ def confidence_interval_width(
     Accepts either weighted atoms (value, probability) or raw samples
     (uniform weights).
     """
-    if not 0 < c <= 100:
-        raise ParamError(f"confidence must lie in (0, 100], got {c!r}")
     if (atoms is None) == (samples is None):
         raise ParamError("provide exactly one of atoms or samples")
     if samples is not None:
@@ -383,18 +381,12 @@ def confidence_interval_width(
     return best
 
 
+@domains(bayes_error_without=interval(0, 1), bayes_error_with=interval(0, 1),
+         p=interval(0, None))
 def tp_violation_check(
     bayes_error_without: float, bayes_error_with: float, p: float
 ) -> bool:
     """Violation when the helped classifier beats the baseline by at least p."""
-    for name, v in (
-        ("bayes_error_without", bayes_error_without),
-        ("bayes_error_with", bayes_error_with),
-    ):
-        if not 0.0 <= v <= 1.0:
-            raise ParamError(f"{name} must lie in [0, 1], got {v!r}")
-    if p < 0:
-        raise ParamError(f"p must be >= 0, got {p!r}")
     return bayes_error_with <= bayes_error_without - p
 
 
@@ -405,6 +397,7 @@ def _ecdf_area(samples: Sequence[float], grid: Sequence[float]) -> float:
     return math.fsum(map(mul, map(sub, grid[1:], grid), map(add, f, f[1:]))) / 2.0
 
 
+@domains(alpha=interval(0, None), eps=interval(0, None))
 def event_unobservability(
     f1_samples: Sequence[float],
     f2_samples: Sequence[float],
@@ -421,8 +414,6 @@ def event_unobservability(
     """
     if len(f1_samples) == 0 or len(f2_samples) == 0:
         raise EmptyError("both sample sets must be non-empty")
-    if alpha < 0 or eps < 0:
-        raise ParamError("alpha and eps must be >= 0")
     grid = sorted({*f1_samples, *f2_samples})
     d_area = abs(_ecdf_area(f1_samples, grid) - _ecdf_area(f2_samples, grid))
     params_ok = (1 - eps) * p1 <= p2 <= (1 + eps) * p1
@@ -452,10 +443,9 @@ def region_coverage(r_u: Region, r_s: Region) -> float:
     return inter / r_u.area()
 
 
+@domains(r_opt=interval(0, None), r_min=interval(0, None, lo_open=True))
 def obfuscation_accuracy(r_opt: float, r_min: float) -> float:
     """Squared ratio of achievable sensing accuracy to the required minimum."""
-    if r_min <= 0 or r_opt < 0:
-        raise ParamError("need r_min > 0 and r_opt >= 0")
     ratio = r_opt / r_min  # divide first: r_min² underflows to 0 for tiny r_min
     if math.isinf(ratio) and not math.isinf(r_opt):  # the division overflows to inf without raising
         raise OverflowError("r_opt / r_min exceeds the largest float")

@@ -13,7 +13,7 @@ import sys
 import click
 
 from . import compute as compute_mod
-from . import registry
+from . import ranges, registry
 from .core import _load_json, _read, jsonable
 from .errors import COMPUTATION_CODES, MetricError, ParamError
 
@@ -42,17 +42,6 @@ def _csv_cell(value) -> str:
     if isinstance(value, (dict, list)):
         return '"' + json.dumps(value).replace('"', '""') + '"'
     return str(value)
-
-
-def _fmt_range(rng: dict) -> str:
-    if rng["kind"] == "enum":
-        return "{" + ", ".join(rng["values"]) + "}"
-    if rng["kind"] == "per_parameter":
-        return "; ".join(f"{k}: {_fmt_range(v)}" for k, v in rng["parts"].items())
-    lo = "inf" if rng["lo"] is None else rng["lo"]
-    hi = "inf" if rng["hi"] is None else rng["hi"]
-    left = "(" if rng.get("lo_open") else "["
-    return f"{left}{lo}, {hi}]"
 
 
 def _fmt_direction(direction) -> str:
@@ -108,7 +97,7 @@ def describe(metric_id, fmt):
     lines = [
         f"{d.name} ({d.id})",
         f"  category:    {d.category}",
-        f"  range:       {_fmt_range(d.value_range)}",
+        f"  range:       {ranges.fmt_range(d.value_range)}",
         f"  direction:   {_fmt_direction(d.direction)} (high/low values mean high privacy)",
         f"  sources:     {', '.join(sorted(d.data_sources))}",
         f"  inputs:      {', '.join(sorted(d.inputs)) or 'none'}"

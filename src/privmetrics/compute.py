@@ -15,7 +15,7 @@ import math
 import os
 from typing import Callable, NamedTuple, Sequence
 
-from . import core, registry
+from . import core, ranges, registry
 from .core import (
     _REQUIRED, MetricValue, _boolean, _distribution, _fields, _finite, _floats, _integer, _label,
     _labels, _list, _load_json, _mapping, _matrix, _point, _read, _string, _tuple, _typed,
@@ -23,14 +23,14 @@ from .core import (
 from .errors import DomainError, MetricError, ParamError, SchemaError
 
 
-def _late(path: str) -> Callable:
-    """Call ``module.function`` of this package, with both looked up on every
-    call rather than at import: the module through the import system, so that
-    the first call imports a metric module and a call from another thread waits
-    until that import is done, and the function's attribute on it, so that a
-    wrapper installed on the module attribute is the one that runs."""
+def _function(path: str) -> Callable:
+    """The function ``module.function`` of this package, with both looked up
+    on every use rather than at import: the module through the import system,
+    so that the first use imports a metric module and a use from another thread
+    waits until that import is done, and the function's attribute on it, so
+    that a wrapper installed on the module attribute is the one that runs."""
     module, name = f"{__package__}.{path}".rsplit(".", 1)
-    return lambda *args: getattr(importlib.import_module(module), name)(*args)
+    return getattr(importlib.import_module(module), name)
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +135,11 @@ def _fresh(help: str, load: Callable[[str, str | None], tuple]) -> _Kind:
 
 
 def _parsed(parser: str, help: str) -> _Kind:
-    parse = _late(parser)
-
     def read(path: str, schema) -> tuple:
         text = _read(path)
 
         def load(kept):
-            value = parse(text) if kept is None else kept
+            value = _function(parser)(text) if kept is None else kept
             return value, (value,)
         return (parser, text), load
 
@@ -207,20 +205,16 @@ def _presence_spec(path: str, schema) -> tuple:
     return tuple(_csv_table(path, *entry) for entry in _load(path, _PRESENCE_SPEC))
 
 
-_release = _late("tabular.Release")
-_make_partition = _late("uncertainty.make_partition")
-_partition_distribution = _late("uncertainty.PartitionDistribution")
-
-
 def _releases(path: str, schema) -> tuple:
     releases = enumerate(_load(path, _RELEASES))
-    return ([_release(_csv_table(path, *t), i, owners) for i, (*t, owners) in releases],)
+    release = _function("tabular.Release")
+    return ([release(_csv_table(path, *t), i, owners) for i, (*t, owners) in releases],)
 
 
 def _partitions(path: str, schema) -> tuple:
     (entries,) = _load(path, _PARTITIONS)
-    parts = tuple(_make_partition(blocks) for blocks, _ in entries)
-    return (_partition_distribution(parts, tuple(prob for _, prob in entries)),)
+    parts = tuple(_function("uncertainty.make_partition")(blocks) for blocks, _ in entries)
+    return (_function("uncertainty.PartitionDistribution")(parts, tuple(p for _, p in entries)),)
 
 
 _KINDS = {
@@ -252,7 +246,7 @@ _FEATURE_SERIES = _record(transitions=_floats, window=(_integer, None))
 
 class _Spec(NamedTuple):
     inputs: tuple[tuple[_Kind, str], ...]  # arity "" once, "?" optional, "+" one or more
-    call: Callable
+    call: str  # the library function, as "module.function"
     params: dict  # name -> (type, default or _REQUIRED), in call order
     min_files: int
     max_files: float
@@ -276,7 +270,7 @@ def _spec(call: str, *inputs, **params) -> _Spec:
     arities = [arity for _, arity in kinds]
     return _Spec(
         tuple(kinds),
-        _late(call),
+        call,
         _typed(params),
         min_files=arities.count("") + arities.count("+"),
         max_files=math.inf if "+" in arities else len(arities),
@@ -449,43 +443,31 @@ _SPECS: dict[str, _Spec] = {
 # Range checking and the public compute() front
 
 
-def _scalar_in_interval(value: float, rng: dict) -> bool:
-    lo, hi = rng.get("lo"), rng.get("hi")
-    if isinstance(lo, (int, float)):
-        if rng.get("lo_open") and value <= lo:
-            return False
-        if not rng.get("lo_open") and value < lo:
-            return False
-    if isinstance(hi, (int, float)) and value > hi:
-        return False
-    return True
-
-
 def in_declared_range(value, rng: dict) -> bool:
     """Best-effort check of a metric value against its catalog range.
 
     Symbolic endpoints (like the alphabet size) and mixed records against
     scalar ranges cannot be checked and count as in range.
     """
-    if rng["kind"] == "enum":
-        if isinstance(value, bool):
-            return str(value).lower() in rng["values"]
-        if isinstance(value, str):
-            return value in rng["values"]
-        return True
     if rng["kind"] == "per_parameter":
-        if isinstance(value, dict):
-            return all(
-                _scalar_in_interval(value[k], part)
-                for k, part in rng["parts"].items()
-                if k in value and isinstance(value[k], (int, float))
-            )
-        return True
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if isinstance(value, float) and math.isnan(value):
-            return False
-        return _scalar_in_interval(float(value), rng)
-    return True
+        return not isinstance(value, dict) or all(
+            ranges.contains(part, value[k])
+            for k, part in rng["parts"].items() if isinstance(value.get(k), (int, float))
+        )
+    if rng["kind"] == "enum":
+        value = str(value).lower() if isinstance(value, bool) else value
+        return not isinstance(value, str) or ranges.contains(rng, value)
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return not numeric or ranges.contains(rng, value)
+
+
+def _param_domains(metric_id: str) -> dict:
+    """Each ``--param`` of a metric and the domain its library function declares
+    for it, or None, matched by position: they are its trailing positional parameters."""
+    spec = _SPECS[metric_id]
+    declared = getattr(_function(spec.call), "domains", {})
+    domains = list(declared.values()) or [None] * len(spec.params)
+    return dict(zip(spec.params, domains[len(domains) - len(spec.params):]))
 
 
 def inputs_help(metric_id: str) -> str:
@@ -495,11 +477,13 @@ def inputs_help(metric_id: str) -> str:
         {"": kind.help, "?": f"[{kind.help}]", "+": f"{kind.help} (one or more)"}[arity]
         for kind, arity in spec.inputs
     )
-    params = " ".join(
-        f"{name}=..." if default is _REQUIRED
-        else f"[{name}={'...' if default is None else default}]"
-        for name, (_, default) in spec.params.items()
-    )
+    params = []
+    for name, domain in _param_domains(metric_id).items():
+        default = spec.params[name][1]
+        param = f"{name}={'...' if default is _REQUIRED or default is None else default}"
+        param += f" in {ranges.fmt_range(domain)}" if domain else ""
+        params.append(param if default is _REQUIRED else f"[{param}]")
+    params = " ".join(params)
     return "; ".join(filter(None, (files, params and f"--param {params}")))
 
 
@@ -539,7 +523,7 @@ def compute(
         else:
             args.append(default)
     try:
-        value = spec.call(*args)
+        value = _function(spec.call)(*args)
     except OverflowError as exc:
         raise DomainError(f"{metric_id}: floating-point overflow ({exc})")
     return MetricValue(

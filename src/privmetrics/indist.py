@@ -23,6 +23,7 @@ from .errors import (
     SchemaError,
     ShapeError,
 )
+from .ranges import domains, interval
 
 WILSON_Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -75,6 +76,7 @@ def dp_epsilon(m: FiniteMechanism, nr: NeighborRelation) -> dict:
     return {"eps_eff": eps}
 
 
+@domains(eps=interval(0, None))
 def adp_delta(m: FiniteMechanism, nr: NeighborRelation, eps: float) -> float:
     """Minimal additive slack delta making the mechanism (eps, delta)-private.
 
@@ -82,8 +84,6 @@ def adp_delta(m: FiniteMechanism, nr: NeighborRelation, eps: float) -> float:
     row exceeds exp(eps) times the other. At eps = 0 this is the worst-case
     total variation distance.
     """
-    if eps < 0 or math.isnan(eps):
-        raise ParamError(f"eps must be >= 0, got {eps!r}")
     try:
         scale = math.exp(eps)
     except OverflowError:
@@ -144,6 +144,7 @@ def geo_indistinguishability(g: GeoMechanism) -> dict:
     return {"eps_eff": eps}
 
 
+@domains(eps=interval(0, None))
 def information_privacy(j: JointDistribution, eps: float) -> dict:
     """Bound on how far any posterior p(s|u) drifts from the prior p(s).
 
@@ -151,8 +152,6 @@ def information_privacy(j: JointDistribution, eps: float) -> dict:
     prior are skipped, and a vanishing posterior against a positive prior
     makes the bound infinite.
     """
-    if eps < 0 or math.isnan(eps):
-        raise ParamError(f"eps must be >= 0, got {eps!r}")
     p_s = j.marginal_x().probs
     p_u = j.marginal_y().probs
     eps_min = 0.0
@@ -170,6 +169,8 @@ def information_privacy(j: JointDistribution, eps: float) -> dict:
     return {"holds": eps_min <= eps, "eps_min": eps_min}
 
 
+@domains(likelihood_1=interval(0, None), likelihood_2=interval(0, None),
+         prior_ratio=interval(0, None), eps=interval(0, None))
 def distributional_privacy(
     likelihood_1: float, likelihood_2: float, prior_ratio: float, eps: float
 ) -> bool:
@@ -179,12 +180,6 @@ def distributional_privacy(
     A vanishing second likelihood against a positive first makes the odds
     infinite, failing every finite eps.
     """
-    if likelihood_1 < 0 or likelihood_2 < 0:
-        raise ParamError("likelihoods must be >= 0")
-    if prior_ratio < 0:
-        raise ParamError("prior ratio must be >= 0")
-    if eps < 0 or math.isnan(eps):
-        raise ParamError(f"eps must be >= 0, got {eps!r}")
     if likelihood_1 == 0 and likelihood_2 == 0:
         raise DomainError("both likelihoods are 0; posterior undefined")
     if likelihood_2 == 0:

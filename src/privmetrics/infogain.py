@@ -21,6 +21,7 @@ from .errors import (
     SchemaError,
     ShapeError,
 )
+from .ranges import domains, interval
 from .uncertainty import shannon_entropy
 
 BA_TOL = 1e-9
@@ -267,20 +268,17 @@ def system_anonymity_level(a: AdjacencyMatrix) -> float:
 # Pointwise and data-driven measures
 
 
+@domains(p=interval(None, 1))
 def surprisal(p: float) -> float:
     """Self-information -log2(p) of one outcome."""
     if p <= 0:
         raise DomainError(f"probability must be > 0, got {p!r}")
-    if p > 1:
-        raise ParamError(f"probability must be <= 1, got {p!r}")
     return -math.log2(p)
 
 
+@domains(prior=interval(0, 1), posterior=interval(0, 1))
 def belief_increase_check(prior: float, posterior: float, delta: float) -> dict:
     """Gap between posterior and prior belief, breached when strictly > delta."""
-    for name, v in (("prior", prior), ("posterior", posterior)):
-        if not 0.0 <= v <= 1.0:
-            raise ParamError(f"{name} must lie in [0, 1], got {v!r}")
     gap = posterior - prior
     return {"breached": gap > delta, "gap": gap}
 

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 from .core import _boolean, _fields, _list, _string
 from .errors import ParamError, SchemaError, UnknownMetricError
+from .ranges import enum_range, interval, per_parameter
 
 CATEGORIES = (
     "uncertainty",
@@ -47,19 +48,6 @@ _INPUT_CODES = {
     "prior": "prior",
     "par": "parameters",
 }
-
-
-def interval(lo, hi, lo_open: bool = False) -> dict:
-    """Range encoding: endpoints are numbers, None for infinity, or a symbol."""
-    return {"kind": "interval", "lo": lo, "hi": hi, "lo_open": lo_open}
-
-
-def enum_range(*values: str) -> dict:
-    return {"kind": "enum", "values": list(values)}
-
-
-def per_parameter(**parts: dict) -> dict:
-    return {"kind": "per_parameter", "parts": parts}
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .errors import (
     SchemaError,
     ShapeError,
 )
+from .ranges import domains, enum_range, interval
 
 
 def _class_sensitive(column: Sequence[Value], cls: EquivalenceClass) -> list[Value]:
@@ -60,6 +61,7 @@ def alpha_k_anonymity(table: DataTable, sensitive_value: Value) -> dict:
     return {"k": min(map(len, classes)), "alpha": alpha}
 
 
+@domains(mode=enum_range("entropy", "recursive"))
 def l_diversity(table: DataTable, mode: str = "entropy", c: float = 1.0) -> float:
     """Diversity of the sensitive attribute within every equivalence class.
 
@@ -78,19 +80,17 @@ def l_diversity(table: DataTable, mode: str = "entropy", c: float = 1.0) -> floa
             h = _entropy_bits(list(map(truediv, counts, repeat(sum(counts)))))
             worst = min(worst, 2.0**h)
         return worst
-    if mode == "recursive":
-        if c <= 0:
-            raise ParamError(f"recursive diversity needs c > 0, got {c!r}")
-        max_distinct = max(len(counts) for counts in per_class_counts)
-        best = 1
-        for ell in range(2, max_distinct + 1):
-            if all(
-                counts[0] < c * sum(counts[ell - 1 :])
-                for counts in per_class_counts
-            ):
-                best = ell
-        return float(best)
-    raise ParamError(f"unknown diversity mode {mode!r}")
+    if c <= 0:
+        raise ParamError(f"recursive diversity needs c > 0, got {c!r}")
+    max_distinct = max(len(counts) for counts in per_class_counts)
+    best = 1
+    for ell in range(2, max_distinct + 1):
+        if all(
+            counts[0] < c * sum(counts[ell - 1 :])
+            for counts in per_class_counts
+        ):
+            best = ell
+    return float(best)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +150,7 @@ def t_closeness(table: DataTable) -> float:
 # Point isolation and numeric-attribute variants
 
 
+@domains(target_index=interval(0, None), c=interval(0, None, lo_open=True))
 def ct_isolation(
     points: Sequence[Sequence[float]],
     guess: Sequence[float],
@@ -163,9 +164,7 @@ def ct_isolation(
     few ulps so that a point on the sphere counts at every scale. Given a
     threshold ``t``, ``isolated`` says whether fewer than t points fall in.
     """
-    if c <= 0:
-        raise ParamError(f"isolation factor c must be > 0, got {c!r}")
-    if not 0 <= target_index < len(points):
+    if target_index >= len(points):
         raise ParamError(f"target index {target_index} out of range")
     dims = set(map(len, points))
     if len(dims) > 1:
@@ -194,6 +193,7 @@ def ke_anonymity(table: DataTable) -> dict:
     return {"k": min(map(len, classes)), "e": min(ranges)}
 
 
+@domains(epsilon=interval(0, None))
 def em_anonymity(table: DataTable, epsilon: float) -> float:
     """Inverse of the worst in-class fraction of epsilon-similar values.
 
@@ -201,8 +201,6 @@ def em_anonymity(table: DataTable, epsilon: float) -> float:
     rows within [x - epsilon, x + epsilon] is bounded by 1/m; the returned m
     is the tightest such bound.
     """
-    if not epsilon >= 0:  # also rejects NaN, for which no value would be within epsilon
-        raise ParamError(f"epsilon must be >= 0, got {epsilon!r}")
     col = table.sensitive_column()
     if table.columns[col].kind != "numeric":
         raise SchemaError("similarity anonymity needs a numeric sensitive column")
@@ -396,6 +394,9 @@ def parse_location_histories(text: str) -> tuple[LocationHistory, ...]:
     )
 
 
+@domains(n_participants=interval(2, None), l_variations=interval(0, None),
+         alpha=interval(0, None), mode=enum_range("aggregate", "statistics"),
+         log_base=interval(1, None, lo_open=True))
 def haplotype_safety(
     n_participants: int,
     l_variations: int,
@@ -410,14 +411,6 @@ def haplotype_safety(
     (alpha - 1) for test statistics. The inequality is strict; the log base
     defaults to 2.
     """
-    if n_participants < 2:
-        raise ParamError("need at least two participants")
-    if l_variations < 0 or alpha < 0:
-        raise ParamError("variation count and alpha must be >= 0")
-    if log_base <= 1:
-        raise ParamError("log base must be > 1")
-    if mode not in ("aggregate", "statistics"):
-        raise ParamError(f"unknown mode {mode!r}")
     denom = math.log(n_participants + 1, log_base)
     if mode == "statistics":
         denom += alpha - 1.0

@@ -19,6 +19,7 @@ from .errors import (
     ParamError,
     ShapeError,
 )
+from .ranges import domains, interval
 
 RENYI_SHANNON_WINDOW = 1e-6  # switch to the Shannon limit this close to alpha=1
 
@@ -33,6 +34,7 @@ def shannon_entropy(d: DiscreteDistribution) -> float:
     return _entropy_bits(d.probs)
 
 
+@domains(alpha=interval(0, None))
 def renyi_entropy(d: DiscreteDistribution, alpha: float) -> float:
     """Order-``alpha`` entropy in bits.
 
@@ -40,8 +42,6 @@ def renyi_entropy(d: DiscreteDistribution, alpha: float) -> float:
     -log2(max p); values within 1e-6 of 1 fall back to Shannon entropy, which
     is the (removable) limit there.
     """
-    if alpha < 0 or math.isnan(alpha):
-        raise ParamError(f"alpha must be >= 0, got {alpha!r}")
     if alpha == 0:
         return math.log2(len(d))
     if math.isinf(alpha):
@@ -92,14 +92,13 @@ def asymmetric_entropy(d: DiscreteDistribution, w: Sequence[float]) -> float:
     return total
 
 
+@domains(c=interval(0, 1, lo_open=True))
 def quantile_entropy(d: DiscreteDistribution, c: float) -> float:
     """Shannon entropy of the outcomes with p(x) >= c, renormalized.
 
     The retained subset is renormalized so the result is a true entropy; an
     empty subset is an error.
     """
-    if not 0.0 < c <= 1.0:
-        raise ParamError(f"threshold c must lie in (0, 1], got {c!r}")
     kept = [p for p in d.probs if p >= c]
     if not kept:
         raise EmptyError(f"no outcome has probability >= {c!r}")
@@ -261,6 +260,7 @@ def genomic_privacy(
         return math.inf
 
 
+@domains(t_common=interval(1, None))
 def protection_level(
     trajectory_regions: Sequence[DiscreteDistribution],
     reference: DiscreteDistribution,
@@ -271,24 +271,19 @@ def protection_level(
     Popularity of a region is 2^H of its visit distribution; the sum over
     trajectory regions is scaled by t_common times the reference popularity.
     """
-    if t_common < 1:
-        raise ParamError(f"t_common must be >= 1, got {t_common!r}")
     if not trajectory_regions:
         raise EmptyError("no trajectory regions given")
     total = math.fsum(map(inherent_privacy, trajectory_regions))
     return total / (t_common * inherent_privacy(reference))
 
 
+@domains(h0=interval(0, None), lam=interval(0, None, lo_open=True))
 def user_centric_privacy(h0: float, lam: float, t: float, t_last: float = 0.0) -> float:
     """Remaining privacy h0 - lam * (t - t_last), floored at zero.
 
     ``h0`` is the level in bits at the last protection event, at time
     ``t_last``, and ``lam`` the bits lost per second since.
     """
-    if h0 < 0 or math.isnan(h0):
-        raise ParamError(f"h0 must be >= 0, got {h0!r}")
-    if lam <= 0 or math.isnan(lam):
-        raise ParamError(f"decay rate must be > 0, got {lam!r}")
     if t < t_last:
         raise ParamError(f"t={t!r} precedes the last protection event {t_last!r}")
     return max(0.0, h0 - lam * (t - t_last))

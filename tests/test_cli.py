@@ -340,6 +340,20 @@ class TestListDescribe:
         r = runner.invoke(main, ["describe", "entropy", "--format", "json"])
         assert json.loads(r.output) == reg.lookup("entropy").to_json_dict()
 
+    @pytest.mark.parametrize("metric_id, expects", [
+        ("approximate_differential_privacy",
+         "mechanism JSON, neighbor-relation JSON; --param eps=... in [0, inf]"),
+        ("distributional_privacy",  # l1 is the function's likelihood_1: matched by position
+         "--param l1=... in [0, inf] l2=... in [0, inf] prior_ratio=... in [0, inf] eps=... in [0, inf]"),
+        ("haplotype_snp_test",
+         "--param n=... in [2, inf] l=... in [0, inf] [alpha=0.0 in [0, inf]]"
+         " [mode=aggregate in {aggregate, statistics}] [log_base=2.0 in (1, inf]]"),
+        ("user_centric_privacy", "--param h0=... in [0, inf] lam=... in (0, inf] t=... [t_last=0.0]"),
+    ])
+    def test_describe_expects_shows_each_param_domain(self, runner, metric_id, expects):
+        r = runner.invoke(main, ["describe", metric_id])
+        assert f"\n  expects:     {expects}\n" in r.output
+
 
 class TestAdvise:
     def test_guarantee_mode(self, runner, tmp_path):

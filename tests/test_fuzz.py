@@ -3,11 +3,13 @@ one numeric ``--param`` an edge value.
 
 Whatever the mutation, ``compute`` must give a value (exit 0) or a
 machine-readable ``{"error": ...}`` with exit code 2 or 3; it must never
-escape with a traceback (exit 1). A NaN parameter is always exit 2.
+escape with a traceback (exit 1). A NaN parameter, and one outside its
+declared domain, is always exit 2 with ``E_PARAM``.
 """
 
 import copy
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from privmetrics import compute
+from privmetrics import compute, ranges
 from privmetrics.cli import main
 
 from conftest import all_fixture_ids, load_fixture, materialize_fixture
@@ -83,14 +85,17 @@ def test_mutated_fixture_fails_cleanly(metric_id, data):
 
 
 def _fails_cleanly(fixture: dict):
-    """Run a fixture through the CLI; assert the 0/2/3 contract and return the exit code."""
+    """Run a fixture through the CLI; assert the 0/2/3 contract and return
+    the exit code and the error code (None on success)."""
     with tempfile.TemporaryDirectory() as directory:
         r = CliRunner().invoke(main, materialize_fixture(fixture, Path(directory)))
     assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
     assert r.exit_code in (0, 2, 3), r.output
-    if r.exit_code:
-        assert "error" in json.loads(r.stdout.splitlines()[0])
-    return r.exit_code
+    if not r.exit_code:
+        return 0, None
+    error = json.loads(r.stdout.splitlines()[0])
+    assert "error" in error
+    return r.exit_code, error["error"]
 
 
 PARAM_VALUES = {
@@ -98,19 +103,49 @@ PARAM_VALUES = {
     "1e-308": "1e-308", "-1e-308": "-1e-308", "5e-324": "5e-324", "-5e-324": "-5e-324",
     "0": "0", "-1": "-1", "empty": "", "200-digits": "9" * 200, "-200-digits": "-" + "9" * 200,
 }
+
+
+def _number(value: str) -> float:
+    """The number a ``--param`` value reads as; a value that is no number reads
+    as NaN, which every domain refuses as well."""
+    try:
+        return float(value)
+    except ValueError:
+        return math.nan
+
+
+def _edge_values(domain: dict | None, kind) -> list[str]:
+    """Each finite end of a declared domain and the nearest value of the
+    parameter's type on either side of it, less the values PARAM_VALUES has."""
+    if domain is None:
+        return []
+    out = []
+    for end in (domain["lo"], domain["hi"]):
+        if isinstance(end, (int, float)):
+            if kind is int:
+                out += [end - 1, end, end + 1]
+            else:
+                out += [math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf)]
+    return [v for v in map(repr, out) if v not in PARAM_VALUES.values()]
+
+
 NUMERIC_PARAMS = [
-    pytest.param(metric_id, name, value, id=f"{metric_id}-{name}={label}")
+    pytest.param(metric_id, name, value, domain, id=f"{metric_id}-{name}={label}")
     for metric_id in all_fixture_ids()
-    for name, (kind, _) in compute._SPECS[metric_id].params.items()
+    for (name, (kind, _)), domain in zip(
+        compute._SPECS[metric_id].params.items(), compute._param_domains(metric_id).values()
+    )
     if kind in (float, int)
-    for label, value in PARAM_VALUES.items()
+    for label, value in [*PARAM_VALUES.items(), *((v, v) for v in _edge_values(domain, kind))]
 ]
 
 
-@pytest.mark.parametrize("metric_id, name, value", NUMERIC_PARAMS)
-def test_numeric_param_fails_cleanly(metric_id, name, value):
+@pytest.mark.parametrize("metric_id, name, value, domain", NUMERIC_PARAMS)
+def test_numeric_param_fails_cleanly(metric_id, name, value, domain):
     fixture = load_fixture(metric_id)
     fixture["params"][name] = value  # the fixture's other parameters are kept
-    exit_code = _fails_cleanly(fixture)
+    exit_code, error = _fails_cleanly(fixture)
     if value == "nan":
         assert exit_code == 2
+    if domain is not None and not ranges.contains(domain, _number(value)):
+        assert (exit_code, error) == (2, "E_PARAM")

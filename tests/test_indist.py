@@ -282,6 +282,10 @@ class TestDistributionalPrivacy:
     def test_vanishing_second_likelihood(self):
         assert ind.distributional_privacy(0.5, 0.0, 1.0, 100.0) is False
 
+    def test_odds_divide_by_the_second_likelihood(self):
+        # odds 1.0 * 0.4 / 0.2 = 2 exceed exp(eps) = 1.5; 1.0 * 0.4 * 0.2 would not
+        assert ind.distributional_privacy(0.4, 0.2, 1.0, math.log(1.5)) is False
+
     def test_both_zero(self):
         with pytest.raises(DomainError):
             ind.distributional_privacy(0.0, 0.0, 1.0, 1.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from privmetrics import tabular as tb
+from privmetrics import core, tabular as tb
 from privmetrics.core import DiscreteDistribution, parse_table
 from privmetrics.errors import (
     DegenerateError,
@@ -125,6 +125,11 @@ class TestLDiversity:
         rows = [("a", "x")] * 3 + [("a", "y"), ("a", "z")]
         assert tb.l_diversity(table(rows), "recursive", 2.0) == 2.0
 
+    def test_recursive_inequality_is_strict(self):
+        # counts (2, 1) at c = 2: 2 < 2 * 1 fails, so l = 2 does not hold
+        rows = [("a", "x")] * 2 + [("a", "y")]
+        assert tb.l_diversity(table(rows), "recursive", 2.0) == 1.0
+
     def test_recursive_c_validation(self):
         with pytest.raises(ParamError):
             tb.l_diversity(table([("a", "x")]), "recursive", 0.0)
@@ -132,6 +137,16 @@ class TestLDiversity:
     def test_unknown_mode(self):
         with pytest.raises(ParamError):
             tb.l_diversity(table([("a", "x")]), "nope")
+
+    def test_unknown_mode_fails_before_grouping(self, monkeypatch):
+        calls = []
+        group = core._group_by_quasi_identifiers
+        monkeypatch.setattr(
+            core, "_group_by_quasi_identifiers", lambda t: calls.append(t) or group(t)
+        )
+        with pytest.raises(ParamError):
+            tb.l_diversity(table([("a", "x")]), "nope")
+        assert calls == []
 
 
 class TestMInvariance:
@@ -182,6 +197,11 @@ class TestEMD:
             + [("C", v) for v in (20, 20, 30, 30)]
         )
         assert tb.t_closeness(table(rows, QI_S_NUM)) == pytest.approx(0.5, abs=1e-9)
+
+    def test_numeric_two_value_domain(self):
+        # over the two-value domain (10, 20) each single-valued class is 0.5 from (0.5, 0.5)
+        rows = [("A", 10), ("A", 10), ("B", 20), ("B", 20)]
+        assert tb.t_closeness(table(rows, QI_S_NUM)) == 0.5
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(21)
@@ -234,6 +254,11 @@ class TestCTIsolation:
             tb.ct_isolation([[0, 0]], [0, 0], 0, 0.0)
         with pytest.raises(ParamError):
             tb.ct_isolation([[0, 0]], [0, 0], 5, 1.0)
+
+    @pytest.mark.parametrize("target_index", [2, -1])
+    def test_target_index_just_outside_the_points(self, target_index):
+        with pytest.raises(ParamError):
+            tb.ct_isolation([[0, 0], [1, 1]], [0, 0], target_index, 1.0)
         with pytest.raises(ShapeError):
             tb.ct_isolation([[0, 0]], [0, 0, 0], 0, 1.0)
 
