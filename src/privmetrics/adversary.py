@@ -36,15 +36,13 @@ def success_rate(trials: Sequence[bool]) -> float:
     return sum(1 for t in trials if t) / len(trials)
 
 
-@domains(compromised=interval(0, None), total_relays=interval(1, None),
-         path_length=interval(1, None))
-def path_compromise_probability(
-    compromised: int, total_relays: int, path_length: int
-) -> float:
-    """Chance that every relay on a uniformly chosen path is compromised."""
-    if compromised > total_relays:
-        raise ParamError("compromised count must lie in [0, total_relays]")
-    return (compromised / total_relays) ** path_length
+@domains(compromised=interval(0, None), total=interval(1, None), path_length=interval(1, None))
+def path_compromise_probability(compromised: int, total: int, path_length: int) -> float:
+    """Chance that every relay on a uniformly chosen path is compromised,
+    ``compromised`` of ``total`` relays."""
+    if compromised > total:
+        raise ParamError("compromised count must lie in [0, total]")
+    return (compromised / total) ** path_length
 
 
 @domains(theta=interval(0, 1), alpha=interval(0, 1))
@@ -277,12 +275,11 @@ def health_privacy(weights: Sequence[float], base_values: Sequence[float]) -> fl
 # Time metrics
 
 
-@domains(m=interval(1, None), l=interval(1, None), n_partners=interval(1, None),
-         b=interval(1, None))
-def batch_mix_rounds(m: int, l: int, n_partners: int, b: int) -> float:
+@domains(m=interval(1, None), l=interval(1, None), n=interval(1, None), b=interval(1, None))
+def batch_mix_rounds(m: int, l: int, n: int, b: int) -> float:
     """Expected mixing rounds before a batch-mix adversary links all of a
-    sender's m recipients, for batch size b and security parameter l."""
-    n = n_partners
+    sender's m recipients among n partners, for batch size b and security
+    parameter l."""
     first = math.sqrt((n - 1) / n * (b - 1))
     second = math.sqrt((n - 1) / (n * n) * (b - 1) + (m - 1) / m)
     return (m * l * (first + second)) ** 2
@@ -381,13 +378,11 @@ def confidence_interval_width(
     return best
 
 
-@domains(bayes_error_without=interval(0, 1), bayes_error_with=interval(0, 1),
-         p=interval(0, None))
-def tp_violation_check(
-    bayes_error_without: float, bayes_error_with: float, p: float
-) -> bool:
-    """Violation when the helped classifier beats the baseline by at least p."""
-    return bayes_error_with <= bayes_error_without - p
+@domains(rho_base=interval(0, 1), rho_with=interval(0, 1), p=interval(0, None))
+def tp_violation_check(rho_base: float, rho_with: float, p: float) -> bool:
+    """Violation when the helped classifier's Bayes error ``rho_with`` beats
+    the baseline's ``rho_base`` by at least p."""
+    return rho_with <= rho_base - p
 
 
 def _ecdf_area(samples: Sequence[float], grid: Sequence[float]) -> float:

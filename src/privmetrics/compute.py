@@ -13,6 +13,7 @@ import importlib
 import json
 import math
 import os
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 from . import core, ranges, registry
@@ -20,7 +21,7 @@ from .core import (
     _REQUIRED, MetricValue, _boolean, _distribution, _fields, _finite, _floats, _integer, _label,
     _labels, _list, _load_json, _mapping, _matrix, _point, _read, _string, _tuple, _typed,
 )
-from .errors import DomainError, MetricError, ParamError, SchemaError
+from .errors import DomainError, ParamError, SchemaError
 
 
 def _function(path: str) -> Callable:
@@ -60,123 +61,85 @@ def _load(path: str, read: Callable):
 
 class _Kind(NamedTuple):
     help: str
-    # (path, schema) -> (key, load). ``key`` names the value the input keeps
-    # between calls (None for a kind that keeps nothing), and ``load(kept)``
-    # returns that value and the library arguments, from the kept value or,
-    # when ``kept`` is None, from the file.
-    read: Callable[[str, str | None], tuple]
+    # (path, schema, parsed) -> the library arguments the file holds. A kind
+    # that keeps its value between calls asks ``parsed(key, make)`` for it.
+    load: Callable[[str, str | None, Callable], tuple]
 
 
-# The inputs the last ``compute`` call loaded, as a tuple of (key, value)
-# entries. A key is the input kind and the texts the value depends on. The
-# tuple is read and replaced whole, so two threads never get each other's input.
+# The values the last ``compute`` call handed out, as a tuple of (key, value)
+# entries. A key is the loader of the value's kind and the texts the value
+# depends on. The tuple is read and replaced whole, so two threads never get
+# each other's input.
 _kept: tuple = ()
 
 
-def _read_ahead(kind: _Kind, path: str, schema: str | None) -> tuple:
-    """``kind.read(path, schema)``, or a load that raises its error when the
-    input's turn comes, so that faults are still reported in file order."""
-    try:
-        return kind.read(path, schema)
-    except MetricError as exc:
-        def fail(kept, exc=exc):
-            raise exc
-        return None, fail
-
-
 def _load_inputs(spec: _Spec, paths: Sequence[str], schema: str | None) -> list:
-    """The library arguments the spec's input files hold, each file loaded
-    from the value kept under its key when there is one. Every file is read
-    before the first parse, so that the kept values that no file of this call
-    has the key of can be dropped before it."""
+    """The library arguments the spec's input files hold, loaded in file
+    order, after the kept values of kinds the spec does not take are dropped."""
     global _kept
-    reads = []  # (arity, key, load) of each input file; an omitted optional input has no load
-    for i, (kind, arity) in enumerate(spec.inputs):
-        if arity == "+":
-            for path in paths[i:]:
-                reads.append((arity, *_read_ahead(kind, path, schema)))
-        elif i < len(paths):
-            reads.append((arity, *_read_ahead(kind, paths[i], schema)))
-        else:
-            reads.append((arity, None, None))
-    args, used, group = [], [], None  # used: this call's (key, value) entries; group: a "+" list
-    stale = bool(_kept)  # whether _kept may hold values that no file of this call uses
-    for arity, key, load in reads:
-        if load is None:
-            args.append(None)  # an omitted optional input
-            continue
-        for k, kept in _kept:
+    _kept = tuple([entry for entry in _kept if entry[0][0] in spec.loads])
+    used = []  # the (key, value) entries this call hands out
+
+    def parsed(key, make):
+        """``make(kept)``, handed out and kept under ``key``. ``kept`` is the
+        value this call or the last one handed out under ``key``, or None
+        when there is none; then the kept values of the same kind are
+        dropped before ``make`` parses the file."""
+        global _kept
+        for k, kept in chain(used, _kept):
             if k == key:
                 break
         else:
+            _kept = tuple([entry for entry in _kept if entry[0][0] is not key[0]])
             kept = None
-            if key is not None and stale:  # the first parse of this call
-                keys = [read[1] for read in reads]
-                _kept = tuple(entry for entry in _kept if entry[0] in keys)
-                stale = False
-        value, loaded = load(kept)
-        if key is not None:
-            used.append((key, value))
-            if kept is None:
-                _kept = (*_kept, (key, value))
-        if arity != "+":
-            args += loaded
-        elif group is None:
-            args.append(group := list(loaded))
+        value = make(kept)
+        used.append((key, value))
+        return value
+
+    args = []
+    for i, (kind, arity) in enumerate(spec.inputs):
+        if arity == "+":
+            args.append([arg for path in paths[i:] for arg in kind.load(path, schema, parsed)])
+        elif i < len(paths):
+            args += kind.load(paths[i], schema, parsed)
         else:
-            group += loaded
+            args.append(None)  # an omitted optional input
     _kept = tuple(used)
     return args
 
 
-def _fresh(help: str, load: Callable[[str, str | None], tuple]) -> _Kind:
-    """A kind that keeps nothing: ``load(path, schema)`` runs when its turn comes."""
-    return _Kind(help, lambda path, schema: (None, lambda kept: (None, load(path, schema))))
-
-
 def _parsed(parser: str, help: str) -> _Kind:
-    def read(path: str, schema) -> tuple:
+    """A kind that keeps the value ``parser`` returns for the file's text."""
+    def load(path: str, schema, parsed) -> tuple:
         text = _read(path)
+        return (parsed((load, text), lambda kept: _function(parser)(text) if kept is None else kept),)
 
-        def load(kept):
-            value = _function(parser)(text) if kept is None else kept
-            return value, (value,)
-        return (parser, text), load
-
-    return _Kind(help, read)
+    return _Kind(help, load)
 
 
 def _record(**fields) -> _Kind:
     """A JSON object whose typed fields, in declared order, are library arguments."""
     read = _fields(**fields)
-    return _fresh(read.shape, lambda path, schema: _load(path, read))
+    return _Kind(read.shape, lambda path, *_: _load(path, read))
 
 
-def _table(path: str, schema: str | None) -> tuple:
+def _table(path: str, schema: str | None, parsed) -> tuple:
     """A table is kept on its CSV text and column kinds, not on its roles: a
-    kept table is handed out re-tagged with the roles of the call."""
+    kept table is handed out re-tagged with the roles of the call, and the
+    re-tag is kept in its place, with the grouping it gets."""
     if schema is None:
         raise ParamError("table metrics need --schema with the role/kind sidecar")
     sidecar, text = _read(schema), _read(path)
     sidecar = _load_json(sidecar, "schema sidecar")
+    # The kinds as written, not typed: a kept table's kinds are valid ones,
+    # which no invalid kinds equal, so invalid kinds are parsed and named.
+    kinds = sidecar.get("kinds", {}) if type(sidecar) is dict else None
 
-    def load(kept):
+    def make(kept):
         if kept is None:
-            kept = core.parse_table(text, sidecar)
-            return kept, (kept,)
-        roles, _ = core._SIDECAR(sidecar, "schema sidecar")
-        return kept, (kept.with_roles(roles),)
-    return ("table", text, _kinds(sidecar)), load
-
-
-def _kinds(sidecar) -> frozenset | None:
-    """The sidecar's column kinds as a set of (column, kind) pairs, or None
-    when they are not an object. A kept table's kinds are strings, so a key
-    with any other kind finds no table, and the parse names the fault."""
-    try:
-        return frozenset(sidecar.get("kinds", {}).items())
-    except (AttributeError, TypeError):  # not an object, or a kind that is an array or object
-        return None
+            return core.parse_table(text, sidecar)
+        return kept.with_roles(core._SIDECAR(sidecar, "schema sidecar")[0])
+    return (parsed((_table, text, kinds), make),)
 
 
 def _csv_table(path: str, csv_path: str, roles: dict, kinds: dict) -> core.DataTable:
@@ -196,22 +159,22 @@ _RELEASES = _list(_fields(
 _PARTITIONS = _fields(partitions=_list(_fields(blocks=_list(_labels), prob=_finite)))
 
 
-def _join_spec(path: str, schema) -> tuple:
+def _join_spec(path: str, *_) -> tuple:
     persons, relations, join_keys = _load(path, _JOIN_SPEC)
     return _csv_table(path, *persons), [_csv_table(path, *r) for r in relations], join_keys
 
 
-def _presence_spec(path: str, schema) -> tuple:
+def _presence_spec(path: str, *_) -> tuple:
     return tuple(_csv_table(path, *entry) for entry in _load(path, _PRESENCE_SPEC))
 
 
-def _releases(path: str, schema) -> tuple:
+def _releases(path: str, *_) -> tuple:
     releases = enumerate(_load(path, _RELEASES))
     release = _function("tabular.Release")
     return ([release(_csv_table(path, *t), i, owners) for i, (*t, owners) in releases],)
 
 
-def _partitions(path: str, schema) -> tuple:
+def _partitions(path: str, *_) -> tuple:
     (entries,) = _load(path, _PARTITIONS)
     parts = tuple(_function("uncertainty.make_partition")(blocks) for blocks, _ in entries)
     return (_function("uncertainty.PartitionDistribution")(parts, tuple(p for _, p in entries)),)
@@ -229,11 +192,11 @@ _KINDS = {
     "geo_mechanism": _parsed("indist.parse_geo_mechanism", '{"locations", "outputs", "matrix"}'),
     "estimate": _parsed("adversary.parse_estimate", '{"posterior", "truth", "metric"?, "coords"?}'),
     "histories": _parsed("tabular.parse_location_histories", "location histories JSON"),
-    "releases": _fresh("releases JSON", _releases),
+    "releases": _Kind("releases JSON", _releases),
     "table": _Kind("table CSV + --schema", _table),
-    "join_spec": _fresh("join spec " + _JOIN_SPEC.shape, _join_spec),
-    "presence_spec": _fresh("presence spec " + _PRESENCE_SPEC.shape, _presence_spec),
-    "partitions": _fresh('{"partitions": [{"blocks", "prob"}, ...]}', _partitions),
+    "join_spec": _Kind("join spec " + _JOIN_SPEC.shape, _join_spec),
+    "presence_spec": _Kind("presence spec " + _PRESENCE_SPEC.shape, _presence_spec),
+    "partitions": _Kind('{"partitions": [{"blocks", "prob"}, ...]}', _partitions),
 }
 _pairs = _list(_tuple(_finite, _finite))
 _XY = _record(x=_floats, y=_floats)
@@ -250,6 +213,7 @@ class _Spec(NamedTuple):
     params: dict  # name -> (type, default or _REQUIRED), in call order
     min_files: int
     max_files: float
+    loads: frozenset  # the loaders of its input kinds, which key the values it keeps
 
 
 def _spec(call: str, *inputs, **params) -> _Spec:
@@ -274,6 +238,7 @@ def _spec(call: str, *inputs, **params) -> _Spec:
         _typed(params),
         min_files=arities.count("") + arities.count("+"),
         max_files=math.inf if "+" in arities else len(arities),
+        loads=frozenset(kind.load for kind, _ in kinds),
     )
 
 
@@ -463,11 +428,10 @@ def in_declared_range(value, rng: dict) -> bool:
 
 def _param_domains(metric_id: str) -> dict:
     """Each ``--param`` of a metric and the domain its library function declares
-    for it, or None, matched by position: they are its trailing positional parameters."""
+    for the parameter of that name, or None."""
     spec = _SPECS[metric_id]
     declared = getattr(_function(spec.call), "domains", {})
-    domains = list(declared.values()) or [None] * len(spec.params)
-    return dict(zip(spec.params, domains[len(domains) - len(spec.params):]))
+    return {name: declared.get(name) for name in spec.params}
 
 
 def inputs_help(metric_id: str) -> str:

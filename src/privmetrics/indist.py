@@ -169,28 +169,26 @@ def information_privacy(j: JointDistribution, eps: float) -> dict:
     return {"holds": eps_min <= eps, "eps_min": eps_min}
 
 
-@domains(likelihood_1=interval(0, None), likelihood_2=interval(0, None),
-         prior_ratio=interval(0, None), eps=interval(0, None))
-def distributional_privacy(
-    likelihood_1: float, likelihood_2: float, prior_ratio: float, eps: float
-) -> bool:
-    """Whether the posterior odds between two generating parameter sets stay
-    within exp(eps).
+@domains(l1=interval(0, None), l2=interval(0, None), prior_ratio=interval(0, None),
+         eps=interval(0, None))
+def distributional_privacy(l1: float, l2: float, prior_ratio: float, eps: float) -> bool:
+    """Whether the posterior odds between two generating parameter sets, of
+    likelihoods l1 and l2, stay within exp(eps).
 
     A vanishing second likelihood against a positive first makes the odds
     infinite, failing every finite eps.
     """
-    if likelihood_1 == 0 and likelihood_2 == 0:
+    if l1 == 0 and l2 == 0:
         raise DomainError("both likelihoods are 0; posterior undefined")
-    if likelihood_2 == 0:
+    if l2 == 0:
         return False
     try:
         bound = math.exp(eps)
     except OverflowError:  # past the largest float: compare the logs instead
-        if prior_ratio == 0 or likelihood_1 == 0:
+        if prior_ratio == 0 or l1 == 0:
             return True
-        return math.log(prior_ratio) + math.log(likelihood_1) - math.log(likelihood_2) <= eps
-    return prior_ratio * likelihood_1 / likelihood_2 <= bound
+        return math.log(prior_ratio) + math.log(l1) - math.log(l2) <= eps
+    return prior_ratio * l1 / l2 <= bound
 
 
 @dataclass(frozen=True)
@@ -226,11 +224,11 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def game_advantage(g: GameTranscript, eps_threshold: float) -> dict:
+def game_advantage(g: GameTranscript, eps: float) -> dict:
     """Adversary's edge over random guessing, with a 95% confidence interval.
 
     ``holds`` is the conservative verdict: even the interval's upper end
-    stays within 1/2 + eps_threshold.
+    stays within 1/2 + eps.
     """
     n = len(g.trials)
     correct = sum(1 for guess, truth in g.trials if guess == truth)
@@ -239,7 +237,7 @@ def game_advantage(g: GameTranscript, eps_threshold: float) -> dict:
     return {
         "advantage": max(0.0, f - 0.5),
         "ci95": (lo, hi),
-        "holds": hi <= 0.5 + eps_threshold,
+        "holds": hi <= 0.5 + eps,
     }
 
 

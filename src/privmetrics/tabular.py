@@ -37,25 +37,25 @@ def k_anonymity(table: DataTable) -> int:
     return min(map(len, equivalence_classes(table)))
 
 
-def alpha_k_anonymity(table: DataTable, sensitive_value: Value) -> dict:
+def alpha_k_anonymity(table: DataTable, value: Value) -> dict:
     """k plus the worst per-class frequency of one sensitive value.
 
-    ``alpha`` is the largest in-class fraction of rows carrying
-    ``sensitive_value``; 0 when the value never occurs.
+    ``alpha`` is the largest in-class fraction of rows carrying the sensitive
+    ``value``; 0 when the value never occurs.
     """
     col = table.sensitive_column()
     if table.columns[col].kind == "numeric":
         try:
-            number = float(sensitive_value)
+            number = float(value)
         except ValueError:
             number = math.nan
         if math.isnan(number):  # NaN equals no cell, so it would read as alpha 0
-            raise ParamError(f"value {sensitive_value!r} is not a number")
-        sensitive_value = number
+            raise ParamError(f"value {value!r} is not a number")
+        value = number
     column = table.column_values(col)
     classes = equivalence_classes(table)
     alpha = max(
-        _class_sensitive(column, c).count(sensitive_value) / len(c)
+        _class_sensitive(column, c).count(value) / len(c)
         for c in classes
     )
     return {"k": min(map(len, classes)), "alpha": alpha}
@@ -394,29 +394,29 @@ def parse_location_histories(text: str) -> tuple[LocationHistory, ...]:
     )
 
 
-@domains(n_participants=interval(2, None), l_variations=interval(0, None),
+@domains(n=interval(2, None), l=interval(0, None),
          alpha=interval(0, None), mode=enum_range("aggregate", "statistics"),
          log_base=interval(1, None, lo_open=True))
 def haplotype_safety(
-    n_participants: int,
-    l_variations: int,
+    n: int,
+    l: int,
     alpha: float = 0.0,
     mode: str = "aggregate",
     log_base: float = 2.0,
 ) -> bool:
     """Whether genomic study results can be published safely.
 
-    Compares the variation count against a participant-count threshold:
-    2(N-1)/log(N+1) for aggregate data, with the denominator shifted by
-    (alpha - 1) for test statistics. The inequality is strict; the log base
-    defaults to 2.
+    Compares the variation count l against a threshold on the participant
+    count n: 2(n-1)/log(n+1) for aggregate data, with the denominator
+    shifted by (alpha - 1) for test statistics. The inequality is strict;
+    the log base defaults to 2.
     """
-    denom = math.log(n_participants + 1, log_base)
+    denom = math.log(n + 1, log_base)
     if mode == "statistics":
         denom += alpha - 1.0
     if denom <= 0:
         raise ParamError("non-positive threshold denominator")
-    return 2.0 * (n_participants - 1) / denom > l_variations
+    return 2.0 * (n - 1) / denom > l
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,21 @@ class TestExitCodes:
         assert r.exit_code == 3
         assert json.loads(r.output.splitlines()[0])["error"] == "E_DOMAIN"
 
+    @pytest.mark.parametrize("metric_id, params, detail", [
+        ("distributional_privacy", "l1=-1 l2=1 prior_ratio=1 eps=1", "l1 must lie in [0, inf], got -1.0"),
+        ("haplotype_snp_test", "n=1 l=0", "n must lie in [2, inf], got 1"),
+        ("path_compromise", "compromised=0 total=0 path_length=1", "total must lie in [1, inf], got 0"),
+        ("time_until_success", "m=1 l=1 n=0 b=1", "n must lie in [1, inf], got 0"),
+        ("tp_privacy_violation", "rho_base=2 rho_with=0 p=0", "rho_base must lie in [0, 1], got 2.0"),
+    ], ids=["l1", "n-haplotype", "total", "n-batch-mix", "rho_base"])
+    def test_domain_fault_names_the_param_typed(self, runner, metric_id, params, detail):
+        args = ["compute", metric_id]
+        for param in params.split():
+            args += ["--param", param]
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, r.output
+        assert json.loads(r.stdout.splitlines()[0]) == {"error": "E_PARAM", "detail": detail}
+
     def test_unimplemented_metric_is_2(self, runner):
         r = runner.invoke(main, ["compute", "observational_equivalence"])
         assert r.exit_code == 2
@@ -343,7 +358,7 @@ class TestListDescribe:
     @pytest.mark.parametrize("metric_id, expects", [
         ("approximate_differential_privacy",
          "mechanism JSON, neighbor-relation JSON; --param eps=... in [0, inf]"),
-        ("distributional_privacy",  # l1 is the function's likelihood_1: matched by position
+        ("distributional_privacy",  # each domain is found by its --param name
          "--param l1=... in [0, inf] l2=... in [0, inf] prior_ratio=... in [0, inf] eps=... in [0, inf]"),
         ("haplotype_snp_test",
          "--param n=... in [2, inf] l=... in [0, inf] [alpha=0.0 in [0, inf]]"

@@ -1,8 +1,9 @@
-"""``compute`` keeps the inputs the last call loaded and hands them out again
-for the same bytes; these tests check that a kept value is never stale, that
-no metric changes the value it is handed, that an input the next call does
-not use is dropped before that call parses, and that a kept table is shared
-by sidecars that differ only in roles."""
+"""``compute`` keeps the inputs the last call handed out and hands them out
+again for the same bytes; these tests check that a kept value is never
+stale, that no metric changes the value it is handed, that a kept input of a
+kind the next call does not take, or of the kind it is about to parse, is
+dropped before that parse, and that a kept table is shared, with the
+grouping its last re-tag got, by sidecars that differ only in roles."""
 
 import importlib
 import json
@@ -137,6 +138,24 @@ def test_other_kinds_parse_again_and_other_quasi_identifiers_group_again(tmp_pat
     assert calls[4:] == ["_group_by_quasi_identifiers"]
 
 
+def test_a_re_tag_is_kept_with_its_grouping(tmp_path, monkeypatch):
+    monkeypatch.setattr(compute, "_kept", ())
+    calls = []
+    _counting(monkeypatch, core, "parse_table", calls)
+    _counting(monkeypatch, core, "_group_by_quasi_identifiers", calls)
+    table = _table(tmp_path / "t.csv", [("a", 1, "x"), ("a", 2, "y"), ("b", 3, "x"), ("b", 5, "y")])
+    zip_qi = {"zip": "quasi-identifier"}
+    xy = compute.compute("xy_privacy", [str(table)], str(_sidecar(tmp_path / "xy.json", {})),
+                         {"x_cols": '["zip"]', "y_cols": '["disease"]'}).value
+    assert xy == 0.5
+    assert _k(table, _sidecar(tmp_path / "k.json", zip_qi)) == 2
+    for metric, sensitive, value in (("l_diversity", "disease", 2.0),
+                                     ("ke_anonymity", "age", {"k": 2, "e": 1.0})):
+        sidecar = _sidecar(tmp_path / f"{metric}.json", {**zip_qi, sensitive: "sensitive"})
+        assert compute.compute(metric, [str(table)], str(sidecar)).value == value
+    assert calls == ["parse_table", "_group_by_quasi_identifiers"]
+
+
 @pytest.mark.parametrize("roles", [
     {"zip": "quasi-identifier", "nosuch": "sensitive"},
     {"zip": "quasi-identifier", "disease": "secret"},
@@ -234,6 +253,45 @@ def test_a_file_both_mechanisms_share_is_parsed_once(tmp_path, monkeypatch):
     for mechanism in (m1, m2, m1):
         compute.compute("differential_privacy", [mechanism, neighbors])
     assert calls == ["parse_neighbor_relation"]
+
+
+def test_a_new_mechanism_parses_after_the_kept_one_is_dropped(tmp_path, monkeypatch):
+    """The kept value of a kind is dropped before a file of that kind parses,
+    while a kept file of another kind that the call uses again is kept."""
+    from privmetrics import indist
+    monkeypatch.setattr(compute, "_kept", ())
+    calls, kept, alive_at_parse = [], [], []
+    _counting(monkeypatch, indist, "parse_neighbor_relation", calls)
+    parse_mechanism = core.parse_mechanism
+
+    def parse_and_watch(text):
+        alive_at_parse.append([mechanism() is not None for mechanism in kept])
+        mechanism = parse_mechanism(text)
+        kept.append(weakref.ref(mechanism))
+        return mechanism
+    monkeypatch.setattr(core, "parse_mechanism", parse_and_watch)
+    m1, neighbors = _dp_files(tmp_path)
+    m2 = str(_mechanism(tmp_path / "m2.json", [[0.5, 0.5], [0.5, 0.5], [0.25, 0.75]]))
+    compute.compute("differential_privacy", [m1, neighbors])
+    assert kept[0]() is not None  # kept between the calls
+    compute.compute("differential_privacy", [m2, neighbors])
+    assert alive_at_parse == [[], [False]]
+    assert calls == ["parse_neighbor_relation"]
+
+
+def test_a_file_given_twice_in_one_call_is_parsed_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(compute, "_kept", ())
+    calls = []
+    _counting(monkeypatch, core, "parse_distribution", calls)
+    _counting(monkeypatch, core, "parse_mechanism", calls)
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"labels": ["a", "b"], "probs": [0.25, 0.75]}))
+    assert compute.compute("relative_entropy", [str(p), str(p)]).value == 0.0
+    assert calls == ["parse_distribution"]
+    m1, _ = _dp_files(tmp_path)
+    m2 = str(_mechanism(tmp_path / "m2.json", [[0.5, 0.5], [0.5, 0.5], [0.25, 0.75]]))
+    compute.compute("loss_of_anonymity", [m1, m2, m1], params={"p_z": "[0.25, 0.25, 0.5]"})
+    assert calls[1:] == ["parse_mechanism"] * 2
 
 
 def test_a_malformed_first_file_is_reported_before_a_missing_second_one(tmp_path):

@@ -78,7 +78,7 @@ def test_every_numeric_param_has_a_domain_or_is_listed():
         lambda: tp_violation_check(0.3, 0.2, NAN),
     ],
     ids=["ct_isolation-c", "event_unobservability-alpha", "haplotype_safety-log_base",
-         "haplotype_safety-alpha", "distributional_privacy-likelihood_1", "tp_violation_check-p"],
+         "haplotype_safety-alpha", "distributional_privacy-l1", "tp_violation_check-p"],
 )
 def test_nan_raises_in_direct_library_calls(call):
     with pytest.raises(ParamError):

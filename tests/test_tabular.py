@@ -419,6 +419,13 @@ class TestHaplotypeSafety:
         expect = 2 * 99 / (math.log2(101) - 0.5) > 10
         assert tb.haplotype_safety(100, 10, 0.5, "statistics") is expect
 
+    def test_statistics_threshold_by_hand(self):
+        # 2 * 99 / (log2(101) + 0.5 - 1) = 32.15: alpha below 1 lowers the
+        # denominator and raises the threshold past 30 (a shift the other
+        # way, by 1 - alpha, would give 27.66)
+        assert tb.haplotype_safety(100, 30, 0.5, "statistics") is True
+        assert tb.haplotype_safety(100, 33, 0.5, "statistics") is False
+
     def test_validation(self):
         with pytest.raises(ParamError):
             tb.haplotype_safety(1, 5)
