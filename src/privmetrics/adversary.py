@@ -76,6 +76,7 @@ def degrees_of_anonymity(
     return "exposed"
 
 
+@domains()
 def privacy_breach_check(posteriors: Sequence[float], rho: float) -> dict:
     """Breached when any posterior property probability reaches rho."""
     if not posteriors:
@@ -142,6 +143,7 @@ def delta_presence(external: DataTable, published: DataTable) -> dict:
     return {"delta_min": min(probs), "delta_max": max(probs)}
 
 
+@domains()
 def hiding_property(probs: Sequence[Sequence[float]], theta: float) -> dict:
     """Hidden when no message-user assignment probability exceeds theta."""
     if not probs or not probs[0]:
@@ -299,6 +301,7 @@ def _intervals(trace: Trace, end_time: float) -> list[tuple[float, float, float]
     ]
 
 
+@domains()
 def max_tracking_time(trace: Trace, end_time: float) -> float:
     """Total time the target's anonymity-set size sat at exactly one."""
     return math.fsum(
@@ -306,6 +309,7 @@ def max_tracking_time(trace: Trace, end_time: float) -> float:
     )
 
 
+@domains()
 def time_to_confusion(trace: Trace, delta: float, end_time: float) -> dict:
     """Durations of the maximal runs where tracking entropy stays below delta.
 

@@ -1,15 +1,19 @@
 """One declared spec per implemented catalog metric.
 
-A spec names the metric's input kinds in file order, its typed ``--param``
-parameters with their defaults, and the library call. ``compute`` loads each
-file with the loader of its kind, converts the parameters, calls the library
-and wraps the result in a MetricValue carrying the catalog unit. The fixture
-files under ``fixtures/`` document the concrete input shape for every metric.
+A spec names the metric's input kinds in file order and the library call.
+The metric's ``--param`` parameters are the library function's parameters
+after the ones its input files fill, with their names, defaults and types
+read from its signature. ``compute`` loads each file with the loader of its
+kind, converts the parameters, calls the library and wraps the result in a
+MetricValue carrying the catalog unit. The fixture files under ``fixtures/``
+document the concrete input shape for every metric.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
+import inspect
 import json
 import math
 import os
@@ -19,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 from . import core, ranges, registry
 from .core import (
     _REQUIRED, MetricValue, _boolean, _distribution, _fields, _finite, _floats, _integer, _label,
-    _labels, _list, _load_json, _mapping, _matrix, _point, _read, _string, _tuple, _typed,
+    _labels, _list, _load_json, _mapping, _matrix, _point, _read, _string, _tuple,
 )
 from .errors import DomainError, ParamError, SchemaError
 
@@ -36,7 +40,8 @@ def _function(path: str) -> Callable:
 
 # ---------------------------------------------------------------------------
 # Parameter types: ``--param`` values arrive as strings and are converted by
-# float, int, str or these; a conversion error is reported as E_PARAM
+# the type of the library parameter's annotation; a conversion error is
+# reported as E_PARAM
 
 
 def _json_array(item: Callable) -> Callable:
@@ -45,8 +50,12 @@ def _json_array(item: Callable) -> Callable:
     return lambda raw: items(raw if isinstance(raw, list) else json.loads(raw), "JSON array")
 
 
-_numbers = _json_array(_finite)
-_texts = _json_array(_label)
+# The type of each annotation a library parameter filled by a ``--param`` has,
+# with ``| None`` stripped
+_TYPES = {
+    "float": float, "int": int, "str": str, "Value": str,
+    "Sequence[float]": _json_array(_finite), "Sequence[str]": _json_array(_label),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +73,7 @@ class _Kind(NamedTuple):
     # (path, schema, parsed) -> the library arguments the file holds. A kind
     # that keeps its value between calls asks ``parsed(key, make)`` for it.
     load: Callable[[str, str | None, Callable], tuple]
+    width: int = 1  # the number of library arguments ``load`` returns
 
 
 # The values the last ``compute`` call handed out, as a tuple of (key, value)
@@ -120,7 +130,7 @@ def _parsed(parser: str, help: str) -> _Kind:
 def _record(**fields) -> _Kind:
     """A JSON object whose typed fields, in declared order, are library arguments."""
     read = _fields(**fields)
-    return _Kind(read.shape, lambda path, *_: _load(path, read))
+    return _Kind(read.shape, lambda path, *_: _load(path, read), len(fields))
 
 
 def _table(path: str, schema: str | None, parsed) -> tuple:
@@ -194,8 +204,8 @@ _KINDS = {
     "histories": _parsed("tabular.parse_location_histories", "location histories JSON"),
     "releases": _Kind("releases JSON", _releases),
     "table": _Kind("table CSV + --schema", _table),
-    "join_spec": _Kind("join spec " + _JOIN_SPEC.shape, _join_spec),
-    "presence_spec": _Kind("presence spec " + _PRESENCE_SPEC.shape, _presence_spec),
+    "join_spec": _Kind("join spec " + _JOIN_SPEC.shape, _join_spec, 3),
+    "presence_spec": _Kind("presence spec " + _PRESENCE_SPEC.shape, _presence_spec, 2),
     "partitions": _Kind('{"partitions": [{"blocks", "prob"}, ...]}', _partitions),
 }
 _pairs = _list(_tuple(_finite, _finite))
@@ -210,17 +220,36 @@ _FEATURE_SERIES = _record(transitions=_floats, window=(_integer, None))
 class _Spec(NamedTuple):
     inputs: tuple[tuple[_Kind, str], ...]  # arity "" once, "?" optional, "+" one or more
     call: str  # the library function, as "module.function"
-    params: dict  # name -> (type, default or _REQUIRED), in call order
     min_files: int
     max_files: float
     loads: frozenset  # the loaders of its input kinds, which key the values it keeps
 
+    @property
+    def params(self) -> dict:
+        """name -> (type, default or _REQUIRED) of each ``--param``, in call order."""
+        return _params(self.call, sum(kind.width for kind, _ in self.inputs))
 
-def _spec(call: str, *inputs, **params) -> _Spec:
-    """Declare a metric: its library call, its input kinds in file order, its parameters.
+
+@functools.cache
+def _params(call: str, filled: int) -> dict:
+    """The parameters of the library function ``call`` after the first
+    ``filled``, each with the type of its annotation and its default."""
+    parameters = list(inspect.signature(_function(call)).parameters.values())[filled:]
+    return {
+        p.name: (
+            _TYPES[p.annotation.removesuffix(" | None")],
+            _REQUIRED if p.default is p.empty else p.default,
+        )
+        for p in parameters
+    }
+
+
+def _spec(call: str, *inputs) -> _Spec:
+    """Declare a metric: its library call and its input kinds in file order.
 
     ``call`` names the library function as ``"module.function"``; it receives
-    the loaded inputs, then the parameters, positionally.
+    the loaded inputs, then the ``--param``s, positionally: the ``--param``s
+    are its parameters that the inputs do not fill (see ``_Spec.params``).
     An input is a kind name, suffixed ``?`` when optional (omitted: None) or
     ``+`` when it takes all remaining files (as one list), or a ``_record``.
     """
@@ -235,7 +264,6 @@ def _spec(call: str, *inputs, **params) -> _Spec:
     return _Spec(
         tuple(kinds),
         call,
-        _typed(params),
         min_files=arities.count("") + arities.count("+"),
         max_files=math.inf if "+" in arities else len(arities),
         loads=frozenset(kind.load for kind, _ in kinds),
@@ -246,12 +274,12 @@ _SPECS: dict[str, _Spec] = {
     # --- uncertainty -------------------------------------------------------
     "anonymity_set_size": _spec("uncertainty.anonymity_set_size", _record(members=_labels)),
     "entropy": _spec("uncertainty.shannon_entropy", "distribution"),
-    "renyi_entropy": _spec("uncertainty.renyi_entropy", "distribution", alpha=float),
+    "renyi_entropy": _spec("uncertainty.renyi_entropy", "distribution"),
     "max_entropy": _spec("uncertainty.max_entropy", "distribution"),
     "min_entropy": _spec("uncertainty.min_entropy", "distribution"),
     "normalized_entropy": _spec("uncertainty.normalized_entropy", "distribution"),
-    "asymmetric_entropy": _spec("uncertainty.asymmetric_entropy", "distribution", w=_numbers),
-    "quantile_entropy": _spec("uncertainty.quantile_entropy", "distribution", c=float),
+    "asymmetric_entropy": _spec("uncertainty.asymmetric_entropy", "distribution"),
+    "quantile_entropy": _spec("uncertainty.quantile_entropy", "distribution"),
     "conditional_entropy": _spec("uncertainty.conditional_entropy", "joint"),
     "normalized_conditional_entropy": _spec("uncertainty.normalized_conditional_entropy", "joint"),
     "inherent_privacy": _spec("uncertainty.inherent_privacy", "distribution"),
@@ -269,14 +297,9 @@ _SPECS: dict[str, _Spec] = {
         "uncertainty.genomic_privacy", _record(probs=_floats, weights=_floats)
     ),
     "protection_level": _spec(
-        "uncertainty.protection_level",
-        _record(regions=_list(_distribution)),
-        "distribution",
-        t_common=int,
+        "uncertainty.protection_level", _record(regions=_list(_distribution)), "distribution"
     ),
-    "user_centric_privacy": _spec(
-        "uncertainty.user_centric_privacy", h0=float, lam=float, t=float, t_last=(float, 0.0)
-    ),
+    "user_centric_privacy": _spec("uncertainty.user_centric_privacy"),
     # --- information gain --------------------------------------------------
     "leaked_information": _spec("infogain.leaked_count", _record(items=_labels)),
     "relative_entropy": _spec("infogain.kl_divergence", "distribution", "distribution"),
@@ -286,13 +309,11 @@ _SPECS: dict[str, _Spec] = {
     "conditional_mutual_information": _spec(
         "infogain.conditional_mutual_information", _record(tensor=_list(_matrix))
     ),
-    "loss_of_anonymity": _spec("infogain.loss_of_anonymity", "mechanism+", p_z=(_numbers, None)),
+    "loss_of_anonymity": _spec("infogain.loss_of_anonymity", "mechanism+"),
     "max_information_leakage": _spec("infogain.max_information_leakage", "joint"),
     "system_anonymity_level": _spec("infogain.system_anonymity_level", "adjacency"),
-    "information_surprisal": _spec("infogain.surprisal", p=float),
-    "belief_increase": _spec(
-        "infogain.belief_increase_check", prior=float, posterior=float, delta=float
-    ),
+    "information_surprisal": _spec("infogain.surprisal"),
+    "belief_increase": _spec("infogain.belief_increase_check"),
     "feature_reduction": _spec("infogain.feature_mass_reduction", _FEATURE_SERIES, _FEATURE_SERIES),
     "privacy_score": _spec(
         "infogain.privacy_score", _record(sensitivities=_floats, visibilities=_floats)
@@ -300,33 +321,20 @@ _SPECS: dict[str, _Spec] = {
     "pearson_correlation": _spec("infogain.pearson_abs", _XY),
     # --- similarity --------------------------------------------------------
     "k_anonymity": _spec("tabular.k_anonymity", "table"),
-    "alpha_k_anonymity": _spec("tabular.alpha_k_anonymity", "table", value=str),
-    "l_diversity": _spec("tabular.l_diversity", "table", mode=(str, "entropy"), c=(float, 1.0)),
+    "alpha_k_anonymity": _spec("tabular.alpha_k_anonymity", "table"),
+    "l_diversity": _spec("tabular.l_diversity", "table"),
     "m_invariance": _spec("tabular.m_invariance", "releases"),
     "t_closeness": _spec("tabular.t_closeness", "table"),
-    "ct_isolation": _spec(
-        "tabular.ct_isolation",
-        _record(points=_matrix, guess=_floats),
-        target_index=int,
-        c=float,
-        t=(int, None),
-    ),
+    "ct_isolation": _spec("tabular.ct_isolation", _record(points=_matrix, guess=_floats)),
     "ke_anonymity": _spec("tabular.ke_anonymity", "table"),
-    "em_anonymity": _spec("tabular.em_anonymity", "table", epsilon=float),
+    "em_anonymity": _spec("tabular.em_anonymity", "table"),
     "multirelational_k_anonymity": _spec("tabular.multirelational_k", "join_spec"),
-    "xy_privacy": _spec("tabular.xy_privacy", "table", x_cols=_texts, y_cols=_texts),
+    "xy_privacy": _spec("tabular.xy_privacy", "table"),
     "historical_k_anonymity": _spec(
         "tabular.historical_k", "histories",
         _record(requests=_list(_fields(t=_finite, cell=_label))),
     ),
-    "haplotype_snp_test": _spec(
-        "tabular.haplotype_safety",
-        n=int,
-        l=int,
-        alpha=(float, 0.0),
-        mode=(str, "aggregate"),
-        log_base=(float, 2.0),
-    ),
+    "haplotype_snp_test": _spec("tabular.haplotype_safety"),
     "cluster_similarity": _spec(
         "tabular.cluster_similarity", _record(original=_labels, protected=_labels)
     ),
@@ -334,36 +342,20 @@ _SPECS: dict[str, _Spec] = {
     "normalized_variance": _spec("tabular.normalized_variance", _XY),
     # --- indistinguishability ----------------------------------------------
     "differential_privacy": _spec("indist.dp_epsilon", "mechanism", "neighbors"),
-    "approximate_differential_privacy": _spec(
-        "indist.adp_delta", "mechanism", "neighbors", eps=float
-    ),
+    "approximate_differential_privacy": _spec("indist.adp_delta", "mechanism", "neighbors"),
     "geo_indistinguishability": _spec("indist.geo_indistinguishability", "geo_mechanism"),
-    "information_privacy": _spec("indist.information_privacy", "joint", eps=float),
-    "distributional_privacy": _spec(
-        "indist.distributional_privacy", l1=float, l2=float, prior_ratio=float, eps=float
-    ),
-    "cryptographic_game": _spec("indist.game_advantage", "transcript", eps=float),
+    "information_privacy": _spec("indist.information_privacy", "joint"),
+    "distributional_privacy": _spec("indist.distributional_privacy"),
+    "cryptographic_game": _spec("indist.game_advantage", "transcript"),
     "unconditional_privacy": _spec("indist.unconditional_privacy", "transcript"),
     # --- success -----------------------------------------------------------
     "success_rate": _spec("adversary.success_rate", _record(trials=_list(_boolean))),
-    "path_compromise": _spec(
-        "adversary.path_compromise_probability", compromised=int, total=int, path_length=int
-    ),
-    "degrees_of_anonymity": _spec(
-        "adversary.degrees_of_anonymity",
-        "distribution",
-        target=str,
-        theta=float,
-        alpha=(float, 0.5),
-    ),
-    "privacy_breach_level": _spec(
-        "adversary.privacy_breach_check", _record(posteriors=_floats), rho=float
-    ),
-    "dg_privacy": _spec(
-        "adversary.dg_privacy_check", prior=float, posterior=float, d=float, gamma=float
-    ),
+    "path_compromise": _spec("adversary.path_compromise_probability"),
+    "degrees_of_anonymity": _spec("adversary.degrees_of_anonymity", "distribution"),
+    "privacy_breach_level": _spec("adversary.privacy_breach_check", _record(posteriors=_floats)),
+    "dg_privacy": _spec("adversary.dg_privacy_check"),
     "delta_presence": _spec("adversary.delta_presence", "presence_spec"),
-    "hiding_property": _spec("adversary.hiding_property", _record(matrix=_matrix), theta=float),
+    "hiding_property": _spec("adversary.hiding_property", _record(matrix=_matrix)),
     # --- error -------------------------------------------------------------
     "expected_estimation_error": _spec("adversary.expected_estimation_error", "estimate"),
     "expectation_of_distance_error": _spec(
@@ -373,34 +365,24 @@ _SPECS: dict[str, _Spec] = {
     "mean_squared_error": _spec(
         "adversary.mean_squared_error", _record(truths=_list(_point), observations=_list(_point))
     ),
-    "pct_incorrectly_classified": _spec("adversary.pct_incorrect", incorrect=int, total=int),
+    "pct_incorrectly_classified": _spec("adversary.pct_incorrect"),
     "health_privacy": _spec("adversary.health_privacy", _record(weights=_floats, values=_floats)),
     # --- time --------------------------------------------------------------
-    "time_until_success": _spec("adversary.batch_mix_rounds", m=int, l=int, n=int, b=int),
-    "max_tracking_time": _spec("adversary.max_tracking_time", "trace", end_time=float),
-    "time_to_confusion": _spec("adversary.time_to_confusion", "trace", delta=float, end_time=float),
+    "time_until_success": _spec("adversary.batch_mix_rounds"),
+    "max_tracking_time": _spec("adversary.max_tracking_time", "trace"),
+    "time_to_confusion": _spec("adversary.time_to_confusion", "trace"),
     # --- accuracy ----------------------------------------------------------
     "confidence_interval_width": _spec(
         "adversary.confidence_interval_width",
         _record(atoms=(_pairs, None), samples=(_floats, None)),  # exactly one of them
-        c=(float, 95.0),
     ),
-    "tp_privacy_violation": _spec(
-        "adversary.tp_violation_check", rho_base=float, rho_with=float, p=float
-    ),
+    "tp_privacy_violation": _spec("adversary.tp_violation_check"),
     "event_unobservability": _spec(
-        "adversary.event_unobservability",
-        _record(f1=_floats, f2=_floats),
-        p1=float,
-        p2=float,
-        alpha=float,
-        eps=float,
+        "adversary.event_unobservability", _record(f1=_floats, f2=_floats)
     ),
     "uncertainty_region_size": _spec("adversary.region_size", "region"),
     "coverage_of_sensitive_region": _spec("adversary.region_coverage", "region", "region"),
-    "accuracy_of_obfuscated_region": _spec(
-        "adversary.obfuscation_accuracy", r_opt=float, r_min=float
-    ),
+    "accuracy_of_obfuscated_region": _spec("adversary.obfuscation_accuracy"),
 }
 
 
@@ -467,13 +449,14 @@ def compute(
         raise ParamError(
             f"{metric_id} takes {inputs_help(metric_id)}; got {len(paths)} input file(s)"
         )
-    if not params.keys() <= spec.params.keys():
-        unknown = sorted(params.keys() - spec.params.keys())
+    declared = spec.params
+    if not params.keys() <= declared.keys():
+        unknown = sorted(params.keys() - declared.keys())
         raise ParamError(
             f"unknown parameter(s) {unknown}; {metric_id} takes {inputs_help(metric_id)}"
         )
     args = _load_inputs(spec, paths, schema)
-    for name, (kind, default) in spec.params.items():
+    for name, (kind, default) in declared.items():
         if name in params:
             try:
                 value = kind(params[name])

@@ -224,6 +224,7 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+@domains()
 def game_advantage(g: GameTranscript, eps: float) -> dict:
     """Adversary's edge over random guessing, with a 95% confidence interval.
 

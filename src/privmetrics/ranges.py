@@ -47,9 +47,9 @@ def fmt_range(rng: dict) -> str:
 def domains(**declared: dict):
     """Declare the domain of named parameters of a library function.
 
-    Before each call, an argument outside its parameter's domain, or NaN,
-    raises ParamError. ``fn.domains`` maps each positional parameter, in
-    order, to its domain or None.
+    Before each call, an argument outside its parameter's domain, or a float
+    NaN in any parameter, declared or not, raises ParamError. ``fn.domains``
+    maps each positional parameter, in order, to its domain or None.
     """
     def declare(fn):
         names = fn.__code__.co_varnames[:fn.__code__.co_argcount]
@@ -60,6 +60,9 @@ def domains(**declared: dict):
             for name, rng in declared.items():
                 if name in given and not contains(rng, given[name]):
                     raise ParamError(f"{name} must lie in {fmt_range(rng)}, got {given[name]!r}")
+            for name, value in given.items():
+                if isinstance(value, float) and math.isnan(value):
+                    raise ParamError(f"{name}: NaN is not a number")
             return fn(*args, **kwargs)
 
         checked.domains = {name: declared.get(name) for name in names}

@@ -64,7 +64,11 @@ class MetricDescriptor:
     summary: str
     caveats: tuple[str, ...] = ()
     implemented: bool = True
-    op_ref: str | None = None
+
+    @property
+    def op_ref(self) -> str | None:
+        """The id of an implemented metric's operation in ``compute``, else None."""
+        return self.id if self.implemented else None
 
     def __post_init__(self):
         if self.category not in CATEGORIES:
@@ -73,8 +77,6 @@ class MetricDescriptor:
             raise SchemaError(f"bad data sources for {self.id}")
         if not (self.inputs | self.optional_inputs) <= set(INPUT_KINDS):
             raise SchemaError(f"bad inputs for {self.id}")
-        if self.implemented and not self.op_ref:
-            raise SchemaError(f"{self.id}: implemented metrics need an op_ref")
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
@@ -82,6 +84,7 @@ class MetricDescriptor:
         d["inputs"] = sorted(self.inputs)
         d["optional_inputs"] = sorted(self.optional_inputs)
         d["caveats"] = list(self.caveats)
+        d["op_ref"] = self.op_ref
         return d
 
 
@@ -112,7 +115,6 @@ def _m(
         summary=summary,
         caveats=tuple(caveats),
         implemented=implemented,
-        op_ref=metric_id if implemented else None,
     )
 
 

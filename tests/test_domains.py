@@ -67,24 +67,6 @@ def test_every_numeric_param_has_a_domain_or_is_listed():
     assert not faults, "\n".join(faults)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: ct_isolation([[0, 0], [1, 1]], [0, 0], 0, NAN),
-        lambda: event_unobservability([1.0], [2.0], 1.0, 1.0, NAN, 0.1),
-        lambda: haplotype_safety(10, 5, log_base=NAN),
-        lambda: haplotype_safety(10, 5, alpha=NAN),
-        lambda: distributional_privacy(NAN, 0.5, 1.0, 1.0),
-        lambda: tp_violation_check(0.3, 0.2, NAN),
-    ],
-    ids=["ct_isolation-c", "event_unobservability-alpha", "haplotype_safety-log_base",
-         "haplotype_safety-alpha", "distributional_privacy-l1", "tp_violation_check-p"],
-)
-def test_nan_raises_in_direct_library_calls(call):
-    with pytest.raises(ParamError):
-        call()
-
-
 def _library_call(metric_id: str, monkeypatch) -> tuple:
     """The library function of a metric and the arguments its fixture passes it."""
     module, name = compute._SPECS[metric_id].call.split(".")
@@ -100,6 +82,13 @@ def _library_call(metric_id: str, monkeypatch) -> tuple:
     return function, list(seen[0])
 
 
+def _position(metric_id: str, name: str, args: list) -> int:
+    """The position of a ``--param`` among a library call's arguments: the
+    parameters come after the arguments the input files fill."""
+    params = compute._SPECS[metric_id].params
+    return len(args) - len(params) + list(params).index(name)
+
+
 def _domain_fault(function, args: list, position: int, value):
     """The ParamError a call with ``value`` at ``position`` raises for the
     parameter's domain, or None. The parameter is named as the function names it."""
@@ -111,6 +100,43 @@ def _domain_fault(function, args: list, position: int, value):
         if isinstance(exc, ParamError) and exc.detail.startswith(f"{name} must lie in "):
             return exc
     return None
+
+
+def _nan_for(metric_id: str, name: str):
+    """A call of a metric's library function with the arguments its fixture
+    passes it, and NaN for the parameter ``name``."""
+    def call():
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            function, args = _library_call(metric_id, monkeypatch)
+        args[_position(metric_id, name, args)] = NAN
+        return function(*args)
+    return call
+
+
+UNCONSTRAINED_FLOATS = [
+    (metric_id, name) for metric_id, name in UNCONSTRAINED
+    if compute._SPECS[metric_id].params[name][0] is float
+]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ct_isolation([[0, 0], [1, 1]], [0, 0], 0, NAN),
+        lambda: event_unobservability([1.0], [2.0], 1.0, 1.0, NAN, 0.1),
+        lambda: haplotype_safety(10, 5, log_base=NAN),
+        lambda: haplotype_safety(10, 5, alpha=NAN),
+        lambda: distributional_privacy(NAN, 0.5, 1.0, 1.0),
+        lambda: tp_violation_check(0.3, 0.2, NAN),
+        *(_nan_for(metric_id, name) for metric_id, name in UNCONSTRAINED_FLOATS),
+    ],
+    ids=["ct_isolation-c", "event_unobservability-alpha", "haplotype_safety-log_base",
+         "haplotype_safety-alpha", "distributional_privacy-l1", "tp_violation_check-p",
+         *(f"{metric_id}-{name}" for metric_id, name in UNCONSTRAINED_FLOATS)],
+)
+def test_nan_raises_in_direct_library_calls(call):
+    with pytest.raises(ParamError):
+        call()
 
 
 def _outside(domain: dict) -> list:
@@ -145,7 +171,7 @@ def test_declared_domain_is_the_library_bound(metric_id, name, domain, monkeypat
     params = compute._SPECS[metric_id].params
     kind, default = params[name]
     function, args = _library_call(metric_id, monkeypatch)
-    position = len(args) - len(params) + list(params).index(name)  # the trailing positionals
+    position = _position(metric_id, name, args)
     for value in _outside(domain):
         assert not ranges.contains(domain, value)
         assert _domain_fault(function, args, position, value) is not None, value

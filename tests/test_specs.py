@@ -62,19 +62,3 @@ def test_the_gate_reads_every_spec():
 
     assert [metric_id for metric_id, _ in _specs()] == list(compute._SPECS)
 
-
-def test_each_param_is_named_as_its_library_parameter():
-    """A spec's ``--param`` names are the trailing parameter names of its
-    library function, in order, so an error that names a parameter names the
-    ``--param`` the user typed."""
-    import inspect
-
-    from privmetrics import compute
-
-    faults = []
-    for metric_id, spec in compute._SPECS.items():
-        names = list(inspect.signature(compute._function(spec.call)).parameters)
-        params = list(spec.params)
-        if params and names[len(names) - len(params):] != params:
-            faults.append(f"{metric_id}: --param {params}, library parameters {names}")
-    assert not faults, "\n".join(faults)
