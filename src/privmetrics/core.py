@@ -188,11 +188,6 @@ def _labels(value, what: str) -> tuple[str, ...]:
 _matrix = _list(_floats)
 
 
-def _typed(decls: dict) -> dict:
-    """``name=type`` declares a required value, ``name=(type, default)`` an optional one."""
-    return {k: v if isinstance(v, tuple) else (v, _REQUIRED) for k, v in decls.items()}
-
-
 def _fields(**types):
     """Field type of a JSON object with exactly the declared keys.
 
@@ -200,7 +195,7 @@ def _fields(**types):
     that reads as ``default`` when absent. The reader returns the typed values
     in declared order; ``read.shape`` shows the keys, optional ones with ``?``.
     """
-    decls = tuple((k, kind, default) for k, (kind, default) in _typed(types).items())
+    decls = tuple((k, *(v if isinstance(v, tuple) else (v, _REQUIRED))) for k, v in types.items())
     keys = frozenset(types)
     required = frozenset(k for k, _, default in decls if default is _REQUIRED)
     shape = "{" + ", ".join(f'"{k}"' if k in required else f'"{k}"?' for k in types) + "}"

@@ -9,6 +9,7 @@ nearest float inside it do not fail the domain.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import math
 import tempfile
@@ -72,7 +73,9 @@ def _library_call(metric_id: str, monkeypatch) -> tuple:
     module, name = compute._SPECS[metric_id].call.split(".")
     module = importlib.import_module(f"privmetrics.{module}")
     function, seen = getattr(module, name), []
-    monkeypatch.setattr(module, name, lambda *args: seen.append(args) or function(*args))
+    # wrapped, so that ``compute`` reads the --params from the function's own signature
+    recording = functools.wraps(function)(lambda *args: seen.append(args) or function(*args))
+    monkeypatch.setattr(module, name, recording)
     fixture = load_fixture(metric_id)
     with tempfile.TemporaryDirectory() as directory:
         args = materialize_fixture(fixture, Path(directory))
