@@ -50,8 +50,8 @@ def _json_array(item: Callable) -> Callable:
     return lambda raw: items(raw if isinstance(raw, list) else json.loads(raw), "JSON array")
 
 
-# The type of each annotation a library parameter filled by a ``--param`` has,
-# with ``| None`` stripped
+# The ``--param`` type of each annotation a library parameter may have, once
+# ``| None`` is stripped
 _TYPES = {
     "float": float, "int": int, "str": str, "Value": str,
     "Sequence[float]": _json_array(_finite), "Sequence[str]": _json_array(_label),

@@ -4,7 +4,8 @@ its library function, with ``ranges.domains``.
 The library is called directly here, with the arguments a metric's fixture
 passes it and one declared parameter replaced: NaN and the nearest float
 outside a finite boundary raise ParamError, and the boundary itself and the
-nearest float inside it do not fail the domain.
+nearest float inside it do not fail the domain. NaN in a float parameter with
+no declared domain raises ParamError too.
 """
 
 from __future__ import annotations
