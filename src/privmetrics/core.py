@@ -21,7 +21,7 @@ import json
 import math
 import reprlib
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -534,24 +534,40 @@ class DataTable:
         """These cells under the roles ``roles`` (by column name; an
         unmentioned column is plain), checked in the order ``parse_table``
         checks them. The cells are shared, not copied or checked again, and so
-        is the grouping when the quasi-identifier columns are the same; a
-        table whose roles already are ``roles`` is returned itself."""
-        names = {c.name for c in self.columns}
+        are the grouping and its histograms when the quasi-identifier columns
+        are the same; a table whose roles already are ``roles`` is returned
+        itself."""
+        names = [c.name for c in self.columns]
         for name in roles:
             if name not in names:
                 raise SchemaError(f"schema mentions unknown column {name!r}")
-        columns = tuple(Column(c.name, c.kind, roles.get(c.name, "plain")) for c in self.columns)
-        if columns == self.columns:
+        if [roles.get(name, "plain") for name in names] == [c.role for c in self.columns]:
             return self
+        columns = tuple(Column(c.name, c.kind, roles.get(c.name, "plain")) for c in self.columns)
         table = copy.copy(self)  # the instance dict, with the grouping if there is one
         object.__setattr__(table, "columns", columns)
         if table.quasi_identifier_columns() != self.quasi_identifier_columns():
-            vars(table).pop("_classes", None)
+            vars(table).pop("_grouping", None)
         return table
 
+    def class_histograms(self, index: int) -> tuple[Counter, ...]:
+        """Each equivalence class's histogram of column ``index``: one
+        ``Counter`` of its cells per class, in class order. A column is
+        counted the first time it is asked for and kept beside the grouping,
+        so a re-tag that shares the grouping shares them too; the Counters
+        are shared, and a caller must not change them."""
+        classes, histograms = self._grouping
+        if index not in histograms:
+            column = self.cells[index]
+            histograms[index] = tuple(
+                [Counter(map(column.__getitem__, c.row_indices)) for c in classes]
+            )
+        return histograms[index]
+
     @cached_property
-    def _classes(self) -> tuple[EquivalenceClass, ...]:
-        return _group_by_quasi_identifiers(self)
+    def _grouping(self) -> tuple[tuple[EquivalenceClass, ...], dict[int, tuple[Counter, ...]]]:
+        """The equivalence classes, and the class histograms counted so far by column."""
+        return _group_by_quasi_identifiers(self), {}
 
 
 # Characters of a plain CSV split, width-checked and typed at a time: enough
@@ -716,7 +732,7 @@ def equivalence_classes(table: DataTable) -> tuple[EquivalenceClass, ...]:
     exactly once; each class lists its rows in ascending order. A table is
     grouped once: later calls on it return the same tuple.
     """
-    return table._classes
+    return table._grouping[0]
 
 
 def _group_by_quasi_identifiers(table: DataTable) -> tuple[EquivalenceClass, ...]:

@@ -63,6 +63,14 @@ def _max_log_ratio(pa: Sequence[float], pb: Sequence[float]) -> float:
     return max(abs(_log_extreme(max, ratios, pa, pb)), abs(_log_extreme(min, ratios, pa, pb)))
 
 
+# From this many (ordered pair, output) cells on, dp_epsilon and adp_delta
+# scan numpy arrays; below it they run the scalar loops, which import nothing.
+_ARRAY_CELLS = 1 << 14
+# Cells of each block of pairs an array scan takes at a time, so that its
+# temporaries together stay under about 1 MB.
+_BLOCK_CELLS = 1 << 14
+
+
 def dp_epsilon(m: FiniteMechanism, nr: NeighborRelation) -> dict:
     """Smallest eps such that the mechanism is eps-differentially private.
 
@@ -70,10 +78,51 @@ def dp_epsilon(m: FiniteMechanism, nr: NeighborRelation) -> dict:
     equivalent to the bound over all output sets, so the scan covers single
     outputs only. Disjoint support across a neighbor pair gives +inf.
     """
+    pairs = nr.ordered_pairs()
+    if len(pairs) * len(m.outputs) >= _ARRAY_CELLS:
+        return {"eps_eff": _dp_epsilon_arrays(m, pairs)}
     eps = 0.0
-    for a, b in nr.ordered_pairs():
+    for a, b in pairs:
         eps = max(eps, _max_log_ratio(m.row_for(a), m.row_for(b)))
     return {"eps_eff": eps}
+
+
+def _blocks(m: FiniteMechanism, pairs: list[tuple[str, str]]):
+    """(first pair, first rows, second rows) for each block of about
+    ``_BLOCK_CELLS`` cells of the pairs, the rows as float arrays."""
+    import numpy as np
+
+    number = {x: i for i, x in enumerate(m.inputs)}
+    try:
+        first, second = [number[a] for a, _ in pairs], [number[b] for _, b in pairs]
+    except KeyError:  # name the first unknown input in pair order, as the scalar loop does
+        for a, b in pairs:
+            m.row_for(a), m.row_for(b)
+    matrix = np.array(m.matrix)
+    step = max(1, _BLOCK_CELLS // len(m.outputs))
+    for lo in range(0, len(pairs), step):
+        yield lo, matrix[first[lo : lo + step]], matrix[second[lo : lo + step]]
+
+
+def _dp_epsilon_arrays(m: FiniteMechanism, pairs: list[tuple[str, str]]) -> float:
+    """``dp_epsilon`` over numpy blocks: each row's extreme quotients, which
+    IEEE division rounds as float division does, go through ``_log_extreme``."""
+    import numpy as np
+
+    eps = 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        for lo, pa, pb in _blocks(m, pairs):
+            support = pa != 0
+            if (support != (pb != 0)).any():
+                return math.inf
+            ratios = pa / np.where(support, pb, 1.0)
+            highs = np.where(support, ratios, -np.inf).max(axis=1).tolist()
+            lows = np.where(support, ratios, np.inf).min(axis=1).tolist()
+            for (a, b), high, low in zip(pairs[lo:], highs, lows):
+                ra, rb = m.row_for(a), m.row_for(b)
+                eps = max(eps, abs(_log_extreme(max, [high], ra, rb)),
+                          abs(_log_extreme(min, [low], ra, rb)))
+    return eps
 
 
 @domains(eps=interval(0, None))
@@ -88,8 +137,11 @@ def adp_delta(m: FiniteMechanism, nr: NeighborRelation, eps: float) -> float:
         scale = math.exp(eps)
     except OverflowError:
         scale = math.inf
+    pairs = nr.ordered_pairs()
+    if len(pairs) * len(m.outputs) >= _ARRAY_CELLS:
+        return _adp_delta_arrays(m, pairs, scale)
     delta = 0.0
-    for a, b in nr.ordered_pairs():
+    for a, b in pairs:
         pa, pb = m.row_for(a), m.row_for(b)
         if scale == math.inf:  # in the limit only outputs that b never gives count
             excess = math.fsum(compress(pa, map((0.0).__eq__, pb)))
@@ -97,6 +149,23 @@ def adp_delta(m: FiniteMechanism, nr: NeighborRelation, eps: float) -> float:
             # fsum is exactly rounded, so leaving out the terms <= 0 changes no bit
             excess = math.fsum(filter((0.0).__lt__, map(sub, pa, map(scale.__mul__, pb))))
         delta = max(delta, excess)
+    return delta
+
+
+def _adp_delta_arrays(m: FiniteMechanism, pairs: list[tuple[str, str]], scale: float) -> float:
+    """``adp_delta`` over numpy blocks: IEEE arithmetic gives each term the
+    scalar loop's bits, the terms it leaves out become 0.0, and ``math.fsum``
+    sums each pair's row exactly, so the rounded excess is the same."""
+    import numpy as np
+
+    delta = 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        for _, pa, pb in _blocks(m, pairs):
+            if scale == math.inf:
+                terms = np.where(pb == 0, pa, 0.0)
+            else:
+                terms = np.maximum(pa - scale * pb, 0.0)
+            delta = max(delta, *map(math.fsum, terms.tolist()))
     return delta
 
 

@@ -52,12 +52,8 @@ def alpha_k_anonymity(table: DataTable, value: Value) -> dict:
         if math.isnan(number):  # NaN equals no cell, so it would read as alpha 0
             raise ParamError(f"value {value!r} is not a number")
         value = number
-    column = table.column_values(col)
     classes = equivalence_classes(table)
-    alpha = max(
-        _class_sensitive(column, c).count(value) / len(c)
-        for c in classes
-    )
+    alpha = max(map(truediv, (h[value] for h in table.class_histograms(col)), map(len, classes)))
     return {"k": min(map(len, classes)), "alpha": alpha}
 
 
@@ -69,20 +65,18 @@ def l_diversity(table: DataTable, mode: str = "entropy", c: float = 1.0) -> floa
     recursive mode: the largest l such that in every class the top count is
     below c times the tail sum from position l (l = 1 when nothing holds).
     """
-    column = table.column_values(table.sensitive_column())
-    per_class_counts = [
-        sorted(Counter(_class_sensitive(column, cls)).values(), reverse=True)
-        for cls in equivalence_classes(table)
-    ]
+    col = table.sensitive_column()
+    classes = equivalence_classes(table)
+    histograms = table.class_histograms(col)
     if mode == "entropy":
-        worst = math.inf
-        for counts in per_class_counts:
-            h = _entropy_bits(list(map(truediv, counts, repeat(sum(counts)))))
-            worst = min(worst, 2.0**h)
-        return worst
+        return min(
+            2.0 ** _entropy_bits(list(map(truediv, h.values(), repeat(len(cls)))))
+            for h, cls in zip(histograms, classes)
+        )
     if c <= 0:
         raise ParamError(f"recursive diversity needs c > 0, got {c!r}")
-    max_distinct = max(len(counts) for counts in per_class_counts)
+    per_class_counts = [sorted(h.values(), reverse=True) for h in histograms]
+    max_distinct = max(map(len, per_class_counts))
     best = 1
     for ell in range(2, max_distinct + 1):
         if all(
@@ -127,23 +121,27 @@ def t_closeness(table: DataTable) -> float:
     """Worst-class earth mover distance to the table's sensitive distribution.
 
     Numeric sensitive columns use the ordered cumulative form over the sorted
-    distinct values; categorical columns use the equal-distance form.
+    distinct values; categorical columns use the equal-distance form, over
+    the cells as strings.
     """
     col = table.sensitive_column()
     numeric = table.columns[col].kind == "numeric"
-    all_values = table.column_values(col)
-    domain = sorted(set(all_values)) if numeric else sorted(set(map(str, all_values)))
+    classes = equivalence_classes(table)
+    histograms = table.class_histograms(col)
+    domain = set().union(*histograms)
+    if not numeric and not all(type(v) is str for v in domain):
+        # cells that differ but print alike, such as 1.0 and "1.0", are one value
+        column = table.column_values(col)
+        histograms = [Counter(map(str, _class_sensitive(column, cls))) for cls in classes]
+        domain = set(map(str, column))
+    domain = sorted(domain)
     emd = emd_ordered if numeric else emd_categorical
 
-    def dist(values: Sequence[Value]) -> list[float]:
-        counts = Counter(values if numeric else map(str, values))
-        return list(map(truediv, map(counts.get, domain, repeat(0)), repeat(len(values))))
+    def dist(counts: Counter, size: int) -> list[float]:
+        return list(map(truediv, map(counts.get, domain, repeat(0)), repeat(size)))
 
-    table_dist = dist(all_values)
-    return max(
-        emd(dist(_class_sensitive(all_values, cls)), table_dist)
-        for cls in equivalence_classes(table)
-    )
+    table_dist = [sum(map(dict.get, histograms, repeat(v), repeat(0))) / len(table) for v in domain]
+    return max(emd(dist(h, len(cls)), table_dist) for h, cls in zip(histograms, classes))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +223,8 @@ def _most_within(values: Sequence[float], epsilon: float) -> int:
             lo += 1
         while hi < len(values) and values[hi] - x <= epsilon:
             hi += 1
-        best = max(best, hi - lo)
+        if hi - lo > best:
+            best = hi - lo
     return best
 
 

@@ -46,7 +46,7 @@ SYMBOLS = {
 # The tests that exercise each module, its own first; every module's
 # mutants also run the tests that go through the CLI.
 OWN_TESTS = {
-    "core": ["test_core.py", "test_compute.py"],
+    "core": ["test_core.py", "test_compute.py", "test_exactness.py", "test_tabular.py"],
     "compute": ["test_compute.py", "test_specs.py", "test_domains.py", "test_fuzz.py",
                 "test_registry.py"],
     "ranges": ["test_domains.py", "test_fuzz.py"],

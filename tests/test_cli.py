@@ -798,8 +798,9 @@ def _cold(*args, cwd=None):
 
 # The fixtures whose cold ``compute`` loads numpy or scipy; every other fixture loads neither.
 NUMPY_USERS = {"loss_of_anonymity": ["numpy"]}
-# The functions that import numpy (Blahut-Arimoto); no function imports scipy.
-NUMPY_FUNCTIONS = {"conditional_channel_capacity"}
+# The functions that import numpy: Blahut-Arimoto, and the array scans that
+# dp_epsilon and adp_delta take on large mechanisms only; no function imports scipy.
+NUMPY_FUNCTIONS = {"conditional_channel_capacity", "_blocks", "_dp_epsilon_arrays", "_adp_delta_arrays"}
 
 
 # One fixture from each metric module, in the order each thread computes them.

@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from privmetrics import adversary, indist, infogain, tabular, uncertainty
 from privmetrics.core import (
@@ -138,6 +138,65 @@ def ref_t_closeness_categorical(table):
     )
 
 
+def ref_t_closeness_numeric(table):
+    col = table.sensitive_column()
+    all_values = table.column_values(col)
+    domain = sorted(set(all_values))
+
+    def dist(values):
+        return [sum(1 for x in values if x == v) / len(values) for v in domain]
+
+    table_dist = dist(all_values)
+    worst = 0.0
+    for _, idx in ref_classes(table):
+        cum = total = 0.0
+        for a, b in zip(dist(ref_class_values(table, idx, col)), table_dist):
+            cum += a - b
+            total += abs(cum)
+        worst = max(worst, total / (len(domain) - 1) if len(domain) > 1 else 0.0)
+    return worst
+
+
+def ref_l_recursive(table, c):
+    col = table.sensitive_column()
+    per_class = [
+        sorted(Counter(ref_class_values(table, idx, col)).values(), reverse=True)
+        for _, idx in ref_classes(table)
+    ]
+    best = 1
+    for ell in range(2, max(len(counts) for counts in per_class) + 1):
+        holds = True
+        for counts in per_class:
+            tail = 0
+            for n in counts[ell - 1 :]:
+                tail += n
+            if not counts[0] < c * tail:
+                holds = False
+        if holds:
+            best = ell
+    return float(best)
+
+
+def ref_alpha_k(table, value):
+    col = table.sensitive_column()
+    k, alpha = math.inf, 0.0
+    for _, idx in ref_classes(table):
+        values = ref_class_values(table, idx, col)
+        k = min(k, len(values))
+        alpha = max(alpha, sum(1 for v in values if v == value) / len(values))
+    return {"k": k, "alpha": alpha}
+
+
+def ref_ke(table):
+    col = table.sensitive_column()
+    k, e = math.inf, math.inf
+    for _, idx in ref_classes(table):
+        values = ref_class_values(table, idx, col)
+        k = min(k, len(values))
+        e = min(e, max(values) - min(values))
+    return {"k": k, "e": e}
+
+
 def ref_delta_presence(external, published):
     """Two passes of covers() tests: one counts each group's matches, one takes the maxima."""
     ext_qi = external.quasi_identifier_columns()
@@ -213,10 +272,39 @@ def test_dp_epsilon_equals_scalar_loop(case):
     assert indist.dp_epsilon(m, nr) == ref_dp_epsilon(m, nr)
 
 
+_ADP_EPS = st.one_of(st.sampled_from([0.0, 1e-300, 0.05, 1.0, 709.0]),
+                    st.floats(min_value=0.0, max_value=709.0))
+
+
 @settings(max_examples=300, deadline=None)
-@given(mechanisms(), st.one_of(st.sampled_from([0.0, 1e-300, 0.05, 1.0, 709.0]),
-                               st.floats(min_value=0.0, max_value=709.0)))
+@given(mechanisms(), _ADP_EPS)
 def test_adp_delta_equals_scalar_loop(case, eps):
+    m, nr = case
+    assert indist.adp_delta(m, nr, eps) == ref_adp_delta(m, nr, eps)
+
+
+# The numpy scans of large mechanisms, forced onto small ones: blocks of one
+# pair, of a few cells, and of the whole relation.
+_ARRAYS = settings(max_examples=200, deadline=None,
+                   suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 14])
+@_ARRAYS
+@given(mechanisms())
+def test_dp_epsilon_array_scan_equals_scalar_loop(block, monkeypatch, case):
+    monkeypatch.setattr(indist, "_ARRAY_CELLS", 0)
+    monkeypatch.setattr(indist, "_BLOCK_CELLS", block)
+    m, nr = case
+    assert indist.dp_epsilon(m, nr) == ref_dp_epsilon(m, nr)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 14])
+@_ARRAYS
+@given(mechanisms(), _ADP_EPS)
+def test_adp_delta_array_scan_equals_scalar_loop(block, monkeypatch, case, eps):
+    monkeypatch.setattr(indist, "_ARRAY_CELLS", 0)
+    monkeypatch.setattr(indist, "_BLOCK_CELLS", block)
     m, nr = case
     assert indist.adp_delta(m, nr, eps) == ref_adp_delta(m, nr, eps)
 
@@ -265,6 +353,16 @@ def test_adp_delta_sum_is_exactly_rounded():
         (0.2104215338004223, 0.013098977936202212, 0.68433121659701, 0.09214827166636545),
     )
     assert indist.adp_delta(m, nr, 0.05) == ref_adp_delta(m, nr, 0.05) == 0.3166128849679281
+
+
+def test_array_scans_keep_the_exact_cases(monkeypatch):
+    monkeypatch.setattr(indist, "_ARRAY_CELLS", 0)
+    test_dp_epsilon_rounding_of_reverse_ratio()
+    test_adp_delta_sum_is_exactly_rounded()
+    # 0.5 / 1e-323 overflows, so the log comes from log a - log b
+    m, nr = _pair((0.5, 0.5), (1e-323, 1.0))
+    assert indist.dp_epsilon(m, nr) == ref_dp_epsilon(m, nr)
+    assert 743 < indist.dp_epsilon(m, nr)["eps_eff"] < 744
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +427,41 @@ def test_equivalence_classes_equal_scalar_loop(data, n_qi):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data(), st.integers(1, 2))
-def test_categorical_table_metrics_equal_scalar_loops(data, n_qi):
-    table = data.draw(tables(n_qi, st.sampled_from(["x", "y", "z", "w"]), "categorical"))
+@given(st.data(), st.integers(1, 2), st.booleans())
+def test_categorical_table_metrics_equal_scalar_loops(data, n_qi, mixed):
+    # Mixed: cells that are equal but print apart (1 and 1.0), and that differ
+    # but print alike (1.0 and "1.0"); l-diversity counts the cells, t-closeness
+    # their strings.
+    cells = st.sampled_from(["x", 1.0, "1.0", 1, "1"] if mixed else ["x", "y", "z", "w"])
+    table = data.draw(tables(n_qi, cells, "categorical"))
+    value = data.draw(st.sampled_from(["x", "1.0", 1.0, "nowhere"]))
+    c = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]) | st.floats(0.01, 10.0))
     assert tabular.l_diversity(table) == ref_l_entropy(table)
+    assert tabular.l_diversity(table, "recursive", c) == ref_l_recursive(table, c)
     assert tabular.t_closeness(table) == ref_t_closeness_categorical(table)
+    assert tabular.alpha_k_anonymity(table, value) == ref_alpha_k(table, value)
+
+
+def test_t_closeness_keeps_apart_cells_without_strings_that_print_apart():
+    # 1 and 1.0 are one Counter key, but "1" and "1.0" are two values
+    table = DataTable((Column("q", "categorical", "quasi-identifier"),
+                       Column("s", "categorical", "sensitive")),
+                      cells=(("a", "a", "b", "b"), (1, 2, 1.0, 2)))
+    assert tabular.t_closeness(table) == ref_t_closeness_categorical(table) == 0.25
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 2))
+def test_numeric_table_metrics_equal_scalar_loops(data, n_qi):
+    table = data.draw(tables(n_qi, _SENSITIVE, "numeric"))
+    values = table.column_values(table.sensitive_column())
+    value = data.draw(st.sampled_from(values) | _SENSITIVE)
+    c = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]) | st.floats(0.01, 10.0))
+    assert tabular.t_closeness(table) == ref_t_closeness_numeric(table)
+    assert tabular.ke_anonymity(table) == ref_ke(table)
+    assert tabular.alpha_k_anonymity(table, value) == ref_alpha_k(table, value)
+    assert tabular.l_diversity(table) == ref_l_entropy(table)
+    assert tabular.l_diversity(table, "recursive", c) == ref_l_recursive(table, c)
 
 
 # ---------------------------------------------------------------------------

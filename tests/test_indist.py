@@ -181,6 +181,80 @@ class TestAdpDelta:
         assert ind.dp_epsilon(m, NR)["eps_eff"] == pytest.approx(math.log(2), abs=1e-12)
 
 
+class TestArrayScans:
+    """dp_epsilon and adp_delta take numpy arrays from ``_ARRAY_CELLS`` (pair, output) cells on."""
+
+    def _scans(self, monkeypatch):
+        calls = []
+        blocks = ind._blocks
+        monkeypatch.setattr(ind, "_blocks", lambda *args: calls.append(args) or blocks(*args))
+        return calls
+
+    @pytest.mark.parametrize("threshold, scans", [(4, 2), (5, 0)])
+    def test_threshold(self, monkeypatch, threshold, scans):
+        monkeypatch.setattr(ind, "_ARRAY_CELLS", threshold)
+        calls = self._scans(monkeypatch)
+        m = rr_mechanism(0.7)  # one pair, both ways, over two outputs: 4 cells
+        assert ind.dp_epsilon(m, NR)["eps_eff"] == pytest.approx(math.log(0.7 / 0.3), rel=1e-15)
+        assert ind.adp_delta(m, NR, 0.0) == pytest.approx(0.4, rel=1e-15)
+        assert len(calls) == scans
+
+    def test_empty_relation(self, monkeypatch):
+        monkeypatch.setattr(ind, "_ARRAY_CELLS", 0)
+        nr = ind.NeighborRelation(())
+        assert ind.dp_epsilon(rr_mechanism(0.7), nr) == {"eps_eff": 0.0}
+        assert ind.adp_delta(rr_mechanism(0.7), nr, 0.1) == 0.0
+
+    @pytest.mark.parametrize("pairs, name", [((("yes", "no"), ("no", "maybe")), "maybe"),
+                                             ((("perhaps", "maybe"),), "perhaps")])
+    def test_unknown_input_is_named_as_by_the_scalar_loop(self, monkeypatch, pairs, name):
+        nr = ind.NeighborRelation(pairs)
+        for threshold in (1 << 14, 0):
+            monkeypatch.setattr(ind, "_ARRAY_CELLS", threshold)
+            for check in (ind.dp_epsilon, lambda m, nr: ind.adp_delta(m, nr, 0.5)):
+                with pytest.raises(SchemaError, match=f"unknown input id '{name}'"):
+                    check(rr_mechanism(0.7), nr)
+
+    def test_excess_past_the_largest_scale(self, monkeypatch):
+        # exp(800) overflows: only the outputs the second row never gives count,
+        # 0.5 of a over b and nothing of b over a
+        m = parse_mechanism(json.dumps({"inputs": ["a", "b"], "outputs": [0, 1],
+                                        "matrix": [[0.5, 0.5], [1.0, 0.0]]}))
+        nr = ind.NeighborRelation((("a", "b"),))
+        for threshold in (1 << 14, 0):
+            monkeypatch.setattr(ind, "_ARRAY_CELLS", threshold)
+            assert ind.adp_delta(m, nr, 800.0) == 0.5
+
+    @pytest.mark.parametrize("eps", [0.05, 1.2])
+    def test_tied_pairs_read_no_scalar_row(self, monkeypatch, eps):
+        # 5-ary randomized response at eps_eff = 1: every ordered pair has the
+        # same excess, and at eps = 1.2 every excess is 0
+        k, keep = 5, math.e / (math.e + 4)
+        matrix = [[keep if i == j else (1 - keep) / 4 for j in range(k)] for i in range(k)]
+        m = parse_mechanism(json.dumps({"inputs": list(range(k)), "outputs": list(range(k)),
+                                        "matrix": matrix}))
+        nr = full_relation(m)
+        scalar = ind.adp_delta(m, nr, eps)
+        monkeypatch.setattr(ind, "_ARRAY_CELLS", 0)
+        monkeypatch.setattr(type(m), "row_for", lambda *args: pytest.fail("scalar row read"))
+        assert ind.adp_delta(m, nr, eps) == scalar
+        assert (scalar > 0) == (eps < 1)
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_a_mechanism_in_blocks(self, monkeypatch, zeros):
+        m = random_mechanism(np.random.default_rng(5), n_in=40, n_out=30, zeros=zeros)
+        nr = full_relation(m)
+
+        def checks():
+            return ind.dp_epsilon(m, nr), ind.adp_delta(m, nr, 0.05), ind.adp_delta(m, nr, 800.0)
+
+        scalar = checks()
+        monkeypatch.setattr(ind, "_ARRAY_CELLS", 0)
+        for block in (1, 100, 1 << 20):
+            monkeypatch.setattr(ind, "_BLOCK_CELLS", block)
+            assert checks() == scalar
+
+
 class TestGeoIndistinguishability:
     def geo(self, locations, matrix):
         inputs = [loc[0] for loc in locations]
@@ -301,6 +375,11 @@ class TestDistributionalPrivacy:
         # odds = 1e300 * 1e300 / 1e-300 overflows; log odds = 900 ln 10 = 2072.33
         assert ind.distributional_privacy(1e300, 1e-300, 1e300, eps) is holds
 
+    def test_log_space_bound_is_inclusive(self):
+        # eps = -ln 1e-310 = 713.8 puts exp(eps) past the largest float; the
+        # log odds 0 + 0 - ln 1e-310 equal eps exactly, and the bound allows equality
+        assert ind.distributional_privacy(1.0, 1e-310, 1.0, -math.log(1e-310)) is True
+
 
 class TestGameAdvantage:
     def test_all_correct(self):
@@ -318,6 +397,20 @@ class TestGameAdvantage:
         trials = tuple((rng.randint(0, 1), rng.randint(0, 1)) for _ in range(10000))
         r = ind.game_advantage(ind.GameTranscript(trials), 0.05)
         assert r["holds"] is True
+
+    def test_upper_end_on_the_bound_holds(self):
+        g = ind.GameTranscript(((1, 1), (1, 1), (0, 1)))
+        hi = ind.wilson_interval(2, 3)[1]
+        assert ind.game_advantage(g, hi - 0.5)["holds"] is True  # 0.5 + (hi - 0.5) == hi exactly
+
+    def test_wilson_single_trial(self):
+        lo, hi = ind.wilson_interval(1, 1)
+        assert 0.0 < lo < hi == 1.0
+
+    @pytest.mark.parametrize("trial", [(0, 2), (2, 0)])
+    def test_guess_and_truth_each_checked(self, trial):
+        with pytest.raises(SchemaError):
+            ind.GameTranscript((trial,))
 
     def test_wilson_contains_proportion(self):
         lo, hi = ind.wilson_interval(80, 100)

@@ -306,6 +306,64 @@ class TestNumericAnonymity:
             assert m <= min(counts.values()) + 1e-9
 
 
+# One release read under three role sets: the same quasi-identifiers with
+# another sensitive column, and other quasi-identifiers.
+_RELEASE = "zip,age,disease,salary\n" + "".join(
+    f"z{i % 3},a{i % 2},{'flu cold asthma'.split()[i // 5 % 3]},{20 + i * 13 % 17}\n" for i in range(24)
+)
+_CATEGORICAL = {"zip": "quasi-identifier", "age": "quasi-identifier", "disease": "sensitive"}
+_NUMERIC = {"zip": "quasi-identifier", "age": "quasi-identifier", "salary": "sensitive"}
+_ZIP_ONLY = {"zip": "quasi-identifier", "disease": "sensitive"}
+
+
+def _six_metrics(t):
+    """The six table metrics of ``t``; ``ke`` and ``em`` only on the numeric sensitive column."""
+    numeric = t.sensitive_column() == 3
+    values = [tb.k_anonymity(t), tb.l_diversity(t), tb.l_diversity(t, "recursive", 2.0),
+              tb.t_closeness(t), tb.alpha_k_anonymity(t, "33" if numeric else "flu")]
+    if numeric:
+        values += [tb.ke_anonymity(t), tb.em_anonymity(t, 5.0)]
+    return values
+
+
+class TestClassHistograms:
+    def _fresh(self, roles):
+        return core.parse_table(_RELEASE, {"roles": roles, "kinds": {"salary": "numeric"}})
+
+    def test_kept_table_and_its_re_tags_equal_fresh_parses(self):
+        kept = self._fresh(_CATEGORICAL)
+        first = _six_metrics(kept)
+        for roles in (_NUMERIC, _ZIP_ONLY, _CATEGORICAL, _NUMERIC):
+            retagged = kept.with_roles(roles)
+            assert _six_metrics(retagged) == _six_metrics(self._fresh(roles))
+            kept = retagged
+        assert _six_metrics(kept.with_roles(_CATEGORICAL)) == first
+
+    def test_histograms_follow_the_grouping(self):
+        kept = self._fresh(_CATEGORICAL)
+        histograms = kept.class_histograms(2)
+        assert kept.class_histograms(2) is histograms
+        assert [sum(h.values()) for h in histograms] == list(map(len, core.equivalence_classes(kept)))
+        same_qi = kept.with_roles(_NUMERIC)
+        assert same_qi.class_histograms(2) is histograms
+        assert kept.class_histograms(3) is same_qi.class_histograms(3)  # counted through the re-tag
+        other_qi = kept.with_roles(_ZIP_ONLY)
+        assert len(other_qi.class_histograms(2)) == 3 != len(histograms)
+        assert other_qi.with_roles(_CATEGORICAL).class_histograms(2) == histograms
+
+    def test_a_table_under_its_own_roles_builds_no_column(self, monkeypatch):
+        kept = self._fresh(_CATEGORICAL)
+
+        def no_column(*args):
+            raise AssertionError("a Column was built")
+
+        monkeypatch.setattr(core, "Column", no_column)
+        assert kept.with_roles(_CATEGORICAL) is kept
+        assert kept.with_roles({**_CATEGORICAL, "salary": "plain"}) is kept
+        with pytest.raises(SchemaError, match="unknown column 'nosuch'"):
+            kept.with_roles({"nosuch": "plain"})
+
+
 def persons_table(rows):
     csv_text = "pid,zip\n" + "".join(f"{p},{z}\n" for p, z in rows)
     return parse_table(
@@ -371,6 +429,11 @@ class TestXYPrivacy:
         with pytest.raises(SchemaError):
             tb.xy_privacy(t, ["x"], ["x"])
 
+    @pytest.mark.parametrize("x_cols, y_cols", [([], ["y"]), (["x"], [])])
+    def test_each_group_non_empty(self, x_cols, y_cols):
+        with pytest.raises(SchemaError, match="non-empty"):
+            tb.xy_privacy(self.xy_table([("a", "p")]), x_cols, y_cols)
+
 
 class TestHistoricalK:
     H = [
@@ -399,6 +462,13 @@ class TestHistoricalK:
     def test_needs_requests(self):
         with pytest.raises(EmptyError):
             tb.historical_k(self.H, [])
+
+    def test_entries_at_one_time(self):
+        # times are non-decreasing: two entries may share one
+        h = tb.LocationHistory("u1", ((0.0, frozenset({"c1"})), (0.0, frozenset({"c2"}))))
+        assert tb.historical_k([h], [(0.0, "c2")]) == 1
+        with pytest.raises(SchemaError):
+            tb.LocationHistory("u1", ((1.0, frozenset({"c1"})), (0.0, frozenset({"c2"}))))
 
 
 class TestHaplotypeSafety:
