@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 input/validation error, 3 computation error.
 Results go to stdout; diagnostics go to stderr. Errors are also printed to
-stdout as machine-readable ``{"error": code, "detail": ...}`` objects.
+stdout as machine-readable ``{"error": code, "detail": ...}`` objects; a
+command line click cannot parse is ``E_USAGE``, exit code 2.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import click
 from . import compute as compute_mod
 from . import ranges, registry
 from .core import _load_json, _read, jsonable
-from .errors import COMPUTATION_CODES, MetricError, ParamError
+from .errors import COMPUTATION_CODES, MetricError, ParamError, UsageError
 
 FORMATS = ("json", "csv", "text")
 
@@ -50,7 +51,24 @@ def _fmt_direction(direction) -> str:
     return direction
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group, run with click's ``standalone_mode`` off, so that a
+    usage fault goes through ``_fail`` as every other fault does, after
+    click's own usage text on stderr. ``--help`` prints and exits 0 as before."""
+
+    def main(self, args=None, prog_name=None, **extra):
+        try:
+            return super().main(args, prog_name, standalone_mode=False, **extra)
+        except click.UsageError as exc:
+            exc.show()  # a bare ``privmetrics`` shows the help, whose text is not the detail
+            help_only = isinstance(exc, getattr(click.exceptions, "NoArgsIsHelpError", ()))
+            _fail(UsageError("Missing command." if help_only else exc.format_message()))
+        except click.Abort:  # end of input or Ctrl-C at a prompt, as in standalone mode
+            click.echo("Aborted!", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Group)
 def main():
     """Privacy-metric toolbox: compute metrics, browse the catalog, get advice."""
 

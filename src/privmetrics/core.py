@@ -24,7 +24,7 @@ import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import sub
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -425,6 +425,14 @@ class FiniteMechanism:
     def _row_index(self) -> dict[str, tuple[float, ...]]:
         return dict(zip(self.inputs, self.matrix))
 
+    @cached_property
+    def _array(self):
+        """The matrix as a float array, converted the first time an array scan
+        asks and kept with the mechanism, so its scans share one conversion."""
+        import numpy as np
+
+        return np.array(self.matrix)
+
     def row_for(self, input_id: str) -> tuple[float, ...]:
         try:
             return self._row_index[input_id]
@@ -534,9 +542,9 @@ class DataTable:
         """These cells under the roles ``roles`` (by column name; an
         unmentioned column is plain), checked in the order ``parse_table``
         checks them. The cells are shared, not copied or checked again, and so
-        are the grouping and its histograms when the quasi-identifier columns
-        are the same; a table whose roles already are ``roles`` is returned
-        itself."""
+        are the grouping, its histograms and the class arrays when the
+        quasi-identifier columns are the same; a table whose roles already are
+        ``roles`` is returned itself."""
         names = [c.name for c in self.columns]
         for name in roles:
             if name not in names:
@@ -548,6 +556,7 @@ class DataTable:
         object.__setattr__(table, "columns", columns)
         if table.quasi_identifier_columns() != self.quasi_identifier_columns():
             vars(table).pop("_grouping", None)
+            vars(table).pop("_arrays", None)
         return table
 
     def class_histograms(self, index: int) -> tuple[Counter, ...]:
@@ -568,6 +577,12 @@ class DataTable:
     def _grouping(self) -> tuple[tuple[EquivalenceClass, ...], dict[int, tuple[Counter, ...]]]:
         """The equivalence classes, and the class histograms counted so far by column."""
         return _group_by_quasi_identifiers(self), {}
+
+    @cached_property
+    def _arrays(self) -> ClassArrays:
+        """The equivalence classes as numpy arrays, which the table metrics
+        read in place of the grouping on a large table."""
+        return _class_arrays(self)
 
 
 # Characters of a plain CSV split, width-checked and typed at a time: enough
@@ -745,6 +760,93 @@ def _group_by_quasi_identifiers(table: DataTable) -> tuple[EquivalenceClass, ...
     return tuple(
         EquivalenceClass(key, tuple(idx)) for key, idx in groups.items()
     )
+
+
+def _numbered(values: Sequence):
+    """Each distinct value's number, in first-appearance order, and the array
+    of each value's number in turn. Values are told apart as dict keys tell
+    them apart, as the grouping and a ``Counter`` do: 1, 1.0 and True are one
+    value, and so are 0.0 and -0.0."""
+    import numpy as np
+
+    numbers = defaultdict(count().__next__)  # numbers a value the first time it is looked up
+    numbered = np.fromiter(map(numbers.__getitem__, values), np.intp, len(values))
+    numbers.default_factory = None  # from here on, a lookup is a dict's
+    return numbers, numbered
+
+
+def _class_arrays(table: DataTable) -> ClassArrays:
+    """The grouping of ``_group_by_quasi_identifiers`` as arrays: the first
+    quasi-identifier column is numbered, and each further column's numbers
+    are folded into the class numbers so far, which are numbered again in
+    first-appearance order."""
+    import numpy as np
+
+    qi = table.quasi_identifier_columns()
+    if not qi:
+        raise SchemaError("table has no quasi-identifier columns")
+    class_of = _numbered(table.cells[qi[0]])[1]
+    rows = np.arange(len(class_of))
+    for j in qi[1:]:
+        numbers, column = _numbered(table.cells[j])
+        keys, width = class_of * len(numbers) + column, (class_of.max() + 1) * len(numbers)
+        if width > len(rows):  # more possible keys than rows: number the keys that occur
+            _, keys = np.unique(keys, return_inverse=True)
+            width = keys.max() + 1
+        first = np.full(width, len(rows))
+        np.minimum.at(first, keys, rows)  # each key's first row, len(rows) where it has none
+        class_of = first.argsort().argsort()[keys]  # keys ranked by their first row
+    return ClassArrays(table.cells, class_of, np.bincount(class_of))
+
+
+class ClassArrays:
+    """A table's equivalence classes as numpy arrays: ``class_of[i]`` is row
+    i's class, the classes numbered in first-appearance order as
+    ``equivalence_classes`` lists them, ``sizes[c]`` is class c's row count
+    and ``starts[c]`` the number of rows in the classes before it. Per
+    column, the class histograms and the cells sorted within each class are
+    worked out the first time a metric asks and kept; a caller must not
+    change the arrays."""
+
+    def __init__(self, cells, class_of, sizes):
+        self._cells = cells
+        self.class_of = class_of
+        self.sizes = sizes
+        self.starts = sizes.cumsum() - sizes
+        self._histograms: dict = {}
+        self._sorted: dict = {}
+
+    def histograms(self, index: int, as_str: bool = False) -> tuple:
+        """Column ``index``'s class histograms as ``(numbers, cls, value,
+        count)``: ``numbers`` numbers the column's distinct values (the
+        cells, or their strings when ``as_str``) as ``_numbered`` does, and
+        each class c holds ``count[e]`` cells of value ``value[e]`` for the
+        entries e with ``cls[e] == c``, which run by class, then by value."""
+        key = (index, as_str)
+        if key not in self._histograms:
+            import numpy as np
+
+            column = self._cells[index]
+            numbers, values = _numbered(list(map(str, column)) if as_str else column)
+            width = len(numbers)
+            keys, counts = np.unique(self.class_of * width + values, return_counts=True)
+            self._histograms[key] = numbers, keys // width, keys % width, counts
+        return self._histograms[key]
+
+    def sorted_values(self, index: int):
+        """Column ``index``'s cells as floats, sorted within each class, the
+        classes in order: class c's are ``[starts[c], starts[c] + sizes[c])``."""
+        if index not in self._sorted:
+            import numpy as np
+
+            values = np.array(self._cells[index], dtype=float)
+            # sorted by value, then stably by class: numpy sorts 16-bit keys in linear time
+            order = values.argsort()
+            classes = self.class_of[order]
+            if len(self.sizes) <= 1 << 16:
+                classes = classes.astype(np.uint16)
+            self._sorted[index] = values[order[classes.argsort(kind="stable")]]
+        return self._sorted[index]
 
 
 # ---------------------------------------------------------------------------

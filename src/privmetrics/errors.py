@@ -72,5 +72,12 @@ class UnknownMetricError(MetricError):
     code = "E_UNKNOWN"
 
 
+class UsageError(MetricError):
+    """Command line the CLI cannot parse: an unknown command or option, a
+    missing argument or option value, or a value outside an option's choices."""
+
+    code = "E_USAGE"
+
+
 # Errors that indicate a failed computation rather than bad input.
 COMPUTATION_CODES = frozenset({"E_CONVERGE", "E_DOMAIN"})

@@ -89,16 +89,15 @@ def dp_epsilon(m: FiniteMechanism, nr: NeighborRelation) -> dict:
 
 def _blocks(m: FiniteMechanism, pairs: list[tuple[str, str]]):
     """(first pair, first rows, second rows) for each block of about
-    ``_BLOCK_CELLS`` cells of the pairs, the rows as float arrays."""
-    import numpy as np
-
+    ``_BLOCK_CELLS`` cells of the pairs, the rows as float arrays taken from
+    the mechanism's one array."""
     number = {x: i for i, x in enumerate(m.inputs)}
     try:
         first, second = [number[a] for a, _ in pairs], [number[b] for _, b in pairs]
     except KeyError:  # name the first unknown input in pair order, as the scalar loop does
         for a, b in pairs:
             m.row_for(a), m.row_for(b)
-    matrix = np.array(m.matrix)
+    matrix = m._array
     step = max(1, _BLOCK_CELLS // len(m.outputs))
     for lo in range(0, len(pairs), step):
         yield lo, matrix[first[lo : lo + step]], matrix[second[lo : lo + step]]

@@ -27,6 +27,16 @@ from .errors import (
 from .ranges import domains, enum_range, interval
 
 
+# From this many rows on, k-anonymity, α-k, entropy l-diversity, categorical
+# t-closeness, (k,e) and (ε,m) read the table's class arrays
+# (``DataTable._arrays``); below it they run the scalar loops over the
+# grouping, which import nothing.
+_ARRAY_ROWS = 1 << 12
+# Cells of each block of classes that categorical t-closeness spreads over
+# the whole domain at a time, so that its temporaries stay under about 1 MB.
+_BLOCK_CELLS = 1 << 14
+
+
 def _class_sensitive(column: Sequence[Value], cls: EquivalenceClass) -> list[Value]:
     """The class's cells of one column, in row order."""
     return list(map(column.__getitem__, cls.row_indices))
@@ -34,6 +44,8 @@ def _class_sensitive(column: Sequence[Value], cls: EquivalenceClass) -> list[Val
 
 def k_anonymity(table: DataTable) -> int:
     """Minimum equivalence-class size over the quasi-identifier grouping."""
+    if len(table) >= _ARRAY_ROWS:
+        return int(table._arrays.sizes.min())
     return min(map(len, equivalence_classes(table)))
 
 
@@ -52,6 +64,12 @@ def alpha_k_anonymity(table: DataTable, value: Value) -> dict:
         if math.isnan(number):  # NaN equals no cell, so it would read as alpha 0
             raise ParamError(f"value {value!r} is not a number")
         value = number
+    if len(table) >= _ARRAY_ROWS:
+        arrays = table._arrays
+        numbers, cls, values, counts = arrays.histograms(col)
+        at = values == numbers.get(value, -1)
+        alpha = (counts[at] / arrays.sizes[cls[at]]).max() if at.any() else 0.0
+        return {"k": int(arrays.sizes.min()), "alpha": float(alpha)}
     classes = equivalence_classes(table)
     alpha = max(map(truediv, (h[value] for h in table.class_histograms(col)), map(len, classes)))
     return {"k": min(map(len, classes)), "alpha": alpha}
@@ -66,6 +84,8 @@ def l_diversity(table: DataTable, mode: str = "entropy", c: float = 1.0) -> floa
     below c times the tail sum from position l (l = 1 when nothing holds).
     """
     col = table.sensitive_column()
+    if mode == "entropy" and len(table) >= _ARRAY_ROWS:
+        return _l_entropy_arrays(table._arrays, col)
     classes = equivalence_classes(table)
     histograms = table.class_histograms(col)
     if mode == "entropy":
@@ -85,6 +105,24 @@ def l_diversity(table: DataTable, mode: str = "entropy", c: float = 1.0) -> floa
         ):
             best = ell
     return float(best)
+
+
+def _l_entropy_arrays(arrays, col: int) -> float:
+    """Entropy l-diversity from the class arrays. Each count c of a class of
+    size s gives the term p log2 p, p = c / s, from one ``math.log2`` per
+    distinct (c, s); each class's terms are summed by ``math.fsum``, which is
+    exactly rounded, so the order of a class's values changes no bit."""
+    import numpy as np
+
+    _, cls, _, counts = arrays.histograms(col)
+    sizes = arrays.sizes[cls]
+    width = int(sizes.max()) + 1
+    pairs, which = np.unique(counts * width + sizes, return_inverse=True)
+    pair_terms = [p * math.log2(p) for p in map(truediv, (pairs // width).tolist(),
+                                                          (pairs % width).tolist())]
+    terms = np.array(pair_terms)[which].tolist()
+    ends = np.bincount(cls).cumsum().tolist()
+    return min(2.0 ** (0.0 - math.fsum(terms[lo:hi])) for lo, hi in zip([0] + ends, ends))
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +164,8 @@ def t_closeness(table: DataTable) -> float:
     """
     col = table.sensitive_column()
     numeric = table.columns[col].kind == "numeric"
+    if not numeric and len(table) >= _ARRAY_ROWS:
+        return _t_closeness_arrays(table._arrays, col)
     classes = equivalence_classes(table)
     histograms = table.class_histograms(col)
     domain = set().union(*histograms)
@@ -142,6 +182,31 @@ def t_closeness(table: DataTable) -> float:
 
     table_dist = [sum(map(dict.get, histograms, repeat(v), repeat(0))) / len(table) for v in domain]
     return max(emd(dist(h, len(cls)), table_dist) for h, cls in zip(histograms, classes))
+
+
+def _t_closeness_arrays(arrays, col: int) -> float:
+    """Categorical t-closeness from the class arrays. Blocks of classes are
+    spread over the whole domain, the absent values as 0, so each term
+    |c / s - n_v / n| is the one IEEE quotient, difference and ``abs`` of the
+    scalar loop, and each class's row is summed by ``math.fsum``."""
+    import numpy as np
+
+    numbers, cls, values, counts = arrays.histograms(col)
+    if not all(type(v) is str for v in numbers):
+        numbers, cls, values, counts = arrays.histograms(col, as_str=True)
+    sizes, width = arrays.sizes, len(numbers)
+    table_dist = np.bincount(values, weights=counts, minlength=width) / len(arrays.class_of)
+    ends = np.bincount(cls).cumsum().tolist()
+    step = max(1, _BLOCK_CELLS // width)
+    worst = 0.0
+    for lo in range(0, len(sizes), step):
+        hi = min(lo + step, len(sizes))
+        first, last = ends[lo - 1] if lo else 0, ends[hi - 1]
+        block = np.zeros((hi - lo, width))
+        block[cls[first:last] - lo, values[first:last]] = counts[first:last]
+        terms = np.abs(block / sizes[lo:hi, None] - table_dist)
+        worst = max(worst, *map(math.fsum, terms.tolist()))
+    return 0.5 * worst  # halving is monotone, so it commutes with max
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +247,8 @@ def ke_anonymity(table: DataTable) -> dict:
     col = table.sensitive_column()
     if table.columns[col].kind != "numeric":
         raise SchemaError("range anonymity needs a numeric sensitive column")
+    if len(table) >= _ARRAY_ROWS:
+        return _ke_arrays(table._arrays, col)
     column = table.column_values(col)
     classes = equivalence_classes(table)
     ranges = [
@@ -189,6 +256,18 @@ def ke_anonymity(table: DataTable) -> dict:
         for vals in (_class_sensitive(column, c) for c in classes)
     ]
     return {"k": min(map(len, classes)), "e": min(ranges)}
+
+
+def _ke_arrays(arrays, col: int) -> dict:
+    """(k,e) from the class arrays: each class's range is its last sorted
+    value less its first, plus 0.0, which turns the -0.0 of a class of zeros
+    sorted -0.0 last into the 0.0 that max - min gives."""
+    import numpy as np
+
+    values, starts, sizes = arrays.sorted_values(col), arrays.starts, arrays.sizes
+    with np.errstate(over="ignore"):
+        ranges = values[starts + sizes - 1] - values[starts] + 0.0
+    return {"k": int(sizes.min()), "e": float(ranges.min())}
 
 
 @domains(epsilon=interval(0, None))
@@ -202,6 +281,8 @@ def em_anonymity(table: DataTable, epsilon: float) -> float:
     col = table.sensitive_column()
     if table.columns[col].kind != "numeric":
         raise SchemaError("similarity anonymity needs a numeric sensitive column")
+    if len(table) >= _ARRAY_ROWS:
+        return _em_anonymity_arrays(table._arrays, col, epsilon)
     column = table.column_values(col)
     worst = 0.0
     for cls in equivalence_classes(table):
@@ -226,6 +307,33 @@ def _most_within(values: Sequence[float], epsilon: float) -> int:
         if hi - lo > best:
             best = hi - lo
     return best
+
+
+def _em_anonymity_arrays(arrays, col: int, epsilon: float) -> float:
+    """(ε,m) from the class arrays. For each sorted value x, the ends of the
+    run ``_most_within`` finds are bisected for all values at once: the
+    first s of its class with ``not x - s > epsilon``, and the first s after
+    x with ``s - x > epsilon``; each test is the loop's IEEE difference."""
+    import numpy as np
+
+    values, starts, sizes = arrays.sorted_values(col), arrays.starts, arrays.sizes
+    at = np.arange(len(values))
+    start = np.repeat(starts, sizes)
+
+    def first(holds, lo, hi):
+        """Per value, the least j in [lo, hi) at which ``holds(j)``, else hi;
+        ``holds`` must be false and then true over each range."""
+        while (active := lo < hi).any():
+            mid = (lo + hi) >> 1
+            found = holds(np.minimum(mid, len(values) - 1)) & active
+            lo, hi = np.where(active & ~found, mid + 1, lo), np.where(found, mid, hi)
+        return lo
+
+    with np.errstate(over="ignore"):
+        low = first(lambda j: ~(values - values[j] > epsilon), start, at)
+        high = first(lambda j: values[j] - values > epsilon, at + 1, start + np.repeat(sizes, sizes))
+    best = np.maximum.reduceat(high - low, starts)
+    return 1.0 / float((best / sizes).max())
 
 
 def multirelational_k(

@@ -243,6 +243,10 @@ class TestSimpleRatios:
         with pytest.raises(ParamError):
             adv.health_privacy([0, 0], [1, 2])
 
+    def test_health_privacy_zero_weight(self):
+        # a variation of zero contribution is allowed and counts for nothing
+        assert adv.health_privacy([0.0, 1.0], [5.0, 3.0]) == 3.0
+
 
 class TestBatchMixRounds:
     def test_degenerate(self):
@@ -327,6 +331,13 @@ class TestConfidenceIntervalWidth:
 
     def test_samples_input(self):
         assert adv.confidence_interval_width(samples=[1.0, 2.0, 3.0, 4.0], c=50.0) == 1.0
+
+    def test_mass_exactly_at_the_tolerance(self):
+        # the first two of four samples hold 0.5, and 0.5 + 1e-12 rounds to
+        # exactly c / 100 here: that interval reaches the mass, within tolerance
+        c = 50.0000000001
+        assert 0.5 + 1e-12 == c / 100.0
+        assert adv.confidence_interval_width(samples=[0.0, 1.0, 2.0, 3.0], c=c) == 1.0
 
     def test_leftmost_tie(self):
         atoms = [(0.0, 0.5), (1.0, 0.25), (2.0, 0.25)]

@@ -111,6 +111,35 @@ class TestExitCodes:
         assert r.exit_code == 2
         assert json.loads(r.output.splitlines()[0])["error"] == "E_UNKNOWN"
 
+    @pytest.mark.parametrize("args, detail", [
+        (["compute"], "Missing argument 'METRIC_ID'."),
+        (["compute", "entropy", "--format", "xml"],
+         "Invalid value for '--format': 'xml' is not one of 'json', 'csv', 'text'."),
+        (["compute", "entropy", "--bogus"], "No such option '--bogus'."),
+        (["compute", "entropy", "--in"], "Option '--in' requires an argument."),
+        (["frobnicate"], "No such command 'frobnicate'."),
+        ([], "Missing command."),
+    ], ids=["no-metric-id", "format-xml", "unknown-option", "in-without-value",
+            "unknown-command", "no-command"])
+    def test_usage_fault_prints_error_object(self, runner, args, detail):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, r.output
+        assert json.loads(r.stdout) == {"error": "E_USAGE", "detail": detail}
+        assert r.stderr.endswith(f"E_USAGE: {detail}\n")
+        assert r.stderr.startswith(("Usage:", "Error:"))  # click's own text comes first
+
+    @pytest.mark.parametrize("args", [["--help"], ["compute", "--help"]])
+    def test_help_is_unchanged(self, runner, args):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 0
+        assert r.stdout.startswith("Usage: ") and "--help" in r.stdout
+        assert r.stderr == ""
+
+    def test_prompt_at_end_of_input_aborts_as_before(self, runner):
+        r = runner.invoke(main, ["advise"], input="")
+        assert r.exit_code == 1
+        assert r.stdout == "" and r.stderr.endswith("Aborted!\n")
+
     def test_domain_error_is_3(self, runner):
         r = runner.invoke(main, ["compute", "information_surprisal", "--param", "p=0"])
         assert r.exit_code == 3
@@ -798,9 +827,15 @@ def _cold(*args, cwd=None):
 
 # The fixtures whose cold ``compute`` loads numpy or scipy; every other fixture loads neither.
 NUMPY_USERS = {"loss_of_anonymity": ["numpy"]}
-# The functions that import numpy: Blahut-Arimoto, and the array scans that
-# dp_epsilon and adp_delta take on large mechanisms only; no function imports scipy.
-NUMPY_FUNCTIONS = {"conditional_channel_capacity", "_blocks", "_dp_epsilon_arrays", "_adp_delta_arrays"}
+# The functions that import numpy: Blahut-Arimoto; the array scans that dp_epsilon
+# and adp_delta take on large mechanisms only, and a mechanism's one array; the class
+# arrays of a large table and the table metrics that read them. No function imports scipy.
+NUMPY_FUNCTIONS = {
+    "conditional_channel_capacity",
+    "_dp_epsilon_arrays", "_adp_delta_arrays", "_array",
+    "_numbered", "_class_arrays", "histograms", "sorted_values",
+    "_l_entropy_arrays", "_t_closeness_arrays", "_ke_arrays", "_em_anonymity_arrays",
+}
 
 
 # One fixture from each metric module, in the order each thread computes them.

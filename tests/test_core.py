@@ -77,6 +77,18 @@ class TestParseDistribution:
         with pytest.raises(DistributionError):
             DiscreteDistribution(("a", "b"), (0.5 + 1e-8, 0.5))
 
+    @pytest.mark.parametrize("x_labels, y_labels, matrix", [((), ("y",), ()), (("x",), (), ((),))])
+    def test_joint_needs_both_alphabets(self, x_labels, y_labels, matrix):
+        # one empty alphabet is a schema fault, not a joint whose mass sums to 0
+        with pytest.raises(SchemaError, match="non-empty alphabets"):
+            JointDistribution(x_labels, y_labels, matrix)
+
+    @pytest.mark.parametrize("x_labels, y_labels", [(("a", "a"), ("b",)), (("a",), ("b", "b"))])
+    def test_joint_labels_distinct_on_each_side(self, x_labels, y_labels):
+        matrix = tuple((1.0 / (len(x_labels) * len(y_labels)),) * len(y_labels) for _ in x_labels)
+        with pytest.raises(SchemaError, match="labels must be distinct"):
+            JointDistribution(x_labels, y_labels, matrix)
+
 
 class TestRoundTrips:
     """Parsing the JSON of a value's fields gives back an equal value."""
@@ -434,6 +446,14 @@ class TestTraceAndRegion:
     def test_trace_needs_samples(self):
         with pytest.raises(EmptyError):
             Trace(())
+
+    @pytest.mark.parametrize("sample", [(0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)])
+    def test_trace_entries_each_finite(self, sample):
+        with pytest.raises(SchemaError, match="finite"):
+            Trace((sample,))
+
+    def test_rect_area_off_the_origin(self):
+        assert Region(rect=(1.0, 2.0, 4.0, 7.0)).area() == 15.0
 
     def test_rect_positive_extent(self):
         with pytest.raises(ParamError):

@@ -90,12 +90,18 @@ def ref_geo_indistinguishability(g):
 
 
 def ref_adp_delta(m, nr, eps):
-    scale = math.exp(eps)
+    try:
+        scale = math.exp(eps)
+    except OverflowError:
+        scale = math.inf
     delta = 0.0
     for a, b in nr.ordered_pairs():
         pa = m.row_for(a)
         pb = m.row_for(b)
-        excess = math.fsum(max(0.0, va - scale * vb) for va, vb in zip(pa, pb))
+        if scale == math.inf:  # in the limit, only the outputs that b never gives count
+            excess = math.fsum(va if vb == 0 else 0.0 for va, vb in zip(pa, pb))
+        else:
+            excess = math.fsum(max(0.0, va - scale * vb) for va, vb in zip(pa, pb))
         delta = max(delta, excess)
     return delta
 
@@ -272,8 +278,11 @@ def test_dp_epsilon_equals_scalar_loop(case):
     assert indist.dp_epsilon(m, nr) == ref_dp_epsilon(m, nr)
 
 
-_ADP_EPS = st.one_of(st.sampled_from([0.0, 1e-300, 0.05, 1.0, 709.0]),
-                    st.floats(min_value=0.0, max_value=709.0))
+# Past about 709.78, exp(eps) overflows and the scale is inf.
+_ADP_EPS = st.one_of(st.sampled_from([0.0, 1e-300, 0.05, 1.0, 709.0, 709.78, 709.79, 800.0,
+                                      1e308, math.inf]),
+                    st.floats(min_value=0.0, max_value=709.0),
+                    st.floats(min_value=0.0, allow_nan=False))
 
 
 @settings(max_examples=300, deadline=None)
@@ -355,6 +364,15 @@ def test_adp_delta_sum_is_exactly_rounded():
     assert indist.adp_delta(m, nr, 0.05) == ref_adp_delta(m, nr, 0.05) == 0.3166128849679281
 
 
+@pytest.mark.parametrize("cells", [1 << 14, 0])
+def test_dp_epsilon_at_the_smallest_normal_ratio(monkeypatch, cells):
+    # 3 * 2**-1024 / 0.75 is exactly 2**-1022, the smallest normal float, so
+    # eps is ln 2**-1022 to the bit; log a - log b is one ulp above it
+    monkeypatch.setattr(indist, "_ARRAY_CELLS", cells)
+    m, nr = _pair((3 * 2.0**-1024, 1.0), (0.75, 0.25))
+    assert indist.dp_epsilon(m, nr) == {"eps_eff": -math.log(2.0**-1022)} == {"eps_eff": 708.3964185322641}
+
+
 def test_array_scans_keep_the_exact_cases(monkeypatch):
     monkeypatch.setattr(indist, "_ARRAY_CELLS", 0)
     test_dp_epsilon_rounding_of_reverse_ratio()
@@ -373,7 +391,7 @@ _NUMERIC_QI = st.sampled_from([0.0, -0.0, 1.5, 2.0])
 # A coarse grid so that many differences land exactly on epsilon, plus
 # inexact decimals and magnitudes whose differences overflow to inf.
 _SENSITIVE = st.one_of(
-    st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 0.1, 0.2, 0.3, 0.7, -1e308, 1e308]),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 0.1, 0.2, 0.3, 0.7, -1e308, 1e308]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
 
@@ -396,12 +414,26 @@ def _epsilons(table):
     )
 
 
+def both(metric, table, *args):
+    """``metric``'s value on the scalar loops, checked equal, as its ``repr``
+    (so -0.0 is not 0.0), to its value on the class arrays of large tables,
+    forced onto this one."""
+    scalar = metric(table, *args)
+    saved, tabular._ARRAY_ROWS = tabular._ARRAY_ROWS, 0
+    try:
+        arrays = metric(table, *args)
+    finally:
+        tabular._ARRAY_ROWS = saved
+    assert repr(arrays) == repr(scalar)
+    return scalar
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data(), st.integers(1, 2))
 def test_em_anonymity_equals_scalar_loop(data, n_qi):
     table = data.draw(tables(n_qi, _SENSITIVE, "numeric"))
     epsilon = data.draw(_epsilons(table))
-    assert tabular.em_anonymity(table, epsilon) == ref_em_anonymity(table, epsilon)
+    assert both(tabular.em_anonymity, table, epsilon) == ref_em_anonymity(table, epsilon)
 
 
 def test_em_anonymity_ties_exactly_at_epsilon():
@@ -411,7 +443,7 @@ def test_em_anonymity_ties_exactly_at_epsilon():
         cells=(("a",) * len(values), values),
     )
     for epsilon in (0.0, 0.1, 0.2, 0.1 + 0.2, 0.9, 1.0, 1.1, math.inf):
-        assert tabular.em_anonymity(table, epsilon) == ref_em_anonymity(table, epsilon)
+        assert both(tabular.em_anonymity, table, epsilon) == ref_em_anonymity(table, epsilon)
 
 
 @settings(max_examples=300, deadline=None)
@@ -424,6 +456,13 @@ def test_equivalence_classes_equal_scalar_loop(data, n_qi):
         assert isinstance(c.qi_key, tuple) and len(c.qi_key) == n_qi
         assert isinstance(c.row_indices, tuple)
         assert list(c.row_indices) == sorted(set(c.row_indices))  # strictly ascending
+    # the class arrays number the same classes in the same order
+    arrays = table._arrays
+    assert arrays.class_of.tolist() == [
+        next(n for n, (_, idx) in enumerate(ref_classes(table)) if i in idx) for i in range(len(table))
+    ]
+    assert arrays.sizes.tolist() == [len(c) for c in classes]
+    assert arrays.starts.tolist() == [sum(map(len, classes[:n])) for n in range(len(classes))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -436,10 +475,24 @@ def test_categorical_table_metrics_equal_scalar_loops(data, n_qi, mixed):
     table = data.draw(tables(n_qi, cells, "categorical"))
     value = data.draw(st.sampled_from(["x", "1.0", 1.0, "nowhere"]))
     c = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]) | st.floats(0.01, 10.0))
-    assert tabular.l_diversity(table) == ref_l_entropy(table)
+    assert both(tabular.k_anonymity, table) == ref_alpha_k(table, value)["k"]
+    assert both(tabular.l_diversity, table) == ref_l_entropy(table)
     assert tabular.l_diversity(table, "recursive", c) == ref_l_recursive(table, c)
-    assert tabular.t_closeness(table) == ref_t_closeness_categorical(table)
-    assert tabular.alpha_k_anonymity(table, value) == ref_alpha_k(table, value)
+    assert both(tabular.t_closeness, table) == ref_t_closeness_categorical(table)
+    assert both(tabular.alpha_k_anonymity, table, value) == ref_alpha_k(table, value)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data(), st.integers(1, 2), st.booleans())
+def test_t_closeness_in_blocks_of_classes(block, monkeypatch, data, n_qi, mixed):
+    # the array path spreads a few classes at a time over the domain: one
+    # class per block, and blocks of one or two classes
+    monkeypatch.setattr(tabular, "_BLOCK_CELLS", block)
+    cells = st.sampled_from(["x", 1.0, "1.0", 1, "1"] if mixed else ["x", "y", "z", "w"])
+    table = data.draw(tables(n_qi, cells, "categorical"))
+    assert both(tabular.t_closeness, table) == ref_t_closeness_categorical(table)
 
 
 def test_t_closeness_keeps_apart_cells_without_strings_that_print_apart():
@@ -447,7 +500,7 @@ def test_t_closeness_keeps_apart_cells_without_strings_that_print_apart():
     table = DataTable((Column("q", "categorical", "quasi-identifier"),
                        Column("s", "categorical", "sensitive")),
                       cells=(("a", "a", "b", "b"), (1, 2, 1.0, 2)))
-    assert tabular.t_closeness(table) == ref_t_closeness_categorical(table) == 0.25
+    assert both(tabular.t_closeness, table) == ref_t_closeness_categorical(table) == 0.25
 
 
 @settings(max_examples=200, deadline=None)
@@ -458,10 +511,21 @@ def test_numeric_table_metrics_equal_scalar_loops(data, n_qi):
     value = data.draw(st.sampled_from(values) | _SENSITIVE)
     c = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]) | st.floats(0.01, 10.0))
     assert tabular.t_closeness(table) == ref_t_closeness_numeric(table)
-    assert tabular.ke_anonymity(table) == ref_ke(table)
-    assert tabular.alpha_k_anonymity(table, value) == ref_alpha_k(table, value)
-    assert tabular.l_diversity(table) == ref_l_entropy(table)
+    assert repr(both(tabular.ke_anonymity, table)) == repr(ref_ke(table))  # tells -0.0 from 0.0
+    assert both(tabular.alpha_k_anonymity, table, value) == ref_alpha_k(table, value)
+    assert both(tabular.l_diversity, table) == ref_l_entropy(table)
     assert tabular.l_diversity(table, "recursive", c) == ref_l_recursive(table, c)
+
+
+def test_ke_range_of_signed_zeros_is_positive_zero():
+    # max - min of a class of zeros is 0.0 whatever their signs; sorted, -0.0
+    # may come last, and -0.0 - 0.0 is -0.0
+    for zeros in ((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, -0.0, 0.0, -0.0)):
+        table = DataTable((Column("q", "categorical", "quasi-identifier"),
+                           Column("s", "numeric", "sensitive")),
+                          cells=(("a",) * len(zeros), zeros))
+        e = both(tabular.ke_anonymity, table)["e"]
+        assert e == 0.0 and math.copysign(1.0, e) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +611,16 @@ def test_information_sums_do_not_depend_on_outcome_order(data):
     snps = list(zip(probs, draw(st.lists(_WEIGHTS, min_size=len(probs), max_size=len(probs)))))
     snps_p = _permuted(draw, snps)
     assert uncertainty.genomic_privacy(*zip(*snps_p)) == uncertainty.genomic_privacy(*zip(*snps))
+
+
+def test_mutual_information_of_a_subnormal_copied_value():
+    # Y = X with P(X = a) = 1e-310: I(X;Y) = H(X), all of it from the one cell
+    # whose quotient 1e-310 / 1e-310 / 1e-310 overflows, so its log2 comes
+    # from log2 a - log2 b - log2 c
+    v = 1e-310
+    j = JointDistribution(("a", "b"), ("a", "b"), ((v, 0.0), (0.0, 1.0)))
+    assert infogain.mutual_information(j) == uncertainty.shannon_entropy(j.marginal_x())
+    assert infogain.mutual_information(j) == v * -math.log2(v)
 
 
 def test_information_identities_hold_exactly():

@@ -199,6 +199,19 @@ class TestArrayScans:
         assert ind.adp_delta(m, NR, 0.0) == pytest.approx(0.4, rel=1e-15)
         assert len(calls) == scans
 
+    def test_one_conversion_per_mechanism(self, monkeypatch):
+        # dp_epsilon then adp_delta on one kept mechanism convert its matrix once
+        monkeypatch.setattr(ind, "_ARRAY_CELLS", 0)
+        m = rr_mechanism(0.7)
+        conversions = []
+        array = np.array
+        monkeypatch.setattr(np, "array", lambda obj, *a, **k: (
+            conversions.append(obj) if obj is m.matrix else None) or array(obj, *a, **k))
+        ind.dp_epsilon(m, NR)
+        ind.adp_delta(m, NR, 0.0)
+        ind.adp_delta(m, NR, 0.5)
+        assert len(conversions) == 1
+
     def test_empty_relation(self, monkeypatch):
         monkeypatch.setattr(ind, "_ARRAY_CELLS", 0)
         nr = ind.NeighborRelation(())

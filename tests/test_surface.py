@@ -24,7 +24,9 @@ running the code. Reached code reaches:
   with that name, even on an object of another class.
 
 A reached class reaches its base classes, decorators, class-level statements
-and dunder methods, which Python calls without naming them.
+and dunder methods, which Python calls without naming them; a reached
+subclass of a ``click`` class also reaches its ``main``, which click's
+``__call__`` and its test runner call without naming it.
 """
 
 from __future__ import annotations
@@ -152,8 +154,10 @@ class _Surface:
             if isinstance(node, ast.ClassDef):
                 nodes = [*node.bases, *node.keywords, *node.decorator_list]
                 nodes += [s for s in node.body if not isinstance(s, ast.FunctionDef)]
+                of_click = any(isinstance(b, ast.Attribute) and isinstance(b.value, ast.Name)
+                               and b.value.id == "click" for b in node.bases)
                 for cls, meth in mod.methods:
-                    if cls == node.name and _is_dunder(meth):
+                    if cls == node.name and (_is_dunder(meth) or of_click and meth == "main"):
                         self._reach(("method", module, cls, meth))
             elif isinstance(node, ast.Assign):
                 nodes = [node.value]
@@ -210,4 +214,5 @@ def test_the_surface_walk_reaches_through_each_kind_of_root():
     assert ("def", "cli", "export") in reached  # a click command
     assert ("def", "registry", "ADVISOR_QUESTIONS") in reached  # read by the advise command
     assert ("method", "core", "FiniteMechanism", "__post_init__") in reached  # a dunder
+    assert ("method", "cli", "_Group", "main") in reached  # the entry point click calls
     assert ("method", "registry", "AdvisorAnswers", "from_json_dict") in reached  # an attribute

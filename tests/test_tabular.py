@@ -364,6 +364,62 @@ class TestClassHistograms:
             kept.with_roles({"nosuch": "plain"})
 
 
+# A release at the array threshold, read under the same three role sets.
+_LARGE_RELEASE = "zip,age,disease,salary\n" + "".join(
+    f"z{i % 37},a{i * 7 % 5},{'flu cold asthma ulcer'.split()[i * 11 // 3 % 4]},{20 + i * 13 % 170}\n"
+    for i in range(tb._ARRAY_ROWS)
+)
+
+
+class TestClassArrays:
+    def _fresh(self, roles):
+        return core.parse_table(_LARGE_RELEASE, {"roles": roles, "kinds": {"salary": "numeric"}})
+
+    def test_kept_table_and_its_re_tags_equal_fresh_parses_and_the_scalar_loops(self, monkeypatch):
+        kept = self._fresh(_CATEGORICAL)
+        first = _six_metrics(kept)
+        for roles in (_NUMERIC, _ZIP_ONLY, _CATEGORICAL, _NUMERIC):
+            retagged = kept.with_roles(roles)
+            assert _six_metrics(retagged) == _six_metrics(self._fresh(roles))
+            kept = retagged
+        assert _six_metrics(kept.with_roles(_CATEGORICAL)) == first
+        arrays = [_six_metrics(self._fresh(roles)) for roles in (_NUMERIC, _ZIP_ONLY)]
+        monkeypatch.setattr(tb, "_ARRAY_ROWS", len(kept) + 1)
+        assert [_six_metrics(self._fresh(roles)) for roles in (_NUMERIC, _ZIP_ONLY)] == arrays
+
+    def test_arrays_follow_the_grouping(self):
+        kept = self._fresh(_CATEGORICAL)
+        assert tb.k_anonymity(kept) == 22
+        arrays = kept._arrays
+        assert "_grouping" not in vars(kept)  # the array path builds no EquivalenceClass
+        assert arrays.sizes.tolist() == list(map(len, core.equivalence_classes(kept)))
+        histograms = arrays.histograms(2)
+        assert arrays.histograms(2) is histograms
+        same_qi = kept.with_roles(_NUMERIC)
+        assert same_qi._arrays is arrays
+        assert kept._arrays.sorted_values(3) is same_qi._arrays.sorted_values(3)
+        other_qi = kept.with_roles(_ZIP_ONLY)
+        assert len(other_qi._arrays.sizes) == 37 != len(arrays.sizes)
+        back = other_qi.with_roles(_CATEGORICAL)
+        assert back._arrays is not arrays
+        assert back._arrays.class_of.tolist() == arrays.class_of.tolist()
+
+    @pytest.mark.parametrize("metric, roles", [
+        (tb.k_anonymity, _CATEGORICAL), (lambda t: tb.alpha_k_anonymity(t, "flu"), _CATEGORICAL),
+        (tb.l_diversity, _CATEGORICAL), (tb.t_closeness, _CATEGORICAL),
+        (tb.ke_anonymity, _NUMERIC), (lambda t: tb.em_anonymity(t, 5.0), _NUMERIC),
+    ], ids=["k", "alpha_k", "l_entropy", "t_categorical", "ke", "em"])
+    def test_threshold(self, metric, roles):
+        at = self._fresh(roles)
+        below = core.parse_table(_LARGE_RELEASE.rsplit("\n", 2)[0] + "\n",
+                                 {"roles": roles, "kinds": {"salary": "numeric"}})
+        assert len(below) == len(at) - 1 == tb._ARRAY_ROWS - 1
+        metric(below)
+        metric(at)
+        assert "_arrays" not in vars(below) and "_grouping" in vars(below)
+        assert "_arrays" in vars(at) and "_grouping" not in vars(at)
+
+
 def persons_table(rows):
     csv_text = "pid,zip\n" + "".join(f"{p},{z}\n" for p, z in rows)
     return parse_table(
@@ -495,6 +551,11 @@ class TestHaplotypeSafety:
         # way, by 1 - alpha, would give 27.66)
         assert tb.haplotype_safety(100, 30, 0.5, "statistics") is True
         assert tb.haplotype_safety(100, 33, 0.5, "statistics") is False
+
+    def test_zero_denominator(self):
+        # log3(2 + 1) = 1 exactly, so alpha = 0 makes the denominator exactly 0
+        with pytest.raises(ParamError, match="non-positive threshold denominator"):
+            tb.haplotype_safety(2, 1, 0.0, "statistics", 3.0)
 
     def test_validation(self):
         with pytest.raises(ParamError):
