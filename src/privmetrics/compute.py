@@ -18,6 +18,7 @@ import json
 import math
 import os
 from itertools import chain
+from types import ModuleType
 from typing import Callable, NamedTuple, Sequence
 
 from . import core, ranges, registry
@@ -28,14 +29,21 @@ from .core import (
 from .errors import DomainError, ParamError, SchemaError
 
 
+_MODULES: dict[str, ModuleType] = {}  # each metric module, once its import is done
+
+
 def _function(path: str) -> Callable:
-    """The function ``module.function`` of this package, with both looked up
-    on every use rather than at import: the module through the import system,
-    so that the first use imports a metric module and a use from another thread
-    waits until that import is done, and the function's attribute on it, so
-    that a wrapper installed on the module attribute is the one that runs."""
-    module, name = f"{__package__}.{path}".rsplit(".", 1)
-    return getattr(importlib.import_module(module), name)
+    """The function ``module.function`` of this package, looked up at use
+    rather than at import. The module comes from the import system the first
+    time, so that the first use imports a metric module and a use from another
+    thread waits until that import is done; it is kept only once the import has
+    returned. The function's attribute is read on every use, so that a wrapper
+    installed on the module attribute is the one that runs."""
+    module, name = path.rsplit(".", 1)
+    mod = _MODULES.get(module)
+    if mod is None:
+        mod = _MODULES[module] = importlib.import_module(f"{__package__}.{module}")
+    return getattr(mod, name)
 
 
 # ---------------------------------------------------------------------------

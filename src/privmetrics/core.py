@@ -71,11 +71,18 @@ _REQUIRED = object()
 
 
 def _read(path) -> str:
+    """A file's text: one unbuffered binary read decoded as UTF-8, whatever the
+    locale, with ``\\r\\n`` and then a lone ``\\r`` read as ``\\n``, as text mode
+    reads them. A text-mode stream costs more to build than a small file takes
+    to read."""
     try:
-        with open(path) as fh:
-            return fh.read()
+        with io.FileIO(path) as fh:
+            text = fh.readall().decode()
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _load_json(text: str, what: str):

@@ -135,30 +135,38 @@ def conditional_channel_capacity(
         raise ShapeError("all conditioned channels must share the input alphabet")
     import numpy as np
 
-    # D(P(.|x) || q) = sum_y P log P - sum_y P log q; the first sum is fixed per row
+    # D(P(.|x) || q) = sum_y P log P - sum_y P log q; the first sum is fixed per row.
+    # Each step writes into buffers made here: q, log2 q and q > 0 per channel,
+    # and per input the averaged divergence, one channel's term and exp2 of either.
     terms = []
     for w, ch in zip(weights, channels):
         if w > 0:
             mat = np.asarray(ch.matrix, dtype=float)
             neg_h = (mat * np.log2(mat, out=np.zeros_like(mat), where=mat > 0)).sum(axis=1)
-            terms.append((w, mat, neg_h))
+            n_out = mat.shape[1]
+            terms.append((w, mat, neg_h, np.empty(n_out), np.empty(n_out), np.empty(n_out, bool)))
 
     r = np.full(n_in, 1.0 / n_in)
+    d_avg, term, scaled = np.empty(n_in), np.empty(n_in), np.empty(n_in)
     prev_bounds = None
     for _ in range(BA_MAX_ITER):
-        d_avg = np.zeros(n_in)
-        for w, mat, neg_h in terms:
-            q = r @ mat
-            d_avg += w * (neg_h - mat @ np.log2(q, out=np.zeros_like(q), where=q > 0))
+        d_avg.fill(0.0)
+        for w, mat, neg_h, q, log_q, positive in terms:
+            np.matmul(r, mat, out=q)
+            log_q.fill(0.0)
+            np.log2(q, out=log_q, where=np.greater(q, 0, out=positive))
+            np.subtract(neg_h, np.matmul(mat, log_q, out=term), out=term)
+            term *= w
+            d_avg += term
         upper = float(d_avg.max())
-        lower = float(math.log2(np.dot(r, np.exp2(d_avg))))
+        lower = float(math.log2(np.dot(r, np.exp2(d_avg, out=scaled))))
         if upper - lower < BA_TOL:
             return lower
         if prev_bounds is not None:
             if abs(upper - prev_bounds[0]) < BA_TOL and abs(lower - prev_bounds[1]) < BA_TOL:
                 return lower
         prev_bounds = (upper, lower)
-        r = r * np.exp2(d_avg - d_avg.max())  # shift for stability
+        r *= np.exp2(np.subtract(d_avg, upper, out=scaled), out=scaled)  # shift for stability
         r /= r.sum()
     raise ConvergenceError(f"capacity iteration cap {BA_MAX_ITER} reached")
 

@@ -1,10 +1,11 @@
 """Mutation fuzz over every fixture: one JSON node gets the wrong type, or
-one numeric ``--param`` an edge value.
+one numeric ``--param`` an edge value; and fuzz over malformed command lines.
 
 Whatever the mutation, ``compute`` must give a value (exit 0) or a
 machine-readable ``{"error": ...}`` with exit code 2 or 3; it must never
 escape with a traceback (exit 1). A NaN parameter, and one outside its
-declared domain, is always exit 2 with ``E_PARAM``.
+declared domain, is always exit 2 with ``E_PARAM``. A command line click
+cannot parse is held to the same 0/2/3 contract.
 """
 
 import copy
@@ -149,3 +150,29 @@ def test_numeric_param_fails_cleanly(metric_id, name, value, domain):
         assert exit_code == 2
     if domain is not None and not ranges.contains(domain, _number(value)):
         assert (exit_code, error) == (2, "E_PARAM")
+
+
+# Fragments of a malformed command line. ``advise`` always gets ``--answers``:
+# without it, it prompts, and an empty stdin aborts it with exit 1 by design.
+SUBCOMMANDS = [["compute"], ["describe"], ["list"], ["export"], ["frobnicate"], ["comp"], [],
+               ["advise", "--answers", "/nonexistent/answers.json"]]
+FRAGMENTS = [
+    ["--bogus"], ["-x"], ["--in"], ["--schema"], ["--param"], ["--format"], ["--category"],
+    ["--format", "xml"], ["--format", ""], ["--format", "JSON"], ["--format", "json"],
+    ["nosuch_metric"], ["entropy"], ["k_anonymity"], ["stray"], ["--"], ["-"],
+    ["--in", "/nonexistent/in.json"], ["--schema", "/nonexistent/a.json"],
+    ["--schema", "/nonexistent/b.json"], ["--param", "p"], ["--param", "p=1"], ["--param=="],
+    ["--answers", "/nonexistent/answers.json"],
+]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(subcommand=st.sampled_from(SUBCOMMANDS),
+       fragments=st.lists(st.sampled_from(FRAGMENTS), max_size=5))
+def test_malformed_command_line_fails_cleanly(subcommand, fragments):
+    argv = subcommand + [arg for fragment in fragments for arg in fragment]
+    r = CliRunner().invoke(main, argv)
+    assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
+    assert r.exit_code in (0, 2, 3), (argv, r.output)
+    if r.exit_code:  # stdout is one JSON object, nothing else
+        assert "error" in json.loads(r.stdout), (argv, r.stdout)

@@ -7,8 +7,11 @@ import pytest
 
 from privmetrics import infogain as ig
 from privmetrics import uncertainty as u
-from privmetrics.core import DiscreteDistribution as D, JointDistribution as J, parse_mechanism
+from privmetrics.core import (
+    DiscreteDistribution as D, JointDistribution as J, _normalized, parse_mechanism,
+)
 from privmetrics.errors import (
+    ConvergenceError,
     DegenerateError,
     DomainError,
     ParamError,
@@ -131,6 +134,12 @@ class TestMutualInformation:
         assert ig.mutual_information(j) == pytest.approx(1.0, abs=1e-12)
         assert ig.normalized_mutual_information(j) == pytest.approx(0.0, abs=1e-12)
         assert ig.conditional_privacy_loss(j) == pytest.approx(0.5, abs=1e-12)
+
+    def test_parity_of_a_uniform_quaternary(self):
+        """Y = X mod 2 for X uniform over 4: I(X;Y) = 1 bit of H(X) = 2."""
+        j = J(("0", "1", "2", "3"), ("0", "1"), ((0.25, 0.0), (0.0, 0.25), (0.25, 0.0), (0.0, 0.25)))
+        assert ig.mutual_information(j) == pytest.approx(1.0, abs=1e-12)
+        assert ig.normalized_mutual_information(j) == pytest.approx(0.5, abs=1e-12)
 
     def test_binary_symmetric(self):
         j = J(("0", "1"), ("0", "1"), ((0.445, 0.055), (0.055, 0.445)))
@@ -293,6 +302,74 @@ class TestChannelCapacity:
             value, abs=1e-12
         )
 
+    @staticmethod
+    def reference_capacity(channels, p_z):
+        """The Blahut-Arimoto loop as first written, one fresh array per step."""
+        weights = _normalized(p_z, "p_z")
+        n_in = len(channels[0].inputs)
+        terms = []
+        for w, ch in zip(weights, channels):
+            if w > 0:
+                mat = np.asarray(ch.matrix, dtype=float)
+                neg_h = (mat * np.log2(mat, out=np.zeros_like(mat), where=mat > 0)).sum(axis=1)
+                terms.append((w, mat, neg_h))
+        r = np.full(n_in, 1.0 / n_in)
+        prev_bounds = None
+        for _ in range(ig.BA_MAX_ITER):
+            d_avg = np.zeros(n_in)
+            for w, mat, neg_h in terms:
+                q = r @ mat
+                d_avg += w * (neg_h - mat @ np.log2(q, out=np.zeros_like(q), where=q > 0))
+            upper = float(d_avg.max())
+            lower = float(math.log2(np.dot(r, np.exp2(d_avg))))
+            if upper - lower < ig.BA_TOL:
+                return lower
+            if prev_bounds is not None:
+                if abs(upper - prev_bounds[0]) < ig.BA_TOL and abs(lower - prev_bounds[1]) < ig.BA_TOL:
+                    return lower
+            prev_bounds = (upper, lower)
+            r = r * np.exp2(d_avg - d_avg.max())
+            r /= r.sum()
+        raise ConvergenceError("cap")
+
+    @staticmethod
+    def seeded_channel(rng, n, k, zero_columns=0, near_symmetric=False):
+        """A dense channel; or one within about 1e-3 of the n-ary symmetric
+        channel that keeps 0.9, on which Blahut-Arimoto stops on the gap
+        between its bounds a step before they stall."""
+        if near_symmetric:
+            mat = np.full((n, k), 0.1 / (k - 1))
+            np.fill_diagonal(mat, 0.9)
+            mat = np.abs(mat + rng.normal(0, 1e-3, (n, k)))
+        else:
+            mat = rng.random((n, k)) + 1e-6
+        mat /= mat.sum(axis=1, keepdims=True)
+        for _ in range(zero_columns):
+            mat = np.insert(mat, int(rng.integers(0, mat.shape[1] + 1)), 0.0, axis=1)
+        labels = {"inputs": list(range(n)), "outputs": list(range(mat.shape[1]))}
+        return parse_mechanism(json.dumps({**labels, "matrix": mat.tolist()}))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_loop_equals_reference(self, seed):
+        """The loop that writes into preallocated buffers gives the value of
+        the loop that allocates, bit for bit."""
+        rng = np.random.default_rng(7100 + seed)
+        n, k = int(rng.integers(2, 40)), int(rng.integers(2, 40))
+        small = int(rng.integers(2, 6))
+        for channel in (self.seeded_channel(rng, n, k),
+                        self.seeded_channel(rng, n, k, zero_columns=2),
+                        self.seeded_channel(rng, small, small, near_symmetric=True)):
+            assert ig.conditional_channel_capacity([channel], [1.0]) == self.reference_capacity(
+                [channel], [1.0]
+            )
+        channels = [self.seeded_channel(rng, n, int(rng.integers(2, 12)), zero_columns=z)
+                    for z in (0, 1, 0)]
+        weights = rng.random(3)
+        for p_z in ([0.2, 0.3, 0.5], [0.5, 0.0, 0.5], (weights / weights.sum()).tolist()):
+            assert ig.conditional_channel_capacity(channels, p_z) == self.reference_capacity(
+                channels, p_z
+            )
+
     def test_conditional_weight_validation(self):
         matrix = [[1.0, 0.0], [0.0, 1.0]]
         m = parse_mechanism(json.dumps({"inputs": [0, 1], "outputs": [0, 1], "matrix": matrix}))
@@ -314,6 +391,12 @@ class TestMaxInformationLeakage:
         assert ig.max_information_leakage(j) == pytest.approx(
             0.278071905112638, abs=1e-9
         )
+
+    def test_observation_of_zero_mass_is_skipped(self):
+        """An output no input reaches is not an observation: the value is that
+        of the joint without it."""
+        j = J(("0", "1"), ("0", "1", "2"), ((0.4, 0.0, 0.1), (0.1, 0.0, 0.4)))
+        assert ig.max_information_leakage(j) == pytest.approx(0.278071905112638, abs=1e-9)
 
     def test_dominates_average(self):
         rng = np.random.default_rng(29)
@@ -359,6 +442,8 @@ class TestMatrixPermanent:
         a = ig.AdjacencyMatrix(tuple(tuple(1 for _ in range(21)) for _ in range(21)))
         with pytest.raises(ParamError):
             ig.matrix_permanent(a)
+        identity = tuple(tuple(int(i == j) for j in range(20)) for i in range(20))
+        assert ig.matrix_permanent(ig.AdjacencyMatrix(identity)) == 1  # n = 20 is inside the cap
 
 
 class TestSystemAnonymityLevel:
@@ -457,6 +542,9 @@ class TestPointwiseMeasures:
     def test_feature_window(self):
         # both transitions in a window of 2, against all 4 transitions of the original
         assert ig.feature_mass_reduction([1, 1, 0, 0], 2, [1, 1, 1, 1], None) == 0.5
+        # a window as long as the series counts it all; a window of 0 counts nothing
+        assert ig.feature_mass_reduction([1, 0, 1, 1], 4, [1, 1, 1, 1], 4) == 0.75
+        assert ig.feature_mass_reduction([1, 1], 0, [1, 1], None) == 0.0
         with pytest.raises(ParamError):
             ig.feature_mass_reduction([1], 5, [1], None)
         with pytest.raises(ParamError):
