@@ -170,14 +170,18 @@ def _mapping(item):
 
 def _floats(value, what: str) -> tuple[float, ...]:
     """An array of finite numbers. A large matrix is read row by row, so the
-    common all-valid row is checked and converted by C loops."""
-    if type(value) is list and _NUMBER.issuperset(map(type, value)):
-        try:
-            floats = tuple(map(float, value))
-            if math.isfinite(sum(floats)):
-                return floats
-        except OverflowError:  # an integer beyond the float range
-            pass
+    common all-valid row is checked and converted by C loops; a row of exact
+    floats, as JSON gives any number with a fraction or exponent, is kept as
+    it is, since ``float`` returns each of them unchanged."""
+    if type(value) is list:
+        types = set(map(type, value))
+        if types <= _NUMBER:
+            try:
+                floats = tuple(value) if types <= _FLOAT else tuple(map(float, value))
+                if math.isfinite(sum(floats)):
+                    return floats
+            except OverflowError:  # an integer beyond the float range
+                pass
     return tuple([_finite(v, what) for v in _array(value, what)])  # names the bad entry
 
 
@@ -254,6 +258,35 @@ def _normalized(masses: Sequence[float], what: str) -> tuple[float, ...]:
     if abs(total - 1.0) > RENORM_FLOOR:
         return tuple([m / total for m in masses])
     return masses
+
+
+# From this many matrix cells on, a mechanism's rows are checked against the
+# mass rule as one numpy array first (``_keeps_rows``); below it only row by
+# row, which imports nothing.
+_ARRAY_CELLS = 1 << 14
+
+
+def _keeps_rows(array, width: int) -> bool:
+    """Whether ``array``, made by ``np.array`` from a mechanism's matrix, shows
+    that ``_normalized`` keeps every row as it is: a float array of ``width``
+    columns, every entry in [0, 1], and each row's exact sum within
+    RENORM_FLOOR / 2 of 1. False says only that this is not shown; the row
+    loop then decides, and names the first fault.
+
+    numpy's sum s of n terms >= 0, in whatever order it adds them, lies within
+    gamma(n - 1) * S of their exact sum S, where gamma(k) = k u / (1 - k u) and
+    u = 2**-53 (Higham 2002, ch. 4), so within n * 2**-52 * s. A row that
+    passes the test below thus has S, and its exactly rounded ``math.fsum``,
+    within RENORM_FLOOR of 1; halving the floor covers the rounding of the
+    test itself. Entries of at most 1 keep the sums from overflowing.
+    """
+    # strings, None or huge integers make another dtype; NaN fails the range
+    if array.dtype != float or array.shape[1:] != (width,):
+        return False
+    if not (array.min() >= 0 and array.max() <= 1):
+        return False
+    sums = array.sum(axis=1)
+    return bool((abs(sums - 1.0) + sums * (width * 2.0**-52) <= RENORM_FLOOR / 2).all())
 
 
 def _info_bits(terms: Iterable[tuple[float, float]]) -> float:
@@ -415,11 +448,19 @@ class FiniteMechanism:
         width = len(self.outputs)
         if self.matrix and not 0 < width == len(set(self.outputs)):
             raise SchemaError("mechanism rows need distinct output labels, at least one")
-        rows = []
-        for i, row in enumerate(self.matrix):
-            if len(row) != width:
-                raise SchemaError(f"{width} outputs vs {len(row)} probabilities in row {i}")
-            rows.append(_normalized(row, f"mechanism row {i}"))
+        try:
+            kept = len(self.matrix) * width >= _ARRAY_CELLS and _keeps_rows(self._array, width)
+        except ValueError:  # ragged rows
+            kept = False
+        if kept:  # the row loop would keep every row as it is, and the array stays
+            rows = tuple(map(tuple, self.matrix))
+        else:
+            vars(self).pop("_array", None)  # made again from the checked rows if a scan asks
+            rows = []
+            for i, row in enumerate(self.matrix):
+                if len(row) != width:
+                    raise SchemaError(f"{width} outputs vs {len(row)} probabilities in row {i}")
+                rows.append(_normalized(row, f"mechanism row {i}"))
         if not self.inputs:
             raise SchemaError("mechanism needs at least one input")
         if len(set(self.inputs)) != len(self.inputs):
@@ -434,8 +475,9 @@ class FiniteMechanism:
 
     @cached_property
     def _array(self):
-        """The matrix as a float array, converted the first time an array scan
-        asks and kept with the mechanism, so its scans share one conversion."""
+        """The matrix as a float array, kept with the mechanism, so its scans
+        share one conversion: made at construction for the mass check of a
+        large matrix (``_keeps_rows``), else the first time an array scan asks."""
         import numpy as np
 
         return np.array(self.matrix)

@@ -153,18 +153,33 @@ def adp_delta(m: FiniteMechanism, nr: NeighborRelation, eps: float) -> float:
 
 def _adp_delta_arrays(m: FiniteMechanism, pairs: list[tuple[str, str]], scale: float) -> float:
     """``adp_delta`` over numpy blocks: IEEE arithmetic gives each term the
-    scalar loop's bits, the terms it leaves out become 0.0, and ``math.fsum``
-    sums each pair's row exactly, so the rounded excess is the same."""
+    scalar loop's bits, and the terms it leaves out become 0.0. ``math.fsum``
+    sums a pair's row exactly, but only where the row can hold the maximum.
+
+    numpy's sum s of a row's n terms >= 0 lies within n * 2**-52 * s of the
+    exact sum S (see ``core._keeps_rows``); ``err``, twice that, also
+    covers the rounding of s - err and s + err, and a sum below the normal
+    floats is exact. A row whose s + err is below another's s - err has the
+    smaller S, and as ``fsum`` rounds exactly and rounding is monotone, no
+    larger ``fsum``; nor can a row whose s + err is at most the largest
+    ``fsum`` so far pass it. Such rows are skipped, and the result keeps its
+    bits.
+    """
     import numpy as np
 
     delta = 0.0
+    slack = len(m.outputs) * 2.0**-51
     with np.errstate(over="ignore", under="ignore"):
         for _, pa, pb in _blocks(m, pairs):
             if scale == math.inf:
                 terms = np.where(pb == 0, pa, 0.0)
             else:
                 terms = np.maximum(pa - scale * pb, 0.0)
-            delta = max(delta, *map(math.fsum, terms.tolist()))
+            sums = terms.sum(axis=1)
+            err = sums * slack
+            upper = sums + err
+            for row in terms[(upper >= (sums - err).max()) & (upper > delta)].tolist():
+                delta = max(delta, math.fsum(row))
     return delta
 
 

@@ -1,4 +1,6 @@
 import json
+import math
+import random
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,15 @@ def values_close(actual, expected, tol):
     if isinstance(expected, (int, float)) and isinstance(actual, (int, float)):
         return abs(actual - expected) <= tol
     return actual == expected
+
+
+def large_rows(n=130, seed=7):
+    """n rows of n masses, each divided by its exact sum: at n = 128 or more,
+    n * n reaches ``core._ARRAY_CELLS``, so a mechanism's mass check takes numpy."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        weights = [rng.random() + 0.05 for _ in range(n)]
+        total = math.fsum(weights)
+        rows.append([w / total for w in weights])
+    return rows

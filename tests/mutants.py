@@ -9,6 +9,7 @@ module's tests there; the checkout itself is never edited. A mutant that no
 test fails on survives and is reported, with the line it changed. Usage::
 
     python tests/mutants.py compute --sample 40 --seed 0
+    python tests/mutants.py core --within _floats FiniteMechanism  # those defs only
 
 It uses the standard library and pytest only, and is not part of the test
 suite (pytest does not collect it).
@@ -74,6 +75,14 @@ def _sites(tree: ast.AST) -> list[tuple[int, int]]:
     return sites
 
 
+def _inside(tree: ast.AST, sites: list[tuple[int, int]], names: list[str]) -> list[tuple[int, int]]:
+    """The sites on the lines of the functions or classes named ``names``."""
+    nodes = list(ast.walk(tree))
+    spans = [range(n.lineno, n.end_lineno + 1) for n in nodes
+             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and n.name in names]
+    return [site for site in sites if any(nodes[site[0]].lineno in span for span in spans)]
+
+
 def mutate(source: str, site: tuple[int, int]) -> tuple[str, str]:
     """The module's source with the operator at ``site`` swapped, and a line
     that says where and what."""
@@ -112,10 +121,14 @@ def main() -> int:
     parser.add_argument("--sample", type=int, default=40, help="mutants to run (default 40)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--timeout", type=float, default=600, help="seconds per mutant")
+    parser.add_argument("--within", nargs="+", metavar="NAME",
+                        help="mutate only inside these functions or classes")
     args = parser.parse_args()
 
     source = (REPO / "src" / "privmetrics" / f"{args.module}.py").read_text()
     sites = _sites(ast.parse(source))
+    if args.within:
+        sites = _inside(ast.parse(source), sites, args.within)
     sample = sorted(random.Random(args.seed).sample(sites, min(args.sample, len(sites))))
     tests = list(dict.fromkeys(OWN_TESTS[args.module] + CLI_TESTS))
     print(f"{args.module}: {len(sample)} of {len(sites)} mutants, seed {args.seed}")

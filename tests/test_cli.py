@@ -10,10 +10,10 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from privmetrics import core, registry as reg
+from privmetrics import compute, core, registry as reg
 from privmetrics.cli import main
 
-from conftest import REPO, all_fixture_ids, load_fixture, materialize_fixture, values_close
+from conftest import REPO, all_fixture_ids, large_rows, load_fixture, materialize_fixture, values_close
 
 
 @pytest.fixture()
@@ -344,6 +344,65 @@ class TestExitCodes:
         assert '"value": 0.0' in r.stdout and "-0.0" not in r.stdout
         value = json.loads(r.stdout)["value"]
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+class TestLargeMechanismFaults:
+    """A mechanism past ``core._ARRAY_CELLS`` cells is checked as one array
+    first; every outcome, fault or value, is the row loop's to the byte."""
+
+    N = 130
+
+    def _run(self, runner, tmp_path, monkeypatch, mechanism, metric="differential_privacy", *params):
+        (tmp_path / "m.json").write_text(json.dumps(mechanism))
+        (tmp_path / "n.json").write_text(json.dumps({"pairs": [["x0", "x1"], ["x97", "x120"]]}))
+        args = ["compute", metric, "--in", str(tmp_path / "m.json"), "--in", str(tmp_path / "n.json"),
+                "--format", "json", *params]
+        outcomes = []
+        for cells in (core._ARRAY_CELLS, 1 << 62):  # the default, then the row loop forced
+            monkeypatch.setattr(core, "_ARRAY_CELLS", cells)
+            monkeypatch.setattr(compute, "_kept", ())  # parse the file again
+            r = runner.invoke(main, args)
+            outcomes.append((r.exit_code, r.stdout))
+        return outcomes
+
+    def _mechanism(self, **changes):
+        ids = [f"x{i}" for i in range(self.N)]
+        mechanism = {"inputs": ids, "outputs": list(ids), "matrix": large_rows(self.N)}
+        for key, change in changes.items():
+            change(mechanism[key])
+        return mechanism
+
+    @pytest.mark.parametrize("key, change", [
+        ("matrix", lambda m: m[97].__setitem__(3, True)),
+        ("matrix", lambda m: m[97].__setitem__(3, "0.5")),
+        ("matrix", lambda m: m[97].__setitem__(3, math.nan)),
+        ("matrix", lambda m: m[97].__setitem__(3, math.inf)),
+        ("matrix", lambda m: m[97].__setitem__(3, 10**400)),
+        ("matrix", lambda m: m[97].__setitem__(slice(3, 5), [-m[97][3], m[97][4] + 2 * m[97][3]])),
+        ("matrix", lambda m: m[97].__setitem__(3, m[97][3] + 1e-6)),  # past PROB_TOL
+        ("matrix", lambda m: m[120].append(0.0)),
+        ("matrix", lambda m: (m[120].append(0.0), m[97].__setitem__(3, -0.01))),  # row 97 first
+        ("inputs", lambda labels: labels.__setitem__(5, labels[4])),
+        ("outputs", lambda labels: labels.__setitem__(5, labels[4])),
+    ], ids=["bool", "string", "nan", "infinity", "int past the float range", "negative with the row sum kept",
+            "past tolerance", "ragged", "first of two faults", "repeated inputs", "repeated outputs"])
+    def test_a_fault(self, runner, tmp_path, monkeypatch, key, change):
+        fast, loop = self._run(runner, tmp_path, monkeypatch, self._mechanism(**{key: change}))
+        assert fast == loop
+        assert fast[0] == 2 and "error" in json.loads(fast[1])
+
+    @pytest.mark.parametrize("off", [1e-10, 7e-13, 4e-13, 0.0])
+    @pytest.mark.parametrize("metric, params", [("differential_privacy", ()),
+                                                ("approximate_differential_privacy", ("--param", "eps=0.05"))])
+    def test_a_row_off_one_is_renormalised_as_by_the_loop(self, runner, tmp_path, monkeypatch, off,
+                                                          metric, params):
+        def change(matrix):
+            matrix[97][:] = [v * (1 + off) for v in matrix[97]]
+
+        fast, loop = self._run(runner, tmp_path, monkeypatch, self._mechanism(matrix=change),
+                               metric, *params)
+        assert fast == loop
+        assert fast[0] == 0
 
 
 class TestListDescribe:

@@ -3,6 +3,7 @@ import json
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +33,8 @@ from privmetrics.errors import (
     SchemaError,
     ShapeError,
 )
+
+from conftest import large_rows
 
 
 class TestParseDistribution:
@@ -67,6 +70,17 @@ class TestParseDistribution:
     def test_length_mismatch(self):
         with pytest.raises(SchemaError):
             parse_distribution('{"labels":["a","b"],"probs":[1.0]}')
+
+    @pytest.mark.parametrize("probs", ["1.0", '"1"', '{"a": 1.0}', "[[1.0]]", "[1, true]"])
+    def test_probs_not_an_array_of_numbers(self, probs):
+        with pytest.raises(SchemaError, match="probs: expected"):
+            parse_distribution(f'{{"labels":["a"],"probs":{probs}}}')
+
+    @pytest.mark.parametrize("probs, floats", [("[1]", (1.0,)), ("[0.25, 3e-1, 0.45]", (0.25, 0.3, 0.45)),
+                                               ("[0, 1.0]", (0.0, 1.0))])
+    def test_probs_are_floats(self, probs, floats):
+        d = parse_distribution(f'{{"labels":{list("abc"[:len(floats)])},"probs":{probs}}}'.replace("'", '"'))
+        assert d.probs == floats and set(map(type, d.probs)) == {float}
 
     def test_renormalizes_within_tolerance(self):
         eps = 4e-10
@@ -158,6 +172,86 @@ class TestRoundTrips:
 def test_mechanism_reports_its_first_fault(inputs, outputs, matrix, error):
     with pytest.raises(error):
         FiniteMechanism(inputs, outputs, matrix)
+
+
+class TestMechanismArrayCheck:
+    """From ``core._ARRAY_CELLS`` matrix cells on, a mechanism's rows are
+    checked as one numpy array first; wherever that check fails, the row loop
+    decides, so the rows and the first fault are the loop's."""
+
+    IDS = tuple(f"x{i}" for i in range(130))
+
+    def both(self, monkeypatch, matrix, inputs=IDS, outputs=IDS):
+        """The mechanism, or the fault, at the default cut-off and with the row loop forced."""
+        results = []
+        for cells in (core._ARRAY_CELLS, 1 << 62):
+            monkeypatch.setattr(core, "_ARRAY_CELLS", cells)
+            try:
+                results.append(FiniteMechanism(inputs, outputs, matrix))
+            except Exception as exc:
+                results.append((type(exc), str(exc)))
+        return results
+
+    def test_rows_are_kept_and_the_array_made_once(self, monkeypatch):
+        rows = large_rows()
+        rows[5][:] = [0.0] * 129 + [1.0]  # entries at both ends of [0, 1]
+        rows = tuple(map(tuple, rows))
+        assert len(rows) * len(rows[0]) >= core._ARRAY_CELLS
+        fast, loop = self.both(monkeypatch, rows)
+        assert fast.matrix == loop.matrix == rows
+        assert "_array" in vars(fast) and "_array" not in vars(loop)
+        assert fast._array.tobytes() == np.array(rows).tobytes()
+
+    @pytest.mark.parametrize("n_in, checked", [(128, True), (127, False)])
+    def test_cut_off(self, monkeypatch, n_in, checked):
+        # 128 x 128 is 2**14 cells, the first size the array check takes
+        rows = tuple(map(tuple, large_rows(128)))[:n_in]
+        ids = tuple(f"x{i}" for i in range(128))
+        fast, loop = self.both(monkeypatch, rows, ids[:n_in], ids)
+        assert fast.matrix == loop.matrix == rows
+        assert ("_array" in vars(fast)) == checked
+
+    @pytest.mark.parametrize("off, checked", [(1e-10, False), (7e-13, False), (5.1e-13, False),
+                                              (4e-13, True), (-4e-13, True), (-5.1e-13, False),
+                                              (-7e-13, False), (-1e-10, False)])
+    def test_a_row_off_one(self, monkeypatch, off, checked):
+        # only a sum provably within RENORM_FLOOR / 2 of 1 is taken by the
+        # array check (a 130-term sum's bound is about 2.9e-14, so 5.1e-13 is
+        # not); the loop renormalises past RENORM_FLOOR, to the same bits
+        rows = large_rows()
+        rows[97] = [v * (1 + off) for v in rows[97]]
+        fast, loop = self.both(monkeypatch, tuple(map(tuple, rows)))
+        assert fast.matrix == loop.matrix
+        assert (fast.matrix[97] == tuple(rows[97])) == (abs(off) < core.RENORM_FLOOR)
+        assert ("_array" in vars(fast)) == checked
+        assert fast._array.tobytes() == np.array(fast.matrix).tobytes()
+
+    # entries that only a library caller can hand the constructor (a JSON
+    # file's typing rejects them first), and short rows; tests/test_cli.py
+    # covers the faults a file can bring
+    @pytest.mark.parametrize("change", [
+        lambda rows: rows[97].__setitem__(3, str(rows[97][3])),
+        lambda rows: rows[97].__setitem__(3, None),
+        lambda rows: rows[97].__setitem__(3, 10**400),
+        lambda rows: rows[97].__setitem__(3, True),
+        lambda rows: rows[97].__setitem__(3, math.nan),
+        lambda rows: rows[97].__setitem__(3, math.inf),
+        lambda rows: rows[120].pop(),
+        lambda rows: rows.__setitem__(40, []),
+    ], ids=["string", "none", "huge int", "bool", "nan", "inf", "short row", "empty row"])
+    def test_a_fault_is_the_loops(self, monkeypatch, change):
+        rows = large_rows()
+        change(rows)
+        fast, loop = self.both(monkeypatch, tuple(map(tuple, rows)))
+        assert isinstance(fast, tuple) and fast == loop
+
+    def test_repeated_labels_are_the_loops(self, monkeypatch):
+        rows = tuple(map(tuple, large_rows()))
+        inputs = self.IDS[:-1] + self.IDS[:1]
+        fast, loop = self.both(monkeypatch, rows, inputs=inputs)
+        assert fast == loop == (SchemaError, "input labels must be distinct")
+        fast, loop = self.both(monkeypatch, rows, outputs=inputs)
+        assert fast == loop == (SchemaError, "mechanism rows need distinct output labels, at least one")
 
 
 CSV = "zip,disease\n13053,flu\n13053,cold\n13068,flu\n13068,flu\n"

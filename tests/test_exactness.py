@@ -631,3 +631,100 @@ def test_information_identities_hold_exactly():
     j = JointDistribution(p.labels, ("y",), tuple((v,) for v in p.probs))
     assert uncertainty.conditional_entropy(j) == uncertainty.shannon_entropy(j.marginal_x())
     assert uncertainty.normalized_conditional_entropy(j) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# adp_delta's array scan sums a row exactly only where it can hold the maximum
+
+_TIE_MASSES = (1.0, 0.5, 1e-16, 3e-17, 1e-300, 1e-310, 5e-324)
+
+
+@st.composite
+def permuted_rows(draw):
+    """A mechanism of 64-700 outputs whose rows are permutations of one row,
+    and the full relation. Most masses come from a few magnitudes, so the
+    excesses of two pairs can differ by a few tiny masses, closer than
+    numpy's rounding of their sums; the rest are log-uniform in [1e-300, 1].
+    The rows come from a drawn seed: hypothesis's buffer holds too few draws
+    for 700 masses and their shuffles."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n_out, n_in = draw(st.integers(64, 700)), draw(st.integers(2, 4))
+    share = draw(st.sampled_from([0.0, 0.2, 1.0]))  # of log-uniform masses
+    weights = [10 ** rng.uniform(-300, 0) if rng.random() < share else rng.choice(_TIE_MASSES)
+               for _ in range(n_out)]
+    total = math.fsum(weights)
+    rows = []
+    for _ in range(n_in):
+        rows.append(tuple(w / total for w in weights))
+        rng.shuffle(weights)
+    inputs = tuple(f"i{k}" for k in range(n_in))
+    m = FiniteMechanism(inputs, tuple(f"o{j}" for j in range(n_out)), tuple(rows))
+    return m, indist.NeighborRelation(tuple((a, b) for k, a in enumerate(inputs) for b in inputs[k + 1:]))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05, 709.79, math.inf])
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(permuted_rows())
+def test_adp_delta_array_scan_on_near_ties(monkeypatch, eps, case):
+    m, nr = case
+    expected = ref_adp_delta(m, nr, eps)
+    monkeypatch.setattr(indist, "_ARRAY_CELLS", 0)
+    assert indist.adp_delta(m, nr, eps) == expected
+
+
+@pytest.mark.parametrize("block", [7, 1 << 14])
+@pytest.mark.parametrize("eps", [0.05, math.inf])
+def test_adp_delta_when_numpy_orders_two_excesses_wrongly(monkeypatch, block, eps):
+    # a's excess over c is 1/4 and four 2**-55, each half an ulp of 1/4, so a
+    # left-to-right sum rounds each back to 1/4 (ties to even), below b's
+    # excess 1/4 + 2**-54; their exact sums run the other way
+    import numpy as np
+
+    t = 2.0**-55
+    a = (0.25, t, t, t, t, 0.5 - 4 * t, 0.25)
+    b = (0.25 + 2 * t, 0.0, 0.0, 0.0, 0.0, 0.5 - 2 * t, 0.25)
+    c = (0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5)
+    m = FiniteMechanism(("a", "b", "c"), tuple(f"o{j}" for j in range(7)), (a, b, c))
+    nr = indist.NeighborRelation((("a", "c"), ("b", "c")))
+    assert m.matrix == (a, b, c)
+    assert list(np.array([a[:5] + (0.0, 0.0), b[:1] + (0.0,) * 6]).sum(axis=1)) == [0.25, 0.25 + 2 * t]
+    expected = ref_adp_delta(m, nr, eps)
+    assert expected == 0.25 + 4 * t
+    monkeypatch.setattr(indist, "_ARRAY_CELLS", 0)
+    monkeypatch.setattr(indist, "_BLOCK_CELLS", block)
+    assert indist.adp_delta(m, nr, eps) == expected
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05, math.inf])
+def test_adp_delta_of_a_subnormal_excess(monkeypatch, eps):
+    # the excess 1e-320 is exact, and so small that its error bound is 0.0
+    m, nr = _pair((1e-320, 0.5, 0.5), (0.0, 0.5, 0.5))
+    monkeypatch.setattr(indist, "_ARRAY_CELLS", 0)
+    assert indist.adp_delta(m, nr, eps) == ref_adp_delta(m, nr, eps) == 1e-320
+
+
+def test_adp_delta_on_a_benchmark_sized_chain(monkeypatch):
+    # 500 inputs and outputs, a chain relation over a shuffled order: the
+    # array scans run at the default cut-off, and few rows reach math.fsum
+    rng = random.Random(41)
+    ids = tuple(f"d{i}" for i in range(500))
+    rows = []
+    for _ in ids:
+        weights = [rng.random() + 0.05 for _ in ids]
+        total = math.fsum(weights)
+        rows.append(tuple(w / total for w in weights))
+    m = FiniteMechanism(ids, tuple(f"o{j}" for j in range(500)), tuple(rows))
+    order = list(ids)
+    rng.shuffle(order)
+    nr = indist.NeighborRelation(tuple(zip(order, order[1:])))
+    assert len(nr.ordered_pairs()) * len(m.outputs) >= indist._ARRAY_CELLS
+    assert indist.dp_epsilon(m, nr) == ref_dp_epsilon(m, nr)
+    for eps in (0.0, 0.05, 800.0):
+        expected = ref_adp_delta(m, nr, eps)
+        sums = []
+        fsum = math.fsum
+        monkeypatch.setattr(indist.math, "fsum", lambda terms: sums.append(1) or fsum(terms))
+        assert indist.adp_delta(m, nr, eps) == expected
+        monkeypatch.undo()
+        assert len(sums) <= 10
