@@ -170,18 +170,14 @@ def _mapping(item):
 
 def _floats(value, what: str) -> tuple[float, ...]:
     """An array of finite numbers. A large matrix is read row by row, so the
-    common all-valid row is checked and converted by C loops; a row of exact
-    floats, as JSON gives any number with a fraction or exponent, is kept as
-    it is, since ``float`` returns each of them unchanged."""
-    if type(value) is list:
-        types = set(map(type, value))
-        if types <= _NUMBER:
-            try:
-                floats = tuple(value) if types <= _FLOAT else tuple(map(float, value))
-                if math.isfinite(sum(floats)):
-                    return floats
-            except OverflowError:  # an integer beyond the float range
-                pass
+    common all-valid row is checked and converted by C loops."""
+    if type(value) is list and _NUMBER.issuperset(map(type, value)):
+        try:
+            floats = tuple(map(float, value))
+            if math.isfinite(sum(floats)):
+                return floats
+        except OverflowError:  # an integer beyond the float range
+            pass
     return tuple([_finite(v, what) for v in _array(value, what)])  # names the bad entry
 
 
@@ -261,8 +257,10 @@ def _normalized(masses: Sequence[float], what: str) -> tuple[float, ...]:
 
 
 # From this many matrix cells on, a mechanism's rows are checked against the
-# mass rule as one numpy array first (``_keeps_rows``); below it only row by
-# row, which imports nothing.
+# mass rule as one numpy array first (``_keeps_rows``), if numpy is already
+# imported; below it, or before numpy is, only row by row. Importing numpy
+# for the check alone would cost a cold process about 150 ms on a 2-vCPU
+# machine, more than the row loop takes on a matrix of a few million cells.
 _ARRAY_CELLS = 1 << 14
 
 
@@ -449,7 +447,8 @@ class FiniteMechanism:
         if self.matrix and not 0 < width == len(set(self.outputs)):
             raise SchemaError("mechanism rows need distinct output labels, at least one")
         try:
-            kept = len(self.matrix) * width >= _ARRAY_CELLS and _keeps_rows(self._array, width)
+            kept = (len(self.matrix) * width >= _ARRAY_CELLS and "numpy" in sys.modules
+                    and _keeps_rows(self._array, width))
         except ValueError:  # ragged rows
             kept = False
         if kept:  # the row loop would keep every row as it is, and the array stays
@@ -477,7 +476,8 @@ class FiniteMechanism:
     def _array(self):
         """The matrix as a float array, kept with the mechanism, so its scans
         share one conversion: made at construction for the mass check of a
-        large matrix (``_keeps_rows``), else the first time an array scan asks."""
+        large matrix (``_keeps_rows``) once numpy is imported, else the first
+        time an array scan asks."""
         import numpy as np
 
         return np.array(self.matrix)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from operator import sub, truediv
 from typing import Sequence
 
@@ -163,7 +163,8 @@ def _adp_delta_arrays(m: FiniteMechanism, pairs: list[tuple[str, str]], scale: f
     smaller S, and as ``fsum`` rounds exactly and rounding is monotone, no
     larger ``fsum``; nor can a row whose s + err is at most the largest
     ``fsum`` so far pass it. Such rows are skipped, and the result keeps its
-    bits.
+    bits. A kept row's ``fsum`` takes its positive terms only, as the scalar
+    loop's does, so rows that tie, each with a few terms past 0, stay cheap.
     """
     import numpy as np
 
@@ -178,8 +179,11 @@ def _adp_delta_arrays(m: FiniteMechanism, pairs: list[tuple[str, str]], scale: f
             sums = terms.sum(axis=1)
             err = sums * slack
             upper = sums + err
-            for row in terms[(upper >= (sums - err).max()) & (upper > delta)].tolist():
-                delta = max(delta, math.fsum(row))
+            rows = terms[(upper >= (sums - err).max()) & (upper > delta)]
+            positive = rows > 0
+            values = iter(rows[positive].tolist())  # row by row
+            for k in positive.sum(axis=1).tolist():
+                delta = max(delta, math.fsum(islice(values, k)))
     return delta
 
 
@@ -201,6 +205,7 @@ class GeoMechanism:
 def parse_geo_mechanism(text: str) -> GeoMechanism:
     locations, outputs, matrix = _GEO(_load_json(text, "geo mechanism"), "geo file")
     mech = FiniteMechanism(tuple(loc[0] for loc in locations), outputs, tuple(matrix))
+    vars(mech).pop("_array", None)  # geo_indistinguishability reads the rows, never the array
     return GeoMechanism(tuple(locations), mech)
 
 

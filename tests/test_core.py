@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -34,7 +37,7 @@ from privmetrics.errors import (
     ShapeError,
 )
 
-from conftest import large_rows
+from conftest import REPO, large_rows
 
 
 class TestParseDistribution:
@@ -244,6 +247,25 @@ class TestMechanismArrayCheck:
         change(rows)
         fast, loop = self.both(monkeypatch, tuple(map(tuple, rows)))
         assert isinstance(fast, tuple) and fast == loop
+
+    def test_a_cold_process_imports_no_numpy_for_it(self, monkeypatch, tmp_path):
+        # the check runs only once something else has imported numpy; before
+        # that the row loop keeps the same rows
+        rows = large_rows()
+        (tmp_path / "rows.json").write_text(json.dumps(rows))
+        code = ("import json, sys\n"
+                "from privmetrics.core import FiniteMechanism\n"
+                "rows = tuple(map(tuple, json.load(open(sys.argv[1]))))\n"
+                "ids = tuple(map(str, range(len(rows))))\n"
+                "m = FiniteMechanism(ids, ids, rows)\n"
+                "print(json.dumps(['numpy' in sys.modules, '_array' in vars(m), m.matrix]))\n")
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        r = subprocess.run([sys.executable, "-c", code, str(tmp_path / "rows.json")], capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        loaded, kept, matrix = json.loads(r.stdout)
+        fast, _ = self.both(monkeypatch, tuple(map(tuple, rows)))
+        assert (loaded, kept) == (False, False) and "_array" in vars(fast)
+        assert tuple(map(tuple, matrix)) == fast.matrix
 
     def test_repeated_labels_are_the_loops(self, monkeypatch):
         rows = tuple(map(tuple, large_rows()))

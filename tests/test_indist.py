@@ -309,6 +309,21 @@ class TestGeoIndistinguishability:
         with pytest.raises(ParamError):
             ind.geo_indistinguishability(self.geo([("a", 0, 0)], [[1.0]]))
 
+    def test_a_large_geo_mechanism_keeps_no_array(self):
+        # 130 x 130 cells pass core._ARRAY_CELLS, so the mass check makes an array
+        rng = random.Random(3)
+        n = 130
+        rows = []
+        for _ in range(n):
+            weights = [rng.random() + 0.05 for _ in range(n)]
+            total = math.fsum(weights)
+            rows.append([w / total for w in weights])
+        text = json.dumps({"locations": [[f"l{i}", i, 0] for i in range(n)],
+                           "outputs": list(range(n)), "matrix": rows})
+        g = ind.parse_geo_mechanism(text)
+        assert g.mechanism.matrix == tuple(map(tuple, rows))
+        assert "_array" not in vars(g.mechanism)
+
     def test_locations_must_match_the_mechanism_inputs(self):
         mech = self.geo([("a", 0, 0), ("b", 1, 0)], [[1.0], [1.0]]).mechanism
         for locations in ((("a", 0, 0), ("a", 1, 0)), (("b", 1, 0), ("a", 0, 0)), (("a", 0, 0),)):
